@@ -32,6 +32,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mean_nll(shift: np.ndarray, log_z: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy from max-shifted logits and their log-partition."""
+    nll = log_z - shift[np.arange(labels.shape[0]), labels]
+    return float(nll.mean())
+
+
 class MlpProblem:
     """Dataset plus architecture; produces batch objectives on demand."""
 
@@ -99,14 +105,15 @@ class MlpProblem:
         xb = self.x[indices]
         yb = self.y[indices]
         *_, shift, exp, log_z = self._forward(params, xb)
-        nll = log_z - shift[np.arange(xb.shape[0]), yb]
-        return float(nll.mean())
+        return _mean_nll(shift, log_z, yb)
 
-    def loss_gradient(self, params: np.ndarray, indices) -> np.ndarray:
+    def loss_and_gradient(self, params: np.ndarray, indices) -> tuple[float, np.ndarray]:
+        """(loss, loss_gradient) from one forward pass, bit-identical to the two calls."""
         xb = self.x[indices]
         yb = self.y[indices]
         batch = xb.shape[0]
         a1, da1, w2, logits, shift, exp, log_z = self._forward(params, xb)
+        loss = _mean_nll(shift, log_z, yb)
         probs = exp / exp.sum(axis=1, keepdims=True)
         delta2 = probs
         delta2[np.arange(batch), yb] -= 1.0
@@ -116,7 +123,10 @@ class MlpProblem:
         delta1 = (delta2 @ w2.T) * da1
         g_w1 = xb.T @ delta1
         g_b1 = delta1.sum(axis=0)
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+        return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+
+    def loss_gradient(self, params: np.ndarray, indices) -> np.ndarray:
+        return self.loss_and_gradient(params, indices)[1]
 
     def objective_for(self, indices) -> Objective:
         idx = np.asarray(indices)
@@ -125,6 +135,7 @@ class MlpProblem:
             value=lambda p: self.loss(p, idx),
             gradient=lambda p: self.loss_gradient(p, idx),
             name=self.name,
+            value_and_gradient=lambda p: self.loss_and_gradient(p, idx),
         )
 
     def full_objective(self) -> Objective:

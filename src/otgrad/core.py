@@ -28,8 +28,11 @@ class Objective:
     """A differentiable function R^dim -> R with an analytic gradient.
 
     `value` and `gradient` must accept a float64 array of shape (dim,).
-    Smoothness constants are optional metadata; they are required only by
-    the theory-mode parameter derivations.
+    `value_and_gradient`, when set, is a fused oracle returning
+    (value(x), gradient(x)) with the same bits from one pass; eval_objective
+    then calls it instead of the two.  Smoothness constants are optional
+    metadata; they are required only by the theory-mode parameter
+    derivations.
     """
 
     dim: int
@@ -39,6 +42,7 @@ class Objective:
     lipschitz_grad: Optional[float] = None
     lipschitz_hess: Optional[float] = None
     known_min: Optional[float] = None
+    value_and_gradient: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -56,8 +60,12 @@ def eval_objective(obj: Objective, x) -> tuple[float, np.ndarray]:
     v = as_vector(x, obj.dim)
     if not np.all(np.isfinite(v)):
         raise NumericalDomainError(f"{obj.name or 'objective'}: non-finite input point")
-    f = float(obj.value(v))
-    g = np.asarray(obj.gradient(v), dtype=np.float64)
+    if obj.value_and_gradient is not None:
+        f, g = obj.value_and_gradient(v)
+    else:
+        f, g = obj.value(v), obj.gradient(v)
+    f = float(f)
+    g = np.asarray(g, dtype=np.float64)
     if g.shape != (obj.dim,):
         raise ContractViolation(
             f"{obj.name or 'objective'}: gradient shape {g.shape} != ({obj.dim},)"

@@ -141,29 +141,52 @@ class OccupationWindow:
         return left.astype(np.int64), right.astype(np.int64)
 
 
+def _left_probabilities(w: WeightFn, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left_probability for every coordinate, bit for bit.
+
+    Array `np.power` may round differently from the scalar power inside
+    WeightFn, so each distinct count is weighted by one scalar WeightFn call
+    and the weights are gathered from that table.
+    """
+    occupied = np.bincount(np.concatenate((left, right)))
+    table = np.empty(occupied.shape[0], dtype=np.float64)
+    for n in np.flatnonzero(occupied):
+        table[n] = w(n)
+    wl = table[left]
+    wr = table[right]
+    p_left = wr / (wl + wr)
+    if not np.all((p_left >= 0.0) & (p_left <= 1.0)):
+        raise ContractViolation(
+            f"left probability outside [0, 1] (weight exponent {w.alpha} overflows)")
+    return p_left
+
+
 def sample_occupation_perturbation(
     x, window: OccupationWindow, r: float, w: WeightFn, rng: RngStream
 ) -> np.ndarray:
     """Occupation-adapted perturbation of x.
 
-    For each coordinate i in ascending order the sampler draws the kick sign
-    (left with probability w(R_i)/(w(L_i)+w(R_i))), then the kick magnitude
-    (r/sqrt(d)) * Unif[0,1).  Exactly two draws per coordinate, in that
-    order, so a run can be replayed bit for bit.
+    Coordinate i kicks left with probability p_i = w(R_i)/(w(L_i)+w(R_i))
+    and has magnitude (r/sqrt(d)) * Unif[0,1).  Draw order is part of the
+    contract, so a run can be replayed bit for bit: exactly two uniforms per
+    coordinate, in ascending coordinate order, sign first (left when
+    u < p_i, as RngStream.bernoulli) then magnitude.  The 2d uniforms are
+    drawn in one call; even entries are signs, odd entries magnitudes.
+
+    Each p_i equals left_probability(w, L_i, R_i) bit for bit, which is why
+    weights come from WeightFn's scalar power, never an array power.  A
+    p_i that is NaN or outside [0, 1] (weight overflow at large alpha)
+    raises ContractViolation.
     """
     v = as_vector(x, window.dim)
     if r < 0:
         raise ContractViolation(f"perturbation radius must be >= 0, got {r}")
     d = window.dim
     left, right = window.counts_all(v)
-    amp = r / math.sqrt(d)
-    out = v.copy()
-    for i in range(d):
-        p_left = left_probability(w, int(left[i]), int(right[i]))
-        go_left = rng.bernoulli(p_left)
-        mag = amp * rng.uniform()
-        out[i] = v[i] - mag if go_left else v[i] + mag
-    return out
+    p_left = _left_probabilities(w, left, right)
+    u = rng.uniforms(2 * d)
+    mag = (r / math.sqrt(d)) * u[1::2]
+    return np.where(u[0::2] < p_left, v - mag, v + mag)
 
 
 def sample_ball_perturbation(x, r: float, rng: RngStream) -> np.ndarray:

@@ -194,9 +194,10 @@ def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
     """One step of the perturbed gradient method.
 
     Order of events at step t: check the perturbation gate at the incoming
-    iterate, record the incoming (pre-perturbation) iterate into the window,
-    apply the improve-or-terminate check t_thres steps after a perturbation,
-    then take the gradient step from the (possibly perturbed) iterate.
+    iterate, record the incoming (pre-perturbation) iterate into the window
+    (occupation sampler only: the ball sampler never reads it), apply the
+    improve-or-terminate check t_thres steps after a perturbation, then take
+    the gradient step from the (possibly perturbed) iterate.
 
     Occupation counts for a perturbation at step t cover strictly earlier
     iterates only, so the sampler is consulted before the recording.
@@ -218,7 +219,8 @@ def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
         x_cur = _perturb(state, params.r, sampler, weight)
         state.perturbed_last = True
         state.n_perturbations += 1
-    state.window.record(x_in)
+    if sampler == "occupation":
+        state.window.record(x_in)
     if (state.x_tilde is not None and not state.perturbed_last
             and state.t - state.t_noise == params.t_thres):
         if f_t - state.f_tilde > -params.f_thres:
@@ -273,6 +275,7 @@ def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
         f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2
     which, when it holds, replaces (x', v') with nce(x, v, s).  A zero
     velocity makes the certificate 0 <= 0, which counts as triggered.
+    The incoming iterate enters the window only with the occupation sampler.
     """
     weight = weight or WeightFn()
     f_t, g_t = eval_objective(obj, state.x) if fg is None else fg
@@ -290,7 +293,8 @@ def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
             state.v = np.zeros_like(state.x)
         state.perturbed_last = True
         state.n_perturbations += 1
-    state.window.record(x_in)
+    if sampler == "occupation":
+        state.window.record(x_in)
     x = state.x
     v = state.v
     y = x + (1.0 - params.theta) * v

@@ -5,6 +5,7 @@ precision arithmetic and frozen here; the implementation must reproduce
 them to 1e-8 absolute.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from otgrad.core import (
     ContractViolation,
     NumericalDomainError,
     derive_stream,
+    eval_objective,
 )
 from otgrad.analysis import fd_gradient
 from otgrad.benchmarks import PROBLEM_NAMES, make_problem
@@ -229,6 +231,20 @@ class TestPhaseRetrieval:
             math.sqrt(1.0 / 100000.0), rel=1e-15)
 
 
+def _two_pass_loss_gradient(prob, params, indices):
+    """Backpropagation from a forward pass of its own, apart from the loss."""
+    xb = prob.x[indices]
+    yb = prob.y[indices]
+    batch = xb.shape[0]
+    a1, da1, w2, logits, shift, exp, log_z = prob._forward(params, xb)
+    delta2 = exp / exp.sum(axis=1, keepdims=True)
+    delta2[np.arange(batch), yb] -= 1.0
+    delta2 /= batch
+    delta1 = (delta2 @ w2.T) * da1
+    return np.concatenate([(xb.T @ delta1).ravel(), delta1.sum(axis=0),
+                           (a1.T @ delta2).ravel(), delta2.sum(axis=0)])
+
+
 class TestMlp:
     def make(self, n_hidden=8, n_samples=100, activation="sigmoid"):
         features, labels = synthetic_blobs(0, n_samples=n_samples)
@@ -267,6 +283,20 @@ class TestMlp:
             e[i] = h
             fd = (obj.value(params + e) - obj.value(params - e)) / (2.0 * h)
             assert ga[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
+    def test_fused_oracle_matches_two_pass_backprop(self, activation):
+        prob = self.make(n_hidden=8, activation=activation)
+        params = prob.init_params(derive_stream(3, 0), mean=-0.2, std=0.5)
+        idx = derive_stream(4, 0).permutation(prob.n_samples)[:32]
+        f, g = prob.loss_and_gradient(params, idx)
+        assert f == prob.loss(params, idx)
+        assert np.array_equal(g, _two_pass_loss_gradient(prob, params, idx))
+        assert np.array_equal(prob.loss_gradient(params, idx), g)
+        fused = prob.objective_for(idx)
+        for obj in (fused, dataclasses.replace(fused, value_and_gradient=None)):
+            f_eval, g_eval = eval_objective(obj, params)
+            assert f_eval == f and np.array_equal(g_eval, g)
 
     def test_validation_errors(self):
         features, labels = synthetic_blobs(0, n_samples=50)

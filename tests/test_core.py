@@ -144,3 +144,25 @@ class TestEvalObjective:
         )
         with pytest.raises(NumericalDomainError):
             eval_objective(bad, np.zeros(1))
+
+    def test_fused_oracle_replaces_separate_calls(self):
+        def unused(_x):
+            raise AssertionError("separate oracle called despite value_and_gradient")
+
+        obj = Objective(dim=2, value=unused, gradient=unused,
+                        value_and_gradient=lambda x: (0.5 * float(x @ x), x.copy()))
+        f, g = eval_objective(obj, np.array([3.0, 4.0]))
+        assert f == 12.5
+        assert np.array_equal(g, np.array([3.0, 4.0]))
+
+    def test_fused_oracle_is_checked(self):
+        def fused(result):
+            return Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: x,
+                             value_and_gradient=lambda x: result)
+
+        with pytest.raises(ContractViolation):
+            eval_objective(fused((0.0, np.zeros(3))), np.zeros(2))
+        with pytest.raises(NumericalDomainError):
+            eval_objective(fused((float("nan"), np.zeros(2))), np.zeros(2))
+        with pytest.raises(NumericalDomainError):
+            eval_objective(fused((0.0, np.array([np.inf, 0.0]))), np.zeros(2))

@@ -12,10 +12,55 @@ from otgrad.occupation import (
     UNWINDOWED_H,
     OccupationWindow,
     WeightFn,
+    _left_probabilities,
     left_probability,
     sample_ball_perturbation,
     sample_occupation_perturbation,
 )
+
+
+def reference_occupation_perturbation(x, window, r, w, rng):
+    """Scalar per-coordinate sampler: the draw-order contract written as a loop.
+
+    The vectorized sampler must match it bit for bit.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    d = window.dim
+    left, right = window.counts_all(v)
+    amp = r / math.sqrt(d)
+    out = v.copy()
+    for i in range(d):
+        p_left = left_probability(w, int(left[i]), int(right[i]))
+        go_left = rng.bernoulli(p_left)
+        mag = amp * rng.uniform()
+        out[i] = v[i] - mag if go_left else v[i] + mag
+    return out
+
+
+def filled_window(dim, windowed):
+    """Full-history window around a random point x, returned with x.
+
+    Coordinate i holds c_i samples at x_i - 1 (left) and the rest at
+    x_i + 1, plus three samples at x_i + 5 that only the unwindowed counts
+    see.  The left counts include 7 and, for dim 4, 1553: the first counts
+    at which array power (numpy 2.4 on AVX-512) rounds differently from
+    scalar power at alpha 1.5 and alpha 5.
+    """
+    rng = RngStream(dim, 1)
+    x = rng.normal(dim)
+    if dim <= 4:
+        n_near = 1600
+        c = np.array([7, 1553, 1565, 40][:dim])
+    else:
+        n_near = 64
+        c = rng.integers(0, n_near + 1, dim)
+        c[0] = 7
+    win = OccupationWindow(dim, h=2.0 if windowed else math.inf)
+    for k in range(n_near):
+        win.record(np.where(k < c, x - 1.0, x + 1.0))
+    for _ in range(3):
+        win.record(x + 5.0)
+    return win, x
 
 
 class TestWeightFn:
@@ -158,17 +203,31 @@ class TestOccupationSampler:
         r = 0.07
 
         out = sample_occupation_perturbation(x, win, r, w, RngStream(99, 0))
-
-        replay = RngStream(99, 0)
-        expected = x.copy()
-        amp = r / math.sqrt(4)
-        left, right = win.counts_all(x)
-        for i in range(4):
-            p = left_probability(w, int(left[i]), int(right[i]))
-            go_left = replay.bernoulli(p)
-            mag = amp * replay.uniform()
-            expected[i] = x[i] - mag if go_left else x[i] + mag
+        expected = reference_occupation_perturbation(x, win, r, w, RngStream(99, 0))
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("dim", [1, 4, 3562])
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.5, 5.0])
+    def test_matches_scalar_reference(self, alpha, windowed, dim):
+        win, x = filled_window(dim, windowed)
+        w = WeightFn(alpha=alpha)
+        left, right = win.counts_all(x)
+        p_scalar = [left_probability(w, int(nl), int(nr)) for nl, nr in zip(left, right)]
+        assert np.array_equal(_left_probabilities(w, left, right), p_scalar)
+
+        out = sample_occupation_perturbation(x, win, 0.3, w, RngStream(11, 0))
+        expected = reference_occupation_perturbation(x, win, 0.3, w, RngStream(11, 0))
+        assert np.array_equal(out, expected)
+
+    def test_weight_overflow_raises(self):
+        # w(50) and w(60) are both inf at alpha 200, so p_left = inf/inf.
+        win = OccupationWindow(dim=1)
+        for v in [-1.0] * 50 + [1.0] * 60:
+            win.record([v])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolation):
+            sample_occupation_perturbation([0.0], win, 0.1, WeightFn(alpha=200.0),
+                                           RngStream(0, 0))
 
     def test_empty_window_signs_are_balanced(self):
         win = OccupationWindow(dim=10)

@@ -219,6 +219,27 @@ class TestPgdotStep:
         expected = expected - params.eta * g
         assert np.array_equal(state.x, expected)
 
+    def test_theory_pgd_ball_sampler_leaves_window_empty(self):
+        # The window feeds only the occupation sampler. A replay that also
+        # records every incoming iterate, as the ball sampler once did,
+        # must give the same iterates.
+        obj = saddle_objective()
+        params = self.params()
+        x0 = np.array([1e-9, 0.0])
+        state = make_pgdot_state(x0, params, RngStream(6, 0))
+        recorded = make_pgdot_state(x0, params, RngStream(6, 0))
+        for _ in range(40):
+            x_in = recorded.x
+            out = pgdot_step(obj, state, params, sampler="ball")
+            out_recorded = pgdot_step(obj, recorded, params, sampler="ball")
+            recorded.window.record(x_in)
+            assert (out is None) == (out_recorded is None)
+            assert np.array_equal(state.x, recorded.x)
+            if out is not None:
+                break
+        assert state.n_perturbations >= 1
+        assert len(state.window) == 0 and len(recorded.window) > 0
+
 
 class TestNce:
     def test_momentum_above_s_freezes_iterate(self):
@@ -294,6 +315,22 @@ class TestPagdotStep:
         # nce() zeroes the velocity anyway; the flag zeroes it before the
         # accelerated update, so the probe starts from a dead stop.
         assert np.array_equal(state.v, np.zeros(2))
+
+    def test_theory_pagd_ball_sampler_leaves_window_empty(self):
+        obj = saddle_objective()
+        params = self.params()
+        x0 = np.array([1e-9, 0.0])
+        state = make_pagdot_state(x0, params, RngStream(6, 0))
+        recorded = make_pagdot_state(x0, params, RngStream(6, 0))
+        for _ in range(40):
+            x_in = recorded.x
+            pagdot_step(obj, state, params, sampler="ball")
+            pagdot_step(obj, recorded, params, sampler="ball")
+            recorded.window.record(x_in)
+            assert np.array_equal(state.x, recorded.x)
+            assert np.array_equal(state.v, recorded.v)
+        assert state.n_perturbations >= 1
+        assert len(state.window) == 0 and len(recorded.window) == 40
 
 
 class TestBaselines:
