@@ -291,6 +291,14 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"[{section}] missing required key 'eta' "
                           "(set it here or in [optimizer])")
             continue
+        if merged.get("full_grad_gate"):
+            # the gate reads the full-data gradient, which exists only next
+            # to mini-batches, and only the practical gate takes it
+            if name is not None and name != "mlp":
+                errors.append(f"[{section}] 'full_grad_gate' requires a "
+                              "dataset-backed problem (mlp)")
+            if merged.get("mode", "practical") != "practical":
+                errors.append(f"[{section}] 'full_grad_gate' requires mode = practical")
         algorithms.append(AlgoConfig(name=algo_name, **merged))
 
     max_steps = run_block.get("max_steps")

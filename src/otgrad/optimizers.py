@@ -14,12 +14,21 @@ windowed occupation count, no termination rule, and for the accelerated
 variants a plain Nesterov update y = x + momentum * v in place of the
 theory-mode coupling (no NCE).
 
+Every perturbed method passes through one gate, _gate: perturb when the
+gradient norm is at most the threshold and at least `cooldown` steps have
+passed since the last kick (t - t_noise >= cooldown).  The cooldown is
+t_thres + 1 for theory pgd/pgdot and for practical mode, and script_t for
+theory pagd/pagdot; a state starts at t_noise = -cooldown so a kick may
+fire at t = 0.  The gradient step is _descend and the Nesterov update is
+_accelerate, whichever mode calls them.
+
 Swapping the occupation sampler for a uniform ball sampler turns the adapted
 methods into the classical perturbed baselines (pgd, pagd) step for step.
 
 run() drives any algorithm (including sgd/adam/amsgrad/rmsprop baselines)
 for a step budget and returns a RunTrace of per-step f, gradient norm, and
-event flags.
+event flags.  A method table, _stepper, maps each algorithm and mode to its
+initial state and step; every step reports its events on that state.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -140,11 +149,17 @@ def derive_pagdot_params(d: int, ell: float, rho: float, eps: float,
 
 @dataclass
 class OptimizerState:
-    """Mutable loop state shared by the perturbed step operations."""
+    """Mutable loop state shared by the step operations.
+
+    perturbed_last, nce_last and the two counters are the event record:
+    a driver reads them the same way after a step of any algorithm (they
+    stay False and 0 where an event cannot happen).  `window` is None for
+    methods that never read occupation counts.
+    """
 
     x: np.ndarray
     rng: RngStream
-    window: OccupationWindow
+    window: Optional[OccupationWindow] = None
     t: int = 0
     v: Optional[np.ndarray] = None
     t_noise: int = 0
@@ -160,9 +175,9 @@ def make_pgdot_state(x0, params: PgdotParams, rng: RngStream,
                      t_count: Optional[int] = None, h: float = math.inf) -> OptimizerState:
     x = as_vector(x0)
     window = OccupationWindow(x.shape[0], t_count=t_count, h=h)
-    # t_noise starts one past the cooldown so a perturbation may fire at t=0
+    # t_noise starts one cooldown back so a perturbation may fire at t=0
     return OptimizerState(x=x.copy(), rng=rng, window=window,
-                          t_noise=-params.t_thres - 1)
+                          t_noise=-(params.t_thres + 1))
 
 
 def make_pagdot_state(x0, params: PagdotParams, rng: RngStream,
@@ -180,12 +195,55 @@ def gd_step(obj: Objective, x, eta: float, grad: Optional[np.ndarray] = None) ->
     return v - eta * g
 
 
-def _perturb(state: OptimizerState, r: float, sampler: str, weight: WeightFn) -> np.ndarray:
+def _gate(state: OptimizerState, f_t: float, g: np.ndarray, g_thres: float,
+          cooldown: int, r: float, sampler: str, weight: WeightFn) -> bool:
+    """The perturbation gate of every perturbed method; True when it fired.
+
+    Fires when ||g|| <= g_thres and t - t_noise >= cooldown.  Firing saves
+    the incoming iterate and value as (x_tilde, f_tilde), stamps t_noise,
+    and replaces state.x by a kick from `sampler`.  The incoming
+    (pre-perturbation) iterate is then recorded into the window, with the
+    occupation sampler only (the ball sampler never reads it), so the counts
+    behind a kick at step t cover strictly earlier iterates.
+    """
+    if sampler not in ("occupation", "ball"):
+        raise ContractViolation(f"unknown sampler {sampler!r}, expected 'occupation' or 'ball'")
+    x_in = state.x
+    fired = (float(np.linalg.norm(g)) <= g_thres
+             and state.t - state.t_noise >= cooldown)
+    if fired:
+        state.x_tilde = x_in.copy()
+        state.f_tilde = f_t
+        state.t_noise = state.t
+        if sampler == "occupation":
+            state.x = sample_occupation_perturbation(x_in, state.window, r, weight, state.rng)
+        else:
+            state.x = sample_ball_perturbation(x_in, r, state.rng)
+        state.n_perturbations += 1
     if sampler == "occupation":
-        return sample_occupation_perturbation(state.x, state.window, r, weight, state.rng)
-    if sampler == "ball":
-        return sample_ball_perturbation(state.x, r, state.rng)
-    raise ContractViolation(f"unknown sampler {sampler!r}, expected 'occupation' or 'ball'")
+        state.window.record(x_in)
+    state.perturbed_last = fired
+    return fired
+
+
+def _descend(obj: Objective, state: OptimizerState, g_t: np.ndarray, eta: float) -> None:
+    """Gradient step from state.x; a kicked iterate needs its own gradient."""
+    g = np.asarray(obj.gradient(state.x), dtype=np.float64) if state.perturbed_last else g_t
+    state.x = state.x - eta * g
+
+
+def _accelerate(obj: Objective, state: OptimizerState, momentum: float,
+                eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nesterov update y = x + momentum*v, x' = y - eta*grad f(y), v' = x' - x.
+
+    Returns (y, grad f(y)) for the theory-mode curvature certificate.
+    """
+    x = state.x
+    y = x + momentum * state.v
+    g_y = np.asarray(obj.gradient(y), dtype=np.float64)
+    state.x = y - eta * g_y
+    state.v = state.x - x
+    return y, g_y
 
 
 def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
@@ -193,40 +251,23 @@ def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
                fg: Optional[tuple[float, np.ndarray]] = None) -> Optional[np.ndarray]:
     """One step of the perturbed gradient method.
 
-    Order of events at step t: check the perturbation gate at the incoming
-    iterate, record the incoming (pre-perturbation) iterate into the window
-    (occupation sampler only: the ball sampler never reads it), apply the
-    improve-or-terminate check t_thres steps after a perturbation, then take
-    the gradient step from the (possibly perturbed) iterate.
-
-    Occupation counts for a perturbation at step t cover strictly earlier
-    iterates only, so the sampler is consulted before the recording.
+    Order of events at step t: the perturbation gate at the incoming iterate
+    (cooldown t_thres + 1, see _gate), the improve-or-terminate check
+    t_thres steps after a perturbation, then the gradient step from the
+    (possibly perturbed) iterate.
 
     Returns the saved pre-perturbation point when the run terminates
     (insufficient decrease t_thres steps after a perturbation), else None.
     """
     weight = weight or WeightFn()
     f_t, g_t = eval_objective(obj, state.x) if fg is None else fg
-    state.perturbed_last = False
-    state.nce_last = False
-    x_in = state.x
-    x_cur = x_in
-    if (float(np.linalg.norm(g_t)) <= params.g_thres
-            and state.t - state.t_noise > params.t_thres):
-        state.x_tilde = x_in.copy()
-        state.f_tilde = f_t
-        state.t_noise = state.t
-        x_cur = _perturb(state, params.r, sampler, weight)
-        state.perturbed_last = True
-        state.n_perturbations += 1
-    if sampler == "occupation":
-        state.window.record(x_in)
-    if (state.x_tilde is not None and not state.perturbed_last
-            and state.t - state.t_noise == params.t_thres):
-        if f_t - state.f_tilde > -params.f_thres:
-            return state.x_tilde
-    g_cur = g_t if not state.perturbed_last else np.asarray(obj.gradient(x_cur), dtype=np.float64)
-    state.x = x_cur - params.eta * g_cur
+    fired = _gate(state, f_t, g_t, params.g_thres, params.t_thres + 1, params.r,
+                  sampler, weight)
+    if (state.x_tilde is not None and not fired
+            and state.t - state.t_noise == params.t_thres
+            and f_t - state.f_tilde > -params.f_thres):
+        return state.x_tilde
+    _descend(obj, state, g_t, params.eta)
     state.t += 1
     return None
 
@@ -268,47 +309,30 @@ def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
     """One step of the perturbed accelerated method.
 
     Gate: perturb when the gradient norm is at most eps and at least
-    script_t steps have passed since the last perturbation (the velocity is
-    kept unless reset_velocity is set).  Then the accelerated update
-    y = x + (1-theta) v, x' = y - eta * grad f(y), v' = x' - x, followed by
-    the negative-curvature certificate
+    script_t steps have passed since the last perturbation (see _gate; the
+    velocity is kept unless reset_velocity is set).  Then the accelerated
+    update y = x + (1-theta) v, x' = y - eta * grad f(y), v' = x' - x,
+    followed by the negative-curvature certificate
         f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2
     which, when it holds, replaces (x', v') with nce(x, v, s).  A zero
     velocity makes the certificate 0 <= 0, which counts as triggered.
-    The incoming iterate enters the window only with the occupation sampler.
     """
     weight = weight or WeightFn()
     f_t, g_t = eval_objective(obj, state.x) if fg is None else fg
-    state.perturbed_last = False
     state.nce_last = False
-    x_in = state.x
     f_x = f_t
-    if (float(np.linalg.norm(g_t)) <= params.eps
-            and state.t - state.t_noise >= params.script_t):
-        state.x_tilde = x_in.copy()
-        state.t_noise = state.t
-        state.x = _perturb(state, params.r, sampler, weight)
+    if _gate(state, f_t, g_t, params.eps, params.script_t, params.r, sampler, weight):
         f_x = float(obj.value(state.x))
         if reset_velocity:
             state.v = np.zeros_like(state.x)
-        state.perturbed_last = True
-        state.n_perturbations += 1
-    if sampler == "occupation":
-        state.window.record(x_in)
-    x = state.x
-    v = state.v
-    y = x + (1.0 - params.theta) * v
-    g_y = np.asarray(obj.gradient(y), dtype=np.float64)
-    x_next = y - params.eta * g_y
-    v_next = x_next - x
+    x, v = state.x, state.v
+    y, g_y = _accelerate(obj, state, 1.0 - params.theta, params.eta)
     diff = x - y
     f_y = float(obj.value(y))
     if f_x <= f_y + float(g_y @ diff) - 0.5 * params.gamma * float(diff @ diff):
-        x_next, v_next = nce(obj, x, v, params.s, state.rng)
+        state.x, state.v = nce(obj, x, v, params.s, state.rng)
         state.nce_last = True
         state.n_nce += 1
-    state.x = x_next
-    state.v = v_next
     state.t += 1
 
 
@@ -496,41 +520,66 @@ class Batcher:
         return self.problem.objective_for(idx)
 
 
-def _practical_step(obj: Objective, state: OptimizerState, algo: AlgoConfig,
-                    sampler: str, accelerated: bool, weight: WeightFn,
-                    fg: tuple[float, np.ndarray],
-                    gate_gradient: Optional[np.ndarray] = None) -> None:
-    """Preset-style perturbed step: explicit knobs, no termination, no NCE."""
-    f_t, g_t = fg
-    state.perturbed_last = False
-    state.nce_last = False
-    x_in = state.x
-    gate_g = g_t if gate_gradient is None else gate_gradient
-    perturbable = algo.name in PERTURBED_ALGORITHMS
-    if (perturbable
-            and float(np.linalg.norm(gate_g)) <= algo.g_thres
-            and state.t - state.t_noise > algo.t_thres):
-        state.x_tilde = x_in.copy()
-        state.f_tilde = f_t
-        state.t_noise = state.t
-        state.x = _perturb(state, algo.r, sampler, weight)
-        if accelerated and algo.reset_velocity_on_perturb:
-            state.v = np.zeros_like(state.x)
-        state.perturbed_last = True
-        state.n_perturbations += 1
-    if perturbable and sampler == "occupation":
-        state.window.record(x_in)
-    x = state.x
-    if accelerated:
-        y = x + algo.momentum * state.v
-        g_y = np.asarray(obj.gradient(y), dtype=np.float64)
-        x_next = y - algo.eta * g_y
-        state.v = x_next - x
-        state.x = x_next
-    else:
-        g_cur = g_t if not state.perturbed_last else np.asarray(obj.gradient(x), dtype=np.float64)
-        state.x = x - algo.eta * g_cur
-    state.t += 1
+def _stepper(algo: AlgoConfig, x: np.ndarray, rng: RngStream,
+             gate_obj: Optional[Objective]):
+    """Method table: the initial state and the step function for `algo`.
+
+    step(obj, f_t, g_t) advances the state by one step on `obj`, given f
+    and the gradient at the incoming iterate.  It returns the saved point
+    when a theory-mode pgd/pgdot run terminates, else None.  The practical
+    gate reads gate_obj's gradient at the incoming iterate when gate_obj is
+    given, else g_t.
+    """
+    name = algo.name
+    sampler = "ball" if name in ("pgd", "pagd") else "occupation"
+    weight = WeightFn(algo.alpha)
+    if name in BASELINE_ALGORITHMS:
+        hyper = BaselineHyper(kind=name, lr=algo.eta, momentum=algo.momentum)
+        state = OptimizerState(x=x, rng=rng)
+
+        def step(obj, f_t, g_t):
+            state.x = baseline_step(hyper, state.x, g_t)
+        return state, step
+
+    if algo.mode == "theory" and name in PERTURBED_ALGORITHMS:
+        inputs = (x.shape[0], algo.ell, algo.rho, algo.eps, algo.c, algo.delta, algo.delta_f)
+        if name in ("pgd", "pgdot"):
+            pg_params = derive_pgdot_params(*inputs)
+            state = make_pgdot_state(x, pg_params, rng)
+
+            def step(obj, f_t, g_t):
+                return pgdot_step(obj, state, pg_params, sampler, weight, fg=(f_t, g_t))
+            return state, step
+        pa_params = derive_pagdot_params(*inputs)
+        state = make_pagdot_state(x, pa_params, rng)
+
+        def step(obj, f_t, g_t):
+            pagdot_step(obj, state, pa_params, sampler, weight,
+                        algo.reset_velocity_on_perturb, fg=(f_t, g_t))
+        return state, step
+
+    # practical mode, and gd/agd in either mode: explicit knobs, no
+    # termination rule, no NCE
+    perturbed = name in PERTURBED_ALGORITHMS
+    accelerated = name in ("agd", "pagd", "pagdot")
+    cooldown = algo.t_thres + 1
+    window = (OccupationWindow(x.shape[0], t_count=algo.t_count, h=algo.h)
+              if perturbed and sampler == "occupation" else None)
+    state = OptimizerState(x=x, rng=rng, window=window, t_noise=-cooldown,
+                           v=np.zeros_like(x) if accelerated else None)
+
+    def step(obj, f_t, g_t):
+        if perturbed:
+            gate_g = g_t if gate_obj is None else gate_obj.gradient(state.x)
+            _gate(state, f_t, gate_g, algo.g_thres, cooldown, algo.r, sampler, weight)
+        if not accelerated:
+            _descend(obj, state, g_t, algo.eta)
+        else:
+            if state.perturbed_last and algo.reset_velocity_on_perturb:
+                state.v = np.zeros_like(state.x)
+            _accelerate(obj, state, algo.momentum, algo.eta)
+        state.t += 1
+    return state, step
 
 
 def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
@@ -551,96 +600,37 @@ def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
         raise ContractViolation("run() needs an Objective, or a problem plus a Batcher")
     dim = obj.dim
     x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-    rng = derive_stream(seed, STREAM_ALGORITHM)
-    weight = WeightFn(algo.alpha)
+    gate_obj = full_obj if algo.full_grad_gate and batcher is not None else None
+    state, step = _stepper(algo, x, derive_stream(seed, STREAM_ALGORITHM), gate_obj)
     trace = RunTrace(algorithm=algo.name, problem=problem_name or getattr(obj, "name", ""),
                      seed=seed, mode=algo.mode)
-
-    theory = algo.mode == "theory"
-    accelerated = algo.name in ("agd", "pagd", "pagdot")
-    sampler = "ball" if algo.name in ("pgd", "pagd") else "occupation"
-    pg_params = pa_params = None
-    state = None
-    hyper = None
-    if algo.name in BASELINE_ALGORITHMS:
-        hyper = BaselineHyper(kind=algo.name, lr=algo.eta, momentum=algo.momentum)
-    elif algo.name in PERTURBED_ALGORITHMS or algo.name in ("gd", "agd"):
-        t_count = None if theory else algo.t_count
-        h = math.inf if theory else algo.h
-        if theory and algo.name in ("pgd", "pgdot"):
-            pg_params = derive_pgdot_params(dim, algo.ell, algo.rho, algo.eps,
-                                            algo.c, algo.delta, algo.delta_f)
-            state = make_pgdot_state(x, pg_params, rng, t_count=t_count, h=h)
-        elif theory and algo.name in ("pagd", "pagdot"):
-            pa_params = derive_pagdot_params(dim, algo.ell, algo.rho, algo.eps,
-                                             algo.c, algo.delta, algo.delta_f)
-            state = make_pagdot_state(x, pa_params, rng, t_count=t_count, h=h)
-        else:
-            window = OccupationWindow(dim, t_count=t_count, h=h)
-            state = OptimizerState(x=x.copy(), rng=rng, window=window,
-                                   t_noise=-algo.t_thres - 1)
-            if accelerated:
-                state.v = np.zeros(dim)
-
-    cur_x = x if state is None else state.x
 
     def objective_for_step() -> Objective:
         return batcher.next_objective() if batcher is not None else full_obj
 
-    step_now = 0
+    t = 0
+    saved = None
     try:
         for t in range(max_steps):
-            step_now = t
             step_obj = objective_for_step()
-            f_t, g_t = eval_objective(step_obj, cur_x)
-            gate_g = None
-            if algo.full_grad_gate and full_obj is not None and batcher is not None:
-                gate_g = full_obj.gradient(cur_x)
-            if hyper is not None:
-                cur_x = baseline_step(hyper, cur_x, g_t)
-                perturbed_flag = nce_flag = 0
-            elif theory and algo.name in ("pgd", "pgdot"):
-                terminated_x = pgdot_step(step_obj, state, pg_params, sampler=sampler,
-                                          weight=weight, fg=(f_t, g_t))
-                perturbed_flag = int(state.perturbed_last)
-                nce_flag = 0
-                if terminated_x is not None:
-                    trace.add_row(t, f_t, np.linalg.norm(g_t), perturbed_flag, nce_flag)
-                    trace.final_x = terminated_x
-                    trace.final_t = t
-                    trace.terminated = True
-                    trace.n_perturbations = state.n_perturbations
-                    trace.n_nce = state.n_nce
-                    return trace
-                cur_x = state.x
-            elif theory and algo.name in ("pagd", "pagdot"):
-                pagdot_step(step_obj, state, pa_params, sampler=sampler, weight=weight,
-                            reset_velocity=algo.reset_velocity_on_perturb, fg=(f_t, g_t))
-                perturbed_flag = int(state.perturbed_last)
-                nce_flag = int(state.nce_last)
-                cur_x = state.x
-            else:
-                _practical_step(step_obj, state, algo, sampler, accelerated, weight,
-                                (f_t, g_t), gate_gradient=gate_g)
-                perturbed_flag = int(state.perturbed_last)
-                nce_flag = int(state.nce_last)
-                cur_x = state.x
-            if t % record_every == 0:
-                trace.add_row(t, f_t, np.linalg.norm(g_t), perturbed_flag, nce_flag)
-        step_now = max_steps
-        final_obj = objective_for_step()
-        f_fin, g_fin = eval_objective(final_obj, cur_x)
-        trace.add_row(max_steps, f_fin, np.linalg.norm(g_fin), 0, 0)
+            f_t, g_t = eval_objective(step_obj, state.x)
+            saved = step(step_obj, f_t, g_t)
+            if saved is not None or t % record_every == 0:
+                trace.add_row(t, f_t, np.linalg.norm(g_t), state.perturbed_last,
+                              state.nce_last)
+            if saved is not None:
+                trace.terminated = True
+                break
+        else:
+            t = max_steps
+            f_fin, g_fin = eval_objective(objective_for_step(), state.x)
+            trace.add_row(max_steps, f_fin, np.linalg.norm(g_fin), 0, 0)
     except NumericalDomainError as exc:
-        trace.final_x = np.asarray(cur_x, dtype=np.float64)
-        trace.final_t = step_now
-        if state is not None:
-            trace.n_perturbations = state.n_perturbations
-            trace.n_nce = state.n_nce
         raise RunError(f"run aborted at step {len(trace.ts)}: {exc}", trace) from exc
-    trace.final_x = np.asarray(cur_x, dtype=np.float64)
-    trace.final_t = max_steps
-    if state is not None:
+    finally:
+        # every exit, RunError included, leaves the trace complete up to t
+        trace.final_x = np.asarray(state.x if saved is None else saved, dtype=np.float64)
+        trace.final_t = t
         trace.n_perturbations = state.n_perturbations
         trace.n_nce = state.n_nce
     return trace

@@ -148,6 +148,25 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             parse_config(SMALL_CONFIG.replace("max_steps = 40", "epochs = 2"))
 
+    def test_full_grad_gate_requires_dataset_problem(self):
+        text = SMALL_CONFIG.replace("[algorithm pgdot]",
+                                    "[algorithm pgdot]\nfull_grad_gate = true")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert "[algorithm pgdot] 'full_grad_gate' requires a dataset-backed problem" \
+            in str(info.value)
+
+    def test_full_grad_gate_requires_practical_mode(self):
+        text = PRESETS["example4_mnist"].replace(
+            "[algorithm pgdot]", "[algorithm pgdot]\nmode = theory\nfull_grad_gate = true")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert len(info.value.errors) == 1
+        assert "[algorithm pgdot] 'full_grad_gate' requires mode = practical" \
+            in str(info.value)
+        parse_config(PRESETS["example4_mnist"].replace(
+            "[algorithm pgdot]", "[algorithm pgdot]\nfull_grad_gate = true"))
+
     def test_momentum_range_enforced(self):
         with pytest.raises(ConfigError):
             parse_config(SMALL_CONFIG.replace("eta = 0.1", "eta = 0.1\nmomentum = 1.0"))

@@ -1,5 +1,6 @@
 """Parameter derivations, perturbed step operations, baselines, and run()."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from otgrad.core import ContractViolation, Objective, RngStream, derive_stream
+from otgrad.benchmarks import make_problem
+from otgrad.core import (
+    STREAM_ALGORITHM,
+    STREAM_BATCH,
+    STREAM_INIT,
+    ContractViolation,
+    Objective,
+    RngStream,
+    derive_stream,
+    eval_objective,
+)
+from otgrad.occupation import OccupationWindow, WeightFn, sample_occupation_perturbation
 from otgrad.optimizers import (
     ALGORITHMS,
     BASELINE_ALGORITHMS,
@@ -240,6 +252,17 @@ class TestPgdotStep:
         assert state.n_perturbations >= 1
         assert len(state.window) == 0 and len(recorded.window) > 0
 
+    def test_unknown_sampler_rejected_while_gate_is_shut(self):
+        # A gradient far above g_thres keeps the gate shut, so the sampler
+        # name must be checked on entry, not when a kick is first drawn.
+        obj = saddle_objective()
+        params = self.params()
+        state = make_pgdot_state(np.array([1.0, 0.0]), params, RngStream(0, 0))
+        with pytest.raises(ContractViolation, match="sampler"):
+            pgdot_step(obj, state, params, sampler="bal")
+        assert state.t == 0 and len(state.window) == 0
+        assert np.array_equal(state.x, np.array([1.0, 0.0]))
+
 
 class TestNce:
     def test_momentum_above_s_freezes_iterate(self):
@@ -331,6 +354,14 @@ class TestPagdotStep:
             assert np.array_equal(state.v, recorded.v)
         assert state.n_perturbations >= 1
         assert len(state.window) == 0 and len(recorded.window) == 40
+
+    def test_unknown_sampler_rejected_while_gate_is_shut(self):
+        obj = saddle_objective()
+        params = self.params()
+        state = make_pagdot_state(np.array([1.0, 0.0]), params, RngStream(0, 0))
+        with pytest.raises(ContractViolation, match="sampler"):
+            pagdot_step(obj, state, params, sampler="bal")
+        assert state.t == 0 and len(state.window) == 0 and state.n_nce == 0
 
 
 class TestBaselines:
@@ -487,6 +518,163 @@ class TestRun:
                     20, seed, x0=np.array([1.0, 1.0]), record_every=5)
         assert trace.ts[-1] == 20
         assert trace.fs[-1] < trace.fs[0]
+
+
+def _practical_occupation_reference(kind, next_objective, x0, seed, steps, cfg,
+                                    full=None):
+    """Direct transcription of practical pgdot / pagdot.
+
+    Gate on the step gradient (or on full.gradient at the incoming iterate),
+    kick with the occupation sampler, record the incoming iterate, then a
+    plain gradient step or a Nesterov step. Mirrors the trace layout of
+    run(): one f per step plus a final row on a fresh objective.
+    """
+    rng = derive_stream(seed, STREAM_ALGORITHM)
+    window = OccupationWindow(x0.shape[0], t_count=cfg.t_count, h=cfg.h)
+    weight = WeightFn(cfg.alpha)
+    x = np.array(x0, dtype=np.float64)
+    v = np.zeros_like(x)
+    t_noise = -cfg.t_thres - 1
+    fs, perturbed = [], []
+    for t in range(steps):
+        obj = next_objective()
+        f, g = eval_objective(obj, x)
+        fs.append(f)
+        gate_g = g if full is None else full.gradient(x)
+        kick = np.linalg.norm(gate_g) <= cfg.g_thres and t - t_noise > cfg.t_thres
+        perturbed.append(int(kick))
+        x_in = x
+        if kick:
+            t_noise = t
+            x = sample_occupation_perturbation(x_in, window, cfg.r, weight, rng)
+            if kind == "pgdot":
+                g = obj.gradient(x)
+            elif cfg.reset_velocity_on_perturb:
+                v = np.zeros_like(x)
+        window.record(x_in)
+        if kind == "pgdot":
+            x = x - cfg.eta * g
+        else:
+            y = x + cfg.momentum * v
+            x_next = y - cfg.eta * obj.gradient(y)
+            v = x_next - x
+            x = x_next
+    fs.append(eval_objective(next_objective(), x)[0])
+    return fs, perturbed, x
+
+
+class TestPracticalRunTranscription:
+    @pytest.mark.parametrize("kind", ["pgdot", "pagdot"])
+    @pytest.mark.parametrize("h, t_count, alpha", [(0.01, 7, 1.0), (math.inf, None, 5.0)])
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_occupation_run_matches_transcription(self, kind, h, t_count, alpha, reset):
+        # On a bowl with g_thres above the kick size the gate fires every
+        # t_thres + 1 steps, so the window both fills and (t_count = 7) evicts.
+        obj = convex_objective(3)
+        cfg = AlgoConfig(name=kind, eta=0.1, t_thres=3, g_thres=0.05, r=0.04,
+                         momentum=0.5, h=h, t_count=t_count, alpha=alpha,
+                         reset_velocity_on_perturb=reset)
+        x0 = np.array([0.01, -0.02, 0.0])
+        tr = run(obj, cfg, 60, 4, x0=x0)
+        fs, perturbed, x_final = _practical_occupation_reference(
+            kind, lambda: obj, x0, 4, 60, cfg)
+        assert sum(perturbed) >= 10
+        assert tr.fs == fs
+        assert tr.perturbed == perturbed + [0]
+        assert np.array_equal(tr.final_x, x_final)
+        assert tr.n_perturbations == sum(perturbed)
+
+    @pytest.mark.parametrize("kind", ["pgdot", "pagdot"])
+    def test_full_grad_gate_reads_full_gradient(self, kind):
+        # From saturated init the full-data gradient norm (about 0.05) is
+        # under g_thres while every 16-sample batch gradient is above it,
+        # so only a gate that reads the full gradient can fire.
+        bundle = make_problem("mlp", data_seed=0, dataset="synthetic_blobs",
+                              n_samples=64, n_hidden=4)
+        problem = bundle.problem
+        full = problem.full_objective()
+        x0 = problem.init_params(derive_stream(0, STREAM_INIT), mean=-1.0, std=0.1)
+        cfg = AlgoConfig(name=kind, eta=0.01, t_thres=3, g_thres=0.1, r=0.5,
+                         momentum=0.9, h=1e12, t_count=10, alpha=5.0,
+                         full_grad_gate=True)
+
+        def batcher():
+            return Batcher(problem, 16, derive_stream(2, STREAM_BATCH))
+
+        tr = run(full, cfg, 20, 2, x0=x0, batcher=batcher())
+        reference_batcher = batcher()
+        fs, perturbed, x_final = _practical_occupation_reference(
+            kind, reference_batcher.next_objective, x0, 2, 20, cfg, full=full)
+        assert sum(perturbed) >= 2
+        assert tr.fs == fs
+        assert tr.perturbed == perturbed + [0]
+        assert np.array_equal(tr.final_x, x_final)
+        batch_gated = dataclasses.replace(cfg, full_grad_gate=False)
+        assert run(full, batch_gated, 20, 2, x0=x0, batcher=batcher()).n_perturbations == 0
+
+
+THEORY_CONSTANTS = dict(ell=1.0, rho=1.0, eps=1.0, c=1.0, delta=0.1, delta_f=1.0)
+
+
+class TestTheoryRunWiring:
+    @pytest.mark.parametrize("name", ["pgd", "pgdot", "pagd", "pagdot"])
+    @pytest.mark.parametrize("objective", [convex_objective, saddle_objective])
+    def test_run_matches_hand_driven_steps(self, name, objective):
+        obj = objective()
+        x0 = np.array([1e-6, 0.0])
+        steps, seed = 40, 3
+        tr = run(obj, AlgoConfig(name=name, mode="theory", alpha=1.0, **THEORY_CONSTANTS),
+                 steps, seed, x0=x0)
+
+        rng = derive_stream(seed, STREAM_ALGORITHM)
+        sampler = "ball" if name in ("pgd", "pagd") else "occupation"
+        weight = WeightFn(1.0)
+        args = (2, *THEORY_CONSTANTS.values())
+        if name in ("pgd", "pgdot"):
+            params = derive_pgdot_params(*args)
+            state = make_pgdot_state(x0, params, rng)
+
+            def step():
+                return pgdot_step(obj, state, params, sampler=sampler, weight=weight)
+        else:
+            params = derive_pagdot_params(*args)
+            state = make_pagdot_state(x0, params, rng)
+
+            def step():
+                return pagdot_step(obj, state, params, sampler=sampler, weight=weight)
+
+        terminated_x = None
+        for t in range(steps):
+            f, g = eval_objective(obj, state.x)
+            terminated_x = step()
+            row = (t, f, float(np.linalg.norm(g)), int(state.perturbed_last),
+                   int(state.nce_last))
+            if terminated_x is not None:
+                break
+        terminated = terminated_x is not None
+        if name in ("pgd", "pgdot") and objective is convex_objective:
+            assert terminated  # no kick can improve on the bottom of a bowl
+        last = -1 if terminated else -2  # a full run ends with the final row
+        assert (tr.ts[last], tr.fs[last], tr.grad_norms[last], tr.perturbed[last],
+                tr.nce[last]) == row
+        assert tr.terminated == terminated
+        assert np.array_equal(tr.final_x, terminated_x if terminated else state.x)
+        assert tr.final_t == (t if terminated else steps)
+        assert tr.n_perturbations == state.n_perturbations >= 1
+        assert tr.n_nce == state.n_nce
+
+    @pytest.mark.parametrize("name", ["gd", "agd"])
+    def test_theory_gd_agd_match_practical(self, name):
+        obj = saddle_objective()
+        x0 = np.array([0.3, 0.01])
+        traces = [run(obj, AlgoConfig(name=name, mode=mode, eta=0.1, momentum=0.7,
+                                      **THEORY_CONSTANTS), 50, 0, x0=x0)
+                  for mode in ("theory", "practical")]
+        theory, practical = traces
+        assert theory.fs == practical.fs
+        assert theory.grad_norms == practical.grad_norms
+        assert np.array_equal(theory.final_x, practical.final_x)
+        assert theory.fs[-1] < -0.01  # both left the saddle
 
 
 class TestBatcher:
