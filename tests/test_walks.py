@@ -1,17 +1,18 @@
 """Self-interacting walk simulator: dynamics, MSD fitting, localization."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from otgrad import walks
 from otgrad.core import ContractViolation, RngStream
 from otgrad.occupation import WeightFn
 from otgrad.walks import (
     WALK_KINDS,
-    _simulate_python,
     fit_msd_exponent,
     left_move_probability,
     localization_metric,
@@ -24,6 +25,42 @@ from otgrad.walks import (
     write_msd_csv,
     write_paths_csv,
 )
+
+
+def _fit_msd_exponent_reference(msd, t_lo, t_hi):
+    """fit_msd_exponent as first written, one temporary per operation."""
+    msd = np.asarray(msd, dtype=np.float64)
+    t_lo = max(1, int(t_lo))
+    t_hi = min(int(t_hi), msd.shape[0] - 1)
+    ts = np.arange(t_lo, t_hi + 1)
+    ys = msd[t_lo:t_hi + 1]
+    keep = ys > 0
+    ts, ys = ts[keep], ys[keep]
+    lx = np.log(ts.astype(np.float64))
+    ly = np.log(ys)
+    lx_c = lx - lx.mean()
+    sxx = float(lx_c @ lx_c)
+    slope = float(lx_c @ ly) / sxx
+    intercept = float(ly.mean() - slope * lx.mean())
+    resid = ly - (intercept + slope * lx)
+    dof = ts.shape[0] - 2
+    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
+    return slope, float(np.sqrt(sigma2 / sxx))
+
+
+def _msd_reference(kind, weight, T, n_paths, seed):
+    """The per-path accumulation msd_curve replaces: float sum of squares."""
+    acc = np.zeros(T + 1, dtype=np.float64)
+    for i in range(n_paths):
+        acc += simulate(kind, weight, T, seed + i).astype(np.float64) ** 2
+    return acc / n_paths
+
+
+def _localization_reference(path):
+    """localization_metric through np.unique."""
+    second = np.asarray(path, dtype=np.int64)[len(path) // 2:]
+    _, counts = np.unique(second, return_counts=True)
+    return float(np.sort(counts)[::-1][:5].sum()) / second.shape[0]
 
 
 class TestMoveProbabilities:
@@ -77,14 +114,16 @@ class TestWalkStep:
     def test_walk_step_matches_batch_simulators(self):
         for kind in WALK_KINDS:
             T = 500
-            uniforms = RngStream(11, 0).uniforms(T)
             state = make_walk_state(kind, WeightFn(alpha=5.0), RngStream(11, 0))
             stepped = [0]
             for _ in range(T):
                 walk_step(state)
                 stepped.append(state.position)
-            assert np.array_equal(np.array(stepped), simulate(kind, WeightFn(alpha=5.0), T, 11))
-            assert np.array_equal(np.array(stepped), _simulate_python(kind, 5.0, uniforms))
+            stepped = np.array(stepped)
+            assert np.array_equal(stepped, simulate(kind, WeightFn(alpha=5.0), T, 11))
+            # a one-path ensemble is that path's squared displacement
+            assert np.array_equal(stepped.astype(np.float64) ** 2,
+                                  msd_curve(kind, WeightFn(alpha=5.0), T, 1, 11))
 
 
 class TestSimulate:
@@ -112,6 +151,34 @@ class TestSimulate:
         with pytest.raises(ContractViolation):
             simulate("repelling", WeightFn(), 0, 0)
 
+    @pytest.mark.parametrize("alpha, count", [(200.0, 35), (140.0, 159)])
+    def test_weight_overflow_names_alpha_and_count(self, alpha, count):
+        # 35**200 overflows outright; 159**140 is finite but w(L) + w(R)
+        # would not be. Both engines stop at the same first bad count.
+        for run in (lambda: simulate("reinforced", WeightFn(alpha), 2000, 0),
+                    lambda: msd_curve("reinforced", WeightFn(alpha), 2000, 3, 0)):
+            with pytest.raises(ContractViolation, match=rf"alpha={alpha}, visit count c={count}$"):
+                run()
+
+    def test_weight_table_is_the_scalar_weight(self):
+        # counts 7, 10 and 1553 are where array np.power rounds differently
+        for alpha in (0.0, 0.5, 1.0, 1.5, 2.5, 5.0):
+            table = walks._weight_table(alpha, 2000)
+            assert table.tolist() == [float(WeightFn(alpha)(c)) for c in range(2000)]
+
+    def test_weight_overflow_only_when_reached(self):
+        # alpha=200 is fine while no site is visited 35 times
+        path = simulate("repelling", WeightFn(200.0), 60, 0)
+        assert np.array_equal(msd_curve("repelling", WeightFn(200.0), 60, 1, 0),
+                              path.astype(np.float64) ** 2)
+
+    def test_non_finite_exponent_rejected(self):
+        for alpha, count in ((float("nan"), 0), (float("inf"), 2)):
+            with pytest.raises(ContractViolation, match=rf"visit count c={count}$"):
+                simulate("repelling", WeightFn(alpha), 100, 0)
+            with pytest.raises(ContractViolation, match=rf"visit count c={count}$"):
+                msd_curve("repelling", WeightFn(alpha), 100, 2, 0)
+
 
 class TestMsd:
     def test_ballistic_curve_fits_slope_two(self):
@@ -131,6 +198,22 @@ class TestMsd:
         slope, _ = fit_msd_exponent(msd, 1, 100)
         assert np.isfinite(slope)
 
+    def test_fit_matches_reference_bit_for_bit(self):
+        t = np.arange(1001, dtype=np.float64)
+        noisy = t ** 1.1 * (1.0 + 0.1 * np.sin(t))
+        with_zeros = t ** 1.3
+        with_zeros[[120, 121, 500, 999]] = 0.0
+        curves = [(t ** 2, 20, 200), (t ** 1.3, 100, 1000), (noisy, 1, 1000),
+                  (with_zeros, 100, 1000), (np.arange(101, dtype=np.float64), 1, 100),
+                  (msd_curve("repelling", WeightFn(1.0), 2000, 10, 4), 200, 2000),
+                  (msd_curve("reinforced", WeightFn(5.0), 500, 10, 0), 0, 500)]
+        for msd, lo, hi in curves:
+            before = msd.copy()
+            slope, stderr = fit_msd_exponent(msd, lo, hi)
+            assert np.array_equal(msd, before)  # in-place steps leave the input alone
+            ref_slope, ref_stderr = _fit_msd_exponent_reference(msd, lo, hi)
+            assert slope == ref_slope and stderr == ref_stderr
+
     def test_window_validation(self):
         msd = np.arange(101, dtype=np.float64)
         with pytest.raises(ContractViolation):
@@ -146,11 +229,57 @@ class TestMsd:
         assert a[1] == 1.0  # first step is always +-1
         assert np.array_equal(a, b)
 
+    def test_msd_curve_validates_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(walks, "RngStream", no_draws)
+        for args in (("levy", WeightFn(), 10, 2, 0), ("repelling", WeightFn(), 0, 2, 0),
+                     ("repelling", WeightFn(), 10, 0, 0)):
+            with pytest.raises(ContractViolation):
+                msd_curve(*args)
+
     def test_msd_exponent_input_floors(self):
         with pytest.raises(ContractViolation):
             msd_exponent("repelling", WeightFn(), 999, 100, 0)
         with pytest.raises(ContractViolation):
             msd_exponent("repelling", WeightFn(), 1000, 99, 0)
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.5, 5.0])
+    def test_equals_mean_of_simulated_squares(self, kind, alpha):
+        msd = msd_curve(kind, WeightFn(alpha), 1500, 6, 2)
+        assert np.array_equal(msd, _msd_reference(kind, WeightFn(alpha), 1500, 6, 2))
+
+    def test_lattice_grows_several_times(self):
+        T, n, seed = 20000, 4, 7
+        paths = [simulate("repelling", WeightFn(2.5), T, seed + i) for i in range(n)]
+        spread = max(p.max() for p in paths) - min(p.min() for p in paths)
+        # the lattice starts 2 * step + 1 sites wide and adds at most one
+        # step per growth, so this spread forces at least three growths
+        step = walks._LOCKSTEP_CHUNK + 1 + walks._LATTICE_PAD
+        assert spread > 2 * step + 1 + 3 * step
+        assert np.array_equal(msd_curve("repelling", WeightFn(2.5), T, n, seed),
+                              _msd_reference("repelling", WeightFn(2.5), T, n, seed))
+
+    def test_site_count_past_uint16(self):
+        T = 140000
+        paths = [simulate("reinforced", WeightFn(5.0), T, i) for i in range(2)]
+        assert max(np.bincount(p - p.min()).max() for p in paths) > 65535
+        expected = (paths[0].astype(np.float64) ** 2 + paths[1].astype(np.float64) ** 2) / 2
+        assert np.array_equal(msd_curve("reinforced", WeightFn(5.0), T, 2, 0), expected)
+
+    @pytest.mark.parametrize("args, prefix", [
+        (("repelling", WeightFn(1.0), 3000, 20, 5), "d226882389d6b469"),
+        (("reinforced", WeightFn(5.0), 2000, 10, 3), "10e9aee73c0ea299"),
+        (("repelling", WeightFn(2.5), 4000, 10, 1), "2cdde9aeca6e1e52"),
+    ])
+    def test_golden_digests(self, args, prefix):
+        # digests of the curves of the per-path engine that msd_curve replaced
+        digest = hashlib.sha256(msd_curve(*args).tobytes()).hexdigest()
+        assert digest[:16] == prefix
 
 
 class TestPathStatistics:
@@ -162,6 +291,11 @@ class TestPathStatistics:
         path = list(range(201))
         # Second half holds 101 distinct sites; the top five cover 5/101.
         assert localization_metric(path) == pytest.approx(5.0 / 101.0, rel=1e-12)
+
+    @given(st.lists(st.sampled_from((-1, 1)), min_size=99, max_size=400), st.integers(-50, 50))
+    def test_localization_matches_unique_counts(self, steps, start):
+        path = np.concatenate([[start], start + np.cumsum(steps)])
+        assert localization_metric(path) == _localization_reference(path)
 
     def test_localization_needs_history(self):
         with pytest.raises(ContractViolation):
