@@ -256,11 +256,10 @@ class TestEnsemble:
     def test_lattice_grows_several_times(self):
         T, n, seed = 20000, 4, 7
         paths = [simulate("repelling", WeightFn(2.5), T, seed + i) for i in range(n)]
-        spread = max(p.max() for p in paths) - min(p.min() for p in paths)
-        # the lattice starts 2 * step + 1 sites wide and adds at most one
-        # step per growth, so this spread forces at least three growths
+        # the lattice starts with `step` sites left of 0, and each growth
+        # adds at most `step` more there, so this forces three growths
         step = walks._LOCKSTEP_CHUNK + 1 + walks._LATTICE_PAD
-        assert spread > 2 * step + 1 + 3 * step
+        assert min(p.min() for p in paths) < -4 * step
         assert np.array_equal(msd_curve("repelling", WeightFn(2.5), T, n, seed),
                               _msd_reference("repelling", WeightFn(2.5), T, n, seed))
 
