@@ -154,7 +154,7 @@ def airy_regression_objective() -> Objective:
         res = yhat - y
         return float(res @ res) / n
 
-    def gradient(x: np.ndarray) -> np.ndarray:
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         a, b, cos_p, sin_p, damp, yhat = _parts(x)
         res = yhat - y
         scale = 2.0 / n
@@ -162,8 +162,11 @@ def airy_regression_objective() -> Objective:
         d_b = damp * sin_p
         d_lam = damp * (-a * sin_p + b * cos_p) * s[:, None]
         d_w = damp * (a * cos_p + b * sin_p) * s[:, None]
-        return scale * np.concatenate(
+        return float(res @ res) / n, scale * np.concatenate(
             [res @ d_a, res @ d_b, res @ d_lam, res @ d_w])
 
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return value_and_gradient(x)[1]
+
     return Objective(dim=AIRY_DIM, value=value, gradient=gradient,
-                     name="airy_regression")
+                     name="airy_regression", value_and_gradient=value_and_gradient)

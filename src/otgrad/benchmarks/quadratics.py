@@ -34,7 +34,13 @@ def reglq_objective(data_seed: int = 0, n_terms: int = REGLQ_N_TERMS) -> Objecti
     def gradient(x: np.ndarray) -> np.ndarray:
         return _REGLQ_H_DIAG * x + b_mean + 10.0 * x ** 9
 
-    return Objective(dim=REGLQ_DIM, value=value, gradient=gradient, name="reglq")
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        hx = _REGLQ_H_DIAG * x  # the same bits as x * H
+        return (float(0.5 * hx @ x + b_mean @ x + np.sum(x ** 10)),
+                hx + b_mean + 10.0 * x ** 9)
+
+    return Objective(dim=REGLQ_DIM, value=value, gradient=gradient, name="reglq",
+                     value_and_gradient=value_and_gradient)
 
 
 PR_N_MEASUREMENTS = 200
@@ -62,12 +68,17 @@ def phase_retrieval_objective(data_seed: int = 0,
         res = z * z - y
         return float(res @ res) / n_measurements
 
-    def gradient(x: np.ndarray) -> np.ndarray:
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         z = a @ x
         res = z * z - y
-        return (4.0 / n_measurements) * (a.T @ (res * z))
+        return (float(res @ res) / n_measurements,
+                (4.0 / n_measurements) * (a.T @ (res * z)))
 
-    return Objective(dim=dim, value=value, gradient=gradient, name="phase_retrieval")
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return value_and_gradient(x)[1]
+
+    return Objective(dim=dim, value=value, gradient=gradient, name="phase_retrieval",
+                     value_and_gradient=value_and_gradient)
 
 
 def phase_retrieval_init_std(dim: int = PR_DIM) -> float:

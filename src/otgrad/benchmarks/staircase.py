@@ -26,40 +26,53 @@ def _branch(r: float, n_plateaus: int, length: float) -> int:
     return min(n, n_plateaus)
 
 
+def _profile_and_slope(r: float, n_plateaus: int, length: float) -> tuple[float, float]:
+    """(f~(r), f~'(r)) from one branch lookup; r >= 0 is the caller's to check."""
+    n = _branch(r, n_plateaus, length)
+    if n == 0:
+        return r ** 3, 3.0 * r * r
+    u = r - n * length
+    return u ** 3 + 0.25 * n * length ** 3, 3.0 * u ** 2
+
+
 def staircase_profile(r: float, n_plateaus: int = 4, length: float = 1.0) -> float:
     if r < 0:
         raise ContractViolation(f"squared-radius mean must be >= 0, got {r}")
-    n = _branch(r, n_plateaus, length)
-    if n == 0:
-        return r ** 3
-    return (r - n * length) ** 3 + 0.25 * n * length ** 3
+    return _profile_and_slope(r, n_plateaus, length)[0]
 
 
 def staircase_slope(r: float, n_plateaus: int = 4, length: float = 1.0) -> float:
     if r < 0:
         raise ContractViolation(f"squared-radius mean must be >= 0, got {r}")
-    n = _branch(r, n_plateaus, length)
-    if n == 0:
-        return 3.0 * r * r
-    return 3.0 * (r - n * length) ** 2
+    return _profile_and_slope(r, n_plateaus, length)[1]
 
 
 def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) -> Objective:
-    """f(x) = f~(mean(x_i^2)); gradient_i = f~'(r) * 2 x_i / dim."""
+    """f(x) = f~(mean(x_i^2)); gradient_i = f~'(r) * 2 x_i / dim.
+
+    The mean is np.add.reduce(x * x) / dim, which is what np.mean computes
+    for a float64 vector, bit for bit, without its wrapper.  r is a mean of
+    squares, so it is never negative and the profile needs no sign check.
+    """
     if dim <= 0 or n_plateaus < 1 or length <= 0:
         raise ContractViolation(
             f"invalid staircase shape dim={dim}, n_plateaus={n_plateaus}, length={length}")
+    scale = 2.0 / dim
+    add = np.add.reduce
 
     def value(x: np.ndarray) -> float:
-        r = float(np.mean(x * x))
-        return staircase_profile(r, n_plateaus, length)
+        return _profile_and_slope(float(add(x * x)) / dim, n_plateaus, length)[0]
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        r = float(np.mean(x * x))
-        return staircase_slope(r, n_plateaus, length) * (2.0 / dim) * x
+        slope = _profile_and_slope(float(add(x * x)) / dim, n_plateaus, length)[1]
+        return slope * scale * x
+
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        f, slope = _profile_and_slope(float(add(x * x)) / dim, n_plateaus, length)
+        return f, slope * scale * x
 
     return Objective(dim=dim, value=value, gradient=gradient, name="staircase",
-                     known_min=0.0)
+                     known_min=0.0, value_and_gradient=value_and_gradient)
 
 
 def staircase_saddle_init(dim: int, n_plateaus: int = 4, length: float = 1.0) -> np.ndarray:

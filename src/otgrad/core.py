@@ -9,7 +9,8 @@ from provably independent streams and every run is exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +31,9 @@ class Objective:
     `value` and `gradient` must accept a float64 array of shape (dim,).
     `value_and_gradient`, when set, is a fused oracle returning
     (value(x), gradient(x)) with the same bits from one pass; eval_objective
-    then calls it instead of the two.  Smoothness constants are optional
+    then calls it instead of the two.  Every closed-form benchmark problem
+    (staircase, reglq, phase_retrieval, airy_regression) and every MLP
+    objective carries one.  Smoothness constants are optional
     metadata; they are required only by the theory-mode parameter
     derivations.
     """
@@ -55,22 +58,30 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def call_oracle(obj: Objective, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(f(x), grad f(x)) as a float and a float64 array, with no checks.
+
+    Makes one fused call when the objective has one, else calls value and
+    gradient.
+    """
+    if obj.value_and_gradient is not None:
+        f, g = obj.value_and_gradient(x)
+    else:
+        f, g = obj.value(x), obj.gradient(x)
+    return float(f), np.asarray(g, dtype=np.float64)
+
+
 def eval_objective(obj: Objective, x) -> tuple[float, np.ndarray]:
     """Evaluate (f(x), grad f(x)) with dimension and finiteness checks."""
     v = as_vector(x, obj.dim)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericalDomainError(f"{obj.name or 'objective'}: non-finite input point")
-    if obj.value_and_gradient is not None:
-        f, g = obj.value_and_gradient(v)
-    else:
-        f, g = obj.value(v), obj.gradient(v)
-    f = float(f)
-    g = np.asarray(g, dtype=np.float64)
+    f, g = call_oracle(obj, v)
     if g.shape != (obj.dim,):
         raise ContractViolation(
             f"{obj.name or 'objective'}: gradient shape {g.shape} != ({obj.dim},)"
         )
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+    if not math.isfinite(f) or not np.isfinite(g).all():
         raise NumericalDomainError(f"{obj.name or 'objective'}: non-finite value or gradient")
     return f, g
 

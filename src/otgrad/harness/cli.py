@@ -21,7 +21,15 @@ from ..analysis import MAX_HESSIAN_DIM, classify_point, fd_gradient, min_hessian
 from ..benchmarks import PROBLEM_NAMES, make_problem
 from ..core import ContractViolation, NumericalDomainError, STREAM_INIT, derive_stream
 from ..occupation import WeightFn
-from ..walks import WALK_KINDS, localization_metric, msd_exponent, path_range, simulate
+from ..walks import (
+    MSD_FIT_LO_FRAC,
+    WALK_KINDS,
+    check_msd_ensemble,
+    fit_msd_exponent,
+    localization_metric,
+    path_range,
+    simulate,
+)
 from .config import ConfigError, PRESETS, parse_config_file
 from .experiment import run_experiment
 
@@ -79,15 +87,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    """msd_exponent's numbers and per-path statistics from one run of each path.
+
+    The summed squares are exact int64 sums, so the MSD curve equals
+    msd_curve's bit for bit (see its docstring).
+    """
     weight = WeightFn(args.alpha)
-    exponent, stderr = msd_exponent(args.kind, weight, args.T, args.paths, args.seed)
-    print(f"msd_exponent = {exponent:.4f} (stderr {stderr:.4f})")
+    check_msd_ensemble(args.T, args.paths)
+    squares = np.zeros(args.T + 1, dtype=np.int64)
     metrics = []
     ranges = []
     for i in range(args.paths):
         path = simulate(args.kind, weight, args.T, args.seed + i)
+        squares += path * path
         metrics.append(localization_metric(path))
         ranges.append(path_range(path))
+    exponent, stderr = fit_msd_exponent(squares / args.paths,
+                                        int(MSD_FIT_LO_FRAC * args.T), args.T)
+    print(f"msd_exponent = {exponent:.4f} (stderr {stderr:.4f})")
     metrics = np.asarray(metrics)
     print(f"localization_metric: median {np.median(metrics):.4f}, "
           f"max {metrics.max():.4f}")

@@ -47,6 +47,7 @@ from .core import (
     Objective,
     RngStream,
     as_vector,
+    call_oracle,
     derive_stream,
     eval_objective,
 )
@@ -188,6 +189,20 @@ def make_pagdot_state(x0, params: PagdotParams, rng: RngStream,
                           v=np.zeros_like(x), t_noise=-params.script_t)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array: what np.linalg.norm computes for
+    one, sqrt(v.dot(v)), bit for bit, without its dispatch."""
+    return math.sqrt(float(v.dot(v)))
+
+
+def _incoming(obj: Objective, state: OptimizerState, fg) -> tuple:
+    """(f, grad f, ||grad f||) at state.x: fg when given, else evaluated."""
+    if fg is not None:
+        return fg
+    f_t, g_t = eval_objective(obj, state.x)
+    return f_t, g_t, _norm(g_t)
+
+
 def gd_step(obj: Objective, x, eta: float, grad: Optional[np.ndarray] = None) -> np.ndarray:
     """One plain gradient descent step x - eta * grad f(x)."""
     v = as_vector(x, obj.dim)
@@ -195,13 +210,14 @@ def gd_step(obj: Objective, x, eta: float, grad: Optional[np.ndarray] = None) ->
     return v - eta * g
 
 
-def _gate(state: OptimizerState, f_t: float, g: np.ndarray, g_thres: float,
+def _gate(state: OptimizerState, f_t: float, g_norm: float, g_thres: float,
           cooldown: int, r: float, sampler: str, weight: WeightFn) -> bool:
     """The perturbation gate of every perturbed method; True when it fired.
 
-    Fires when ||g|| <= g_thres and t - t_noise >= cooldown.  Firing saves
-    the incoming iterate and value as (x_tilde, f_tilde), stamps t_noise,
-    and replaces state.x by a kick from `sampler`.  The incoming
+    Fires when g_norm, the norm of the gate's gradient, is at most g_thres
+    and t - t_noise >= cooldown.  Firing saves the incoming iterate and
+    value as (x_tilde, f_tilde), stamps t_noise, and replaces state.x by a
+    kick from `sampler`.  The incoming
     (pre-perturbation) iterate is then recorded into the window, with the
     occupation sampler only (the ball sampler never reads it), so the counts
     behind a kick at step t cover strictly earlier iterates.
@@ -209,8 +225,7 @@ def _gate(state: OptimizerState, f_t: float, g: np.ndarray, g_thres: float,
     if sampler not in ("occupation", "ball"):
         raise ContractViolation(f"unknown sampler {sampler!r}, expected 'occupation' or 'ball'")
     x_in = state.x
-    fired = (float(np.linalg.norm(g)) <= g_thres
-             and state.t - state.t_noise >= cooldown)
+    fired = g_norm <= g_thres and state.t - state.t_noise >= cooldown
     if fired:
         state.x_tilde = x_in.copy()
         state.f_tilde = f_t
@@ -233,23 +248,30 @@ def _descend(obj: Objective, state: OptimizerState, g_t: np.ndarray, eta: float)
 
 
 def _accelerate(obj: Objective, state: OptimizerState, momentum: float,
-                eta: float) -> tuple[np.ndarray, np.ndarray]:
+                eta: float, with_value: bool = False) -> tuple:
     """Nesterov update y = x + momentum*v, x' = y - eta*grad f(y), v' = x' - x.
 
-    Returns (y, grad f(y)) for the theory-mode curvature certificate.
+    Returns (y, f(y), grad f(y)) for the theory-mode curvature certificate;
+    f(y) comes from the same oracle call as the gradient, and is None
+    unless with_value is set.
     """
     x = state.x
     y = x + momentum * state.v
-    g_y = np.asarray(obj.gradient(y), dtype=np.float64)
+    if with_value:
+        f_y, g_y = call_oracle(obj, y)
+    else:
+        f_y, g_y = None, np.asarray(obj.gradient(y), dtype=np.float64)
     state.x = y - eta * g_y
     state.v = state.x - x
-    return y, g_y
+    return y, f_y, g_y
 
 
 def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
                sampler: str = "occupation", weight: Optional[WeightFn] = None,
-               fg: Optional[tuple[float, np.ndarray]] = None) -> Optional[np.ndarray]:
+               fg: Optional[tuple[float, np.ndarray, float]] = None) -> Optional[np.ndarray]:
     """One step of the perturbed gradient method.
+
+    fg, when given, is (f, grad f, ||grad f||) at state.x, already computed.
 
     Order of events at step t: the perturbation gate at the incoming iterate
     (cooldown t_thres + 1, see _gate), the improve-or-terminate check
@@ -260,8 +282,8 @@ def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
     (insufficient decrease t_thres steps after a perturbation), else None.
     """
     weight = weight or WeightFn()
-    f_t, g_t = eval_objective(obj, state.x) if fg is None else fg
-    fired = _gate(state, f_t, g_t, params.g_thres, params.t_thres + 1, params.r,
+    f_t, g_t, g_norm = _incoming(obj, state, fg)
+    fired = _gate(state, f_t, g_norm, params.g_thres, params.t_thres + 1, params.r,
                   sampler, weight)
     if (state.x_tilde is not None and not fired
             and state.t - state.t_noise == params.t_thres
@@ -284,15 +306,15 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
     xv = as_vector(x, obj.dim)
     vv = as_vector(v, obj.dim)
     zero = np.zeros_like(xv)
-    vnorm = float(np.linalg.norm(vv))
+    vnorm = _norm(vv)
     if vnorm >= s:
         return xv.copy(), zero
     if vnorm == 0.0:
         direction = rng.normal(obj.dim)
-        dnorm = float(np.linalg.norm(direction))
+        dnorm = _norm(direction)
         while dnorm == 0.0:
             direction = rng.normal(obj.dim)
-            dnorm = float(np.linalg.norm(direction))
+            dnorm = _norm(direction)
         delta = (s / dnorm) * direction
     else:
         delta = (s / vnorm) * vv
@@ -305,7 +327,7 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
 def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
                 sampler: str = "occupation", weight: Optional[WeightFn] = None,
                 reset_velocity: bool = False,
-                fg: Optional[tuple[float, np.ndarray]] = None) -> None:
+                fg: Optional[tuple[float, np.ndarray, float]] = None) -> None:
     """One step of the perturbed accelerated method.
 
     Gate: perturb when the gradient norm is at most eps and at least
@@ -316,19 +338,19 @@ def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
         f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2
     which, when it holds, replaces (x', v') with nce(x, v, s).  A zero
     velocity makes the certificate 0 <= 0, which counts as triggered.
+    fg is as in pgdot_step.
     """
     weight = weight or WeightFn()
-    f_t, g_t = eval_objective(obj, state.x) if fg is None else fg
+    f_t, g_t, g_norm = _incoming(obj, state, fg)
     state.nce_last = False
     f_x = f_t
-    if _gate(state, f_t, g_t, params.eps, params.script_t, params.r, sampler, weight):
+    if _gate(state, f_t, g_norm, params.eps, params.script_t, params.r, sampler, weight):
         f_x = float(obj.value(state.x))
         if reset_velocity:
             state.v = np.zeros_like(state.x)
     x, v = state.x, state.v
-    y, g_y = _accelerate(obj, state, 1.0 - params.theta, params.eta)
+    y, f_y, g_y = _accelerate(obj, state, 1.0 - params.theta, params.eta, with_value=True)
     diff = x - y
-    f_y = float(obj.value(y))
     if f_x <= f_y + float(g_y @ diff) - 0.5 * params.gamma * float(diff @ diff):
         state.x, state.v = nce(obj, x, v, params.s, state.rng)
         state.nce_last = True
@@ -524,11 +546,11 @@ def _stepper(algo: AlgoConfig, x: np.ndarray, rng: RngStream,
              gate_obj: Optional[Objective]):
     """Method table: the initial state and the step function for `algo`.
 
-    step(obj, f_t, g_t) advances the state by one step on `obj`, given f
-    and the gradient at the incoming iterate.  It returns the saved point
-    when a theory-mode pgd/pgdot run terminates, else None.  The practical
-    gate reads gate_obj's gradient at the incoming iterate when gate_obj is
-    given, else g_t.
+    step(obj, f_t, g_t, g_norm) advances the state by one step on `obj`,
+    given f, the gradient and its norm at the incoming iterate.  It returns
+    the saved point when a theory-mode pgd/pgdot run terminates, else None.
+    The practical gate reads the norm of gate_obj's gradient at the
+    incoming iterate when gate_obj is given, else g_norm.
     """
     name = algo.name
     sampler = "ball" if name in ("pgd", "pagd") else "occupation"
@@ -537,7 +559,7 @@ def _stepper(algo: AlgoConfig, x: np.ndarray, rng: RngStream,
         hyper = BaselineHyper(kind=name, lr=algo.eta, momentum=algo.momentum)
         state = OptimizerState(x=x, rng=rng)
 
-        def step(obj, f_t, g_t):
+        def step(obj, f_t, g_t, g_norm):
             state.x = baseline_step(hyper, state.x, g_t)
         return state, step
 
@@ -547,15 +569,16 @@ def _stepper(algo: AlgoConfig, x: np.ndarray, rng: RngStream,
             pg_params = derive_pgdot_params(*inputs)
             state = make_pgdot_state(x, pg_params, rng)
 
-            def step(obj, f_t, g_t):
-                return pgdot_step(obj, state, pg_params, sampler, weight, fg=(f_t, g_t))
+            def step(obj, f_t, g_t, g_norm):
+                return pgdot_step(obj, state, pg_params, sampler, weight,
+                                  fg=(f_t, g_t, g_norm))
             return state, step
         pa_params = derive_pagdot_params(*inputs)
         state = make_pagdot_state(x, pa_params, rng)
 
-        def step(obj, f_t, g_t):
+        def step(obj, f_t, g_t, g_norm):
             pagdot_step(obj, state, pa_params, sampler, weight,
-                        algo.reset_velocity_on_perturb, fg=(f_t, g_t))
+                        algo.reset_velocity_on_perturb, fg=(f_t, g_t, g_norm))
         return state, step
 
     # practical mode, and gd/agd in either mode: explicit knobs, no
@@ -568,10 +591,11 @@ def _stepper(algo: AlgoConfig, x: np.ndarray, rng: RngStream,
     state = OptimizerState(x=x, rng=rng, window=window, t_noise=-cooldown,
                            v=np.zeros_like(x) if accelerated else None)
 
-    def step(obj, f_t, g_t):
+    def step(obj, f_t, g_t, g_norm):
         if perturbed:
-            gate_g = g_t if gate_obj is None else gate_obj.gradient(state.x)
-            _gate(state, f_t, gate_g, algo.g_thres, cooldown, algo.r, sampler, weight)
+            if gate_obj is not None:
+                g_norm = _norm(np.asarray(gate_obj.gradient(state.x), dtype=np.float64))
+            _gate(state, f_t, g_norm, algo.g_thres, cooldown, algo.r, sampler, weight)
         if not accelerated:
             _descend(obj, state, g_t, algo.eta)
         else:
@@ -614,17 +638,17 @@ def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
         for t in range(max_steps):
             step_obj = objective_for_step()
             f_t, g_t = eval_objective(step_obj, state.x)
-            saved = step(step_obj, f_t, g_t)
+            g_norm = _norm(g_t)
+            saved = step(step_obj, f_t, g_t, g_norm)
             if saved is not None or t % record_every == 0:
-                trace.add_row(t, f_t, np.linalg.norm(g_t), state.perturbed_last,
-                              state.nce_last)
+                trace.add_row(t, f_t, g_norm, state.perturbed_last, state.nce_last)
             if saved is not None:
                 trace.terminated = True
                 break
         else:
             t = max_steps
             f_fin, g_fin = eval_objective(objective_for_step(), state.x)
-            trace.add_row(max_steps, f_fin, np.linalg.norm(g_fin), 0, 0)
+            trace.add_row(max_steps, f_fin, _norm(g_fin), 0, 0)
     except NumericalDomainError as exc:
         raise RunError(f"run aborted at step {len(trace.ts)}: {exc}", trace) from exc
     finally:

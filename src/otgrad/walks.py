@@ -38,6 +38,7 @@ from .core import ContractViolation, RngStream
 from .occupation import WeightFn
 
 WALK_KINDS = ("repelling", "reinforced")
+MSD_FIT_LO_FRAC = 0.1  # msd_exponent fits t in [MSD_FIT_LO_FRAC * T, T]
 
 
 @dataclass
@@ -314,13 +315,18 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     return acc
 
 
-def msd_exponent(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int,
-                 fit_lo_frac: float = 0.1) -> tuple[float, float]:
-    """Mean-squared-displacement scaling exponent with its regression stderr."""
+def check_msd_ensemble(T: int, n_paths: int) -> None:
+    """Reject an ensemble too small for a stable MSD exponent fit."""
     if T < 1000:
         raise ContractViolation(f"T must be >= 1000 for a stable fit, got {T}")
     if n_paths < 100:
         raise ContractViolation(f"n_paths must be >= 100, got {n_paths}")
+
+
+def msd_exponent(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int,
+                 fit_lo_frac: float = MSD_FIT_LO_FRAC) -> tuple[float, float]:
+    """Mean-squared-displacement scaling exponent with its regression stderr."""
+    check_msd_ensemble(T, n_paths)
     msd = msd_curve(kind, weight, T, n_paths, seed)
     return fit_msd_exponent(msd, int(fit_lo_frac * T), T)
 

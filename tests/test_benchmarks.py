@@ -6,6 +6,7 @@ them to 1e-8 absolute.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -70,7 +71,62 @@ AIRY_REFERENCE = [
 ]
 
 
+def _old_staircase(x, n_plateaus=4, length=1.0):
+    """(f, grad f) by the np.mean formula and the two separate branch
+    lookups of the original staircase oracle, kept as the reference."""
+    dim = x.shape[0]
+
+    def branch(r):
+        return min(math.floor(r / length + 0.5), n_plateaus)
+
+    r = float(np.mean(x * x))
+    n = branch(r)
+    f = r ** 3 if n == 0 else (r - n * length) ** 3 + 0.25 * n * length ** 3
+    r = float(np.mean(x * x))
+    n = branch(r)
+    slope = 3.0 * r * r if n == 0 else 3.0 * (r - n * length) ** 2
+    return f, slope * (2.0 / dim) * x
+
+
+def _assert_same_bits(fg, ref):
+    (f, g), (f_ref, g_ref) = fg, ref
+    assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
+    assert np.asarray(g).dtype == np.float64
+    assert np.asarray(g).tobytes() == np.asarray(g_ref).tobytes()
+
+
+def _staircase_points():
+    """Integer points in [-4, 4]^4: sums of squares 0..64 hit every ring nL
+    and every branch edge nL +/- L/2 exactly, for L = 1 and L = 1/2."""
+    return [np.array(p, dtype=np.float64)
+            for p in itertools.product(range(-4, 5), repeat=4)]
+
+
 class TestStaircase:
+    @pytest.mark.parametrize("n_plateaus, length", [(4, 1.0), (4, 0.5), (2, 1.0)])
+    def test_fused_oracle_matches_mean_formula(self, n_plateaus, length):
+        obj = staircase_objective(dim=4, n_plateaus=n_plateaus, length=length)
+        points = _staircase_points()
+        radii = {float(np.mean(x * x)) for x in points}
+        for n in range(n_plateaus + 2):
+            for r in (n * length, (n - 0.5) * length, (n + 0.5) * length):
+                assert r < 0 or r in radii
+        rng = np.random.default_rng(5)
+        for scale in (1e-5, 1e-2, 1.0, 1.7, 30.0, 1e5):
+            points.extend(scale * rng.standard_normal((50, 4)))
+        for x in points:
+            ref = _old_staircase(x, n_plateaus, length)
+            _assert_same_bits(obj.value_and_gradient(x), ref)
+            _assert_same_bits((obj.value(x), obj.gradient(x)), ref)
+
+    @pytest.mark.parametrize("dim", [1, 3, 7, 16, 129, 3562])
+    def test_fused_oracle_matches_mean_formula_in_higher_dims(self, dim):
+        obj = staircase_objective(dim=dim)
+        rng = np.random.default_rng(dim)
+        for scale in (1e-5, 1.0, 2.0, 1e5):
+            x = scale * rng.standard_normal(dim)
+            _assert_same_bits(obj.value_and_gradient(x), _old_staircase(x))
+
     def test_profile_values(self):
         assert staircase_profile(0.0) == 0.0
         assert staircase_profile(0.5) == pytest.approx(0.125, abs=1e-15)
@@ -174,6 +230,51 @@ class TestAiryRegression:
                           r=0.1, momentum=0.5, h=0.04, t_count=200)
         trace = run(obj, algo, 3000, seed=0, x0=np.zeros(AIRY_DIM), record_every=100)
         assert trace.fs[-1] < obj.value(np.zeros(AIRY_DIM))
+
+
+def _random_points(dim, seed, scales=(1e-3, 0.3, 1.0, 2.5)):
+    rng = np.random.default_rng(seed)
+    return [scale * rng.standard_normal(dim) for scale in scales for _ in range(5)]
+
+
+@pytest.mark.parametrize("make, dim", [
+    (lambda: reglq_objective(data_seed=4), REGLQ_DIM),
+    (lambda: phase_retrieval_objective(data_seed=2), 10),
+    (lambda: phase_retrieval_objective(data_seed=1, n_measurements=37, dim=6), 6),
+    (airy_regression_objective, AIRY_DIM),
+])
+def test_closed_form_fused_oracle_matches_separate_calls(make, dim):
+    obj = make()
+    assert obj.value_and_gradient is not None
+    for x in [np.zeros(dim)] + _random_points(dim, dim):
+        _assert_same_bits(obj.value_and_gradient(x), (obj.value(x), obj.gradient(x)))
+
+
+def test_closed_form_gradients_match_their_original_formulas():
+    """gradient() reads the fused oracle on airy and phase retrieval; pin
+    both against the unfused gradient formulas."""
+    x_pr = _random_points(10, 3)
+    pr = phase_retrieval_objective(data_seed=2)
+    rng = derive_stream(2, STREAM_DATA)
+    a = rng.normal(200 * 10).reshape(200, 10)
+    y = (a @ (rng.normal(10) / math.sqrt(10))) ** 2
+    for x in x_pr:
+        z = a @ x
+        g_ref = (4.0 / 200) * (a.T @ ((z * z - y) * z))
+        assert pr.gradient(x).tobytes() == g_ref.tobytes()
+
+    airy = airy_regression_objective()
+    s = airy_sample_grid()
+    for x in _random_points(AIRY_DIM, 8, scales=(1e-3, 0.1, 0.5)):
+        a, b, lam, w = x[0:4], x[4:8], x[8:12], x[12:16]
+        cos_p, sin_p = np.cos(np.outer(s, lam)), np.sin(np.outer(s, lam))
+        damp = np.exp(np.outer(s, w))
+        res = ((a * cos_p + b * sin_p) * damp).sum(axis=1) - airy_targets()
+        g_ref = (2.0 / N_SAMPLES) * np.concatenate([
+            res @ (damp * cos_p), res @ (damp * sin_p),
+            res @ (damp * (-a * sin_p + b * cos_p) * s[:, None]),
+            res @ (damp * (a * cos_p + b * sin_p) * s[:, None])])
+        assert airy.gradient(x).tobytes() == g_ref.tobytes()
 
 
 class TestReglq:

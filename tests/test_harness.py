@@ -377,6 +377,56 @@ class TestCli:
         assert "msd_exponent" in out
         assert "localization_metric" in out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["repelling", "1", "1000", "100", "7"],
+         "msd_exponent = 1.2941 (stderr 0.0020)\n"
+         "localization_metric: median 0.1836, max 0.3493\n"
+         "path range: min 50, median 120.0\n"),
+        (["reinforced", "5", "1200", "100", "3"],
+         "msd_exponent = 0.0005 (stderr 0.0215)\n"
+         "localization_metric: median 1.0000, max 1.0000\n"
+         "path range: min 1, median 1.0\n"),
+        (["repelling", "0", "2000", "120", "11"],
+         "msd_exponent = 1.0619 (stderr 0.0018)\n"
+         "localization_metric: median 0.2453, max 0.4396\n"
+         "path range: min 32, median 69.0\n"),
+    ], ids=["repelling-alpha1", "reinforced-alpha5", "repelling-alpha0"])
+    def test_walk_stdout_pinned(self, capsys, argv, expected):
+        # recorded when the exponent came from msd_curve's ensemble and the
+        # statistics from a second simulate() of every path
+        assert main(["walk", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_walk_fits_msd_curve_bit_for_bit(self, monkeypatch, capsys):
+        import otgrad.harness.cli as cli
+        from otgrad.occupation import WeightFn
+        from otgrad.walks import fit_msd_exponent, msd_curve
+
+        seen = []
+
+        def spy(msd, t_lo, t_hi):
+            seen.append((msd.copy(), t_lo, t_hi))
+            return fit_msd_exponent(msd, t_lo, t_hi)
+
+        monkeypatch.setattr(cli, "fit_msd_exponent", spy)
+        assert main(["walk", "repelling", "1.5", "1000", "100", "9"]) == 0
+        capsys.readouterr()
+        (msd, t_lo, t_hi), = seen
+        assert (t_lo, t_hi) == (100, 1000)
+        assert msd.tobytes() == msd_curve("repelling", WeightFn(1.5), 1000, 100, 9).tobytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["repelling", "1", "999", "100", "7"],
+         "error: T must be >= 1000 for a stable fit, got 999\n"),
+        (["repelling", "1", "1000", "99", "7"],
+         "error: n_paths must be >= 100, got 99\n"),
+    ], ids=["short-T", "few-paths"])
+    def test_walk_rejects_small_ensembles(self, capsys, argv, message):
+        assert main(["walk", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_run_small_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "artifacts"))
         cfg_file = tmp_path / "small.ini"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otgrad.benchmarks import make_problem
@@ -30,6 +30,7 @@ from otgrad.optimizers import (
     PagdotParams,
     PgdotParams,
     RunError,
+    _norm,
     baseline_step,
     derive_pagdot_params,
     derive_pgdot_params,
@@ -675,6 +676,78 @@ class TestTheoryRunWiring:
         assert theory.grad_norms == practical.grad_norms
         assert np.array_equal(theory.final_x, practical.final_x)
         assert theory.fs[-1] < -0.01  # both left the saddle
+
+
+class TestNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=4000),
+           st.floats(min_value=-300.0, max_value=150.0),
+           st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.booleans())
+    def test_equals_linalg_norm(self, dim, log10_scale, seed, zeros):
+        rng = np.random.default_rng(seed)
+        v = np.zeros(dim) if zeros else rng.standard_normal(dim) * 10.0 ** log10_scale
+        n = _norm(v)
+        assert type(n) is float
+        assert np.float64(n).tobytes() == np.linalg.norm(v).tobytes()
+
+    def test_extreme_entries(self):
+        for v in (np.array([1e-300, -1e-300]), np.array([1e150] * 4000),
+                  np.array([1e200]), np.array([0.0, -0.0]), np.array([3.0, 4.0])):
+            with np.errstate(over="ignore", under="ignore"):
+                assert np.float64(_norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
+def _counting(obj):
+    """obj with each oracle entry point counting its calls in `calls`."""
+    calls = {"value": 0, "gradient": 0, "value_and_gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    wrapped = dataclasses.replace(
+        obj, value=counted("value", obj.value), gradient=counted("gradient", obj.gradient),
+        value_and_gradient=counted("value_and_gradient", obj.value_and_gradient))
+    return wrapped, calls
+
+
+class TestFusedOracleUse:
+    def test_practical_gd_makes_one_fused_call_per_row(self):
+        bundle = make_problem("staircase")
+        obj, calls = _counting(bundle.objective)
+        x0 = bundle.init_point(0) + 0.1
+        run(obj, AlgoConfig(name="gd", eta=0.05), 25, 0, x0=x0)
+        assert calls == {"value": 0, "gradient": 0, "value_and_gradient": 26}
+
+    def test_theory_pagdot_evaluates_y_through_the_fused_call(self):
+        bundle = make_problem("staircase")
+        obj, calls = _counting(bundle.objective)
+        steps = 30
+        tr = run(obj, AlgoConfig(name="pagdot", mode="theory", **THEORY_CONSTANTS),
+                 steps, 0, x0=bundle.init_point(0))
+        assert tr.n_perturbations >= 1 and tr.n_nce >= 1
+        # one fused call at each incoming x and one at each y, plus the final
+        # row; value alone only at a kicked x and at NCE's two probes
+        assert calls == {"value": tr.n_perturbations + 2 * tr.n_nce, "gradient": 0,
+                         "value_and_gradient": 2 * steps + 1}
+
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    @pytest.mark.parametrize("name", ["gd", "agd", "pgd", "pagd", "pgdot", "pagdot"])
+    def test_fused_and_separate_oracles_give_the_same_trace(self, name, mode):
+        bundle = make_problem("staircase")
+        fused = bundle.objective
+        separate = dataclasses.replace(fused, value_and_gradient=None)
+        algo = AlgoConfig(name=name, mode=mode, eta=0.05, t_thres=10, g_thres=0.01,
+                          r=0.3, h=0.04, t_count=200, alpha=5.0, **THEORY_CONSTANTS)
+        x0 = bundle.init_point(0)
+        a, b = (run(obj, algo, 300, 5, x0=x0) for obj in (fused, separate))
+        assert (a.ts, a.fs, a.grad_norms, a.perturbed, a.nce) == \
+            (b.ts, b.fs, b.grad_norms, b.perturbed, b.nce)
+        assert a.final_x.tobytes() == b.final_x.tobytes()
+        assert a.grad_norms[0] == float(np.linalg.norm(eval_objective(fused, x0)[1]))
 
 
 class TestBatcher:
