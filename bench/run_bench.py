@@ -1,0 +1,129 @@
+"""Layer bench: the cost of one layer at a time, median of repeats.
+
+    PYTHONPATH=src python3 bench/run_bench.py [--out BENCH_<n>.json]
+
+Point PYTHONPATH at the src/ of any tree to time that tree: the one-lane
+rows call run(), which every tree has, so two trees' numbers compare row
+by row.  Rows whose entry point a tree lacks (run_lanes, the lane oracle)
+are left out of its output.
+
+Layers, all on the d = 4 staircase from its saddle ring with preset
+example1's knobs, REPEATS runs each:
+
+    step.<algo>.lanes1     microseconds per step of run(), one lane, for
+                           every algorithm in practical mode and the four
+                           perturbed ones in theory mode (theory_<algo>)
+    step.<algo>.lanes<L>   microseconds per cell-step of run_lanes with L
+                           lanes (4, 16), for gd, practical pgdot and
+                           pagdot, and theory pagdot
+    oracle.lane<L>         microseconds per lane of one lane-oracle call
+    oracle.fused<L>        microseconds per lane of L fused oracle calls
+
+A step is one trace row (every run records every step), so a theory
+pgd/pgdot lane that terminates early is charged only for the steps it
+made.  Uses the standard library and numpy only, and is not part of the
+test suite.  Timings depend on the machine, so the output records it;
+compare two trees only with numbers from the same machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+import numpy as np
+
+from otgrad import optimizers
+from otgrad.benchmarks import make_problem
+from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, run
+
+REPEATS = 5
+STEPS = 2000
+ORACLE_CALLS = 2000
+LANES = (4, 16)
+KNOBS = dict(eta=0.1, t_thres=10, g_thres=0.01, r=0.04, momentum=0.5, h=0.04, t_count=200)
+ONE_LANE = {**{name: AlgoConfig(name=name, **KNOBS) for name in ALGORITHMS},
+            **{f"theory_{name}": AlgoConfig(name=name, mode="theory", **KNOBS)
+               for name in PERTURBED_ALGORITHMS}}
+MANY_LANES = ("gd", "pgdot", "pagdot", "theory_pagdot")
+
+
+def _median_us(fn, per) -> float:
+    """Median over REPEATS calls of fn, in microseconds per unit of work;
+    per(result) is the units of work one call did."""
+    times, units = [], None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+        units = per(result)
+    return statistics.median(times) / units * 1e6
+
+
+def _steps(traces) -> int:
+    """Trace rows over the traces' lanes."""
+    return sum(len(trace.ts) for trace in traces)
+
+
+def bench() -> dict:
+    bundle = make_problem("staircase")
+    obj = bundle.objective
+    saddle = bundle.init_point(0)
+    layers = {}
+    for name, algo in ONE_LANE.items():
+        layers[f"step.{name}.lanes1"] = _median_us(
+            lambda: [run(obj, algo, STEPS, 0, x0=saddle)], _steps)
+    run_lanes = getattr(optimizers, "run_lanes", None)
+    if run_lanes is not None:
+        for name in MANY_LANES:
+            for n in LANES:
+                layers[f"step.{name}.lanes{n}"] = _median_us(
+                    lambda: run_lanes(obj, ONE_LANE[name], STEPS, range(n), [saddle] * n),
+                    _steps)
+    lane = getattr(obj, "lane_value_and_gradient", None)
+    if lane is not None:
+        rng = np.random.default_rng(0)
+        for n in (1,) + LANES:
+            X = saddle + 0.1 * rng.standard_normal((n, saddle.shape[0]))
+            fused = obj.value_and_gradient
+
+            def lane_calls():
+                for _ in range(ORACLE_CALLS):
+                    lane(X)
+
+            def fused_calls():
+                for _ in range(ORACLE_CALLS):
+                    for x in X:
+                        fused(x)
+
+            layers[f"oracle.lane{n}"] = _median_us(lane_calls, lambda _: ORACLE_CALLS * n)
+            layers[f"oracle.fused{n}"] = _median_us(fused_calls, lambda _: ORACLE_CALLS * n)
+    return layers
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=None, help="JSON file to write")
+    args = parser.parse_args()
+    result = {
+        "machine": {"python": platform.python_version(), "numpy": np.__version__,
+                    "cpu_count": os.cpu_count(), "cpu": platform.processor() or platform.machine()},
+        "repeats": REPEATS,
+        "steps": STEPS,
+        "oracle_calls": ORACLE_CALLS,
+        "unit": "microseconds per cell-step (step.*) or per lane evaluation (oracle.*), median",
+        "layers": bench(),
+    }
+    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    print(text, end="")
+
+
+if __name__ == "__main__":
+    main()

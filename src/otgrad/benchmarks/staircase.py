@@ -53,6 +53,8 @@ def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) 
     The mean is np.add.reduce(x * x) / dim, which is what np.mean computes
     for a float64 vector, bit for bit, without its wrapper.  r is a mean of
     squares, so it is never negative and the profile needs no sign check.
+    The lane oracle evaluates a (lanes, dim) stack with the same bits per
+    row.
     """
     if dim <= 0 or n_plateaus < 1 or length <= 0:
         raise ContractViolation(
@@ -71,8 +73,19 @@ def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) 
         f, slope = _profile_and_slope(float(add(x * x)) / dim, n_plateaus, length)
         return f, slope * scale * x
 
+    def lane_value_and_gradient(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The row reductions equal the per-vector ones; the profile stays
+        # scalar per row, because array np.power rounds differently.
+        fs, coefs = [], []
+        for sum_sq in add(X * X, axis=1).tolist():
+            f, slope = _profile_and_slope(sum_sq / dim, n_plateaus, length)
+            fs.append(f)
+            coefs.append(slope * scale)
+        return np.array(fs), X * np.array(coefs)[:, None]
+
     return Objective(dim=dim, value=value, gradient=gradient, name="staircase",
-                     known_min=0.0, value_and_gradient=value_and_gradient)
+                     known_min=0.0, value_and_gradient=value_and_gradient,
+                     lane_value_and_gradient=lane_value_and_gradient)
 
 
 def staircase_saddle_init(dim: int, n_plateaus: int = 4, length: float = 1.0) -> np.ndarray:

@@ -33,9 +33,18 @@ class Objective:
     (value(x), gradient(x)) with the same bits from one pass; eval_objective
     then calls it instead of the two.  Every closed-form benchmark problem
     (staircase, reglq, phase_retrieval, airy_regression) and every MLP
-    objective carries one.  Smoothness constants are optional
-    metadata; they are required only by the theory-mode parameter
-    derivations.
+    objective carries one.
+
+    `lane_value_and_gradient`, when set, is the lane oracle: it maps a
+    stack X of shape (lanes, dim) to (F, G), a float64 array of shape
+    (lanes,) and one of shape (lanes, dim), whose row i equals
+    value_and_gradient(X[i]) bit for bit.  The lane engine
+    (optimizers.run_lanes) answers every oracle call over more than one
+    lane with it, and the harness steps all seeds of an algorithm as one
+    group when the objective has one.  The staircase carries one.
+
+    Smoothness constants are optional metadata; they are required only by
+    the theory-mode parameter derivations.
     """
 
     dim: int
@@ -46,6 +55,8 @@ class Objective:
     lipschitz_hess: Optional[float] = None
     known_min: Optional[float] = None
     value_and_gradient: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
+    lane_value_and_gradient: Optional[
+        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:

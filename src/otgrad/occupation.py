@@ -44,6 +44,10 @@ class WeightFn:
     def __call__(self, n) -> float:
         if np.any(np.asarray(n) < 0):
             raise ContractViolation("occupation count must be >= 0")
+        return self.unchecked(n)
+
+    def unchecked(self, n) -> float:
+        """w(n) for a count n already known to be >= 0."""
         return 1.0 + np.float64(n) ** self.alpha
 
 
@@ -145,13 +149,14 @@ def _left_probabilities(w: WeightFn, left: np.ndarray, right: np.ndarray) -> np.
     """left_probability for every coordinate, bit for bit.
 
     Array `np.power` may round differently from the scalar power inside
-    WeightFn, so each distinct count is weighted by one scalar WeightFn call
-    and the weights are gathered from that table.
+    WeightFn, so each distinct count is weighted by one scalar
+    WeightFn.unchecked call (counts are never negative) and the weights
+    are gathered from that table.
     """
     occupied = np.bincount(np.concatenate((left, right)))
     table = np.empty(occupied.shape[0], dtype=np.float64)
     for n in np.flatnonzero(occupied):
-        table[n] = w(n)
+        table[n] = w.unchecked(n)
     wl = table[left]
     wr = table[right]
     p_left = wr / (wl + wr)

@@ -14,21 +14,38 @@ windowed occupation count, no termination rule, and for the accelerated
 variants a plain Nesterov update y = x + momentum * v in place of the
 theory-mode coupling (no NCE).
 
-Every perturbed method passes through one gate, _gate: perturb when the
+Every algorithm and mode steps through one engine, run_lanes, which
+advances the seeds of one algorithm in lockstep as lanes: iterates,
+velocities and gradients are stacked (lanes x dim) arrays, while each lane
+keeps its own random stream, occupation window, gate clock, termination
+state and trace.  A lane that terminates or fails drops out; the others go
+on, and each lane's trace equals its run alone bit for bit.  run() is the
+one-lane call.  The engine evaluates the objective through one oracle
+path, _evaluate: with more than one lane, an objective's lane oracle
+answers each call for all lanes at once; otherwise each lane calls the
+objective through _call, and a NumericalDomainError or a float overflow
+there ends that lane as a RunError.
+
+Each rule is written once, over lanes, and _step applies the rule of an
+algorithm, a _Rule that the method table _rule derives from its config.
+_gate is the perturbation gate of every perturbed method: perturb when the
 gradient norm is at most the threshold and at least `cooldown` steps have
 passed since the last kick (t - t_noise >= cooldown).  The cooldown is
 t_thres + 1 for theory pgd/pgdot and for practical mode, and script_t for
-theory pagd/pagdot; a state starts at t_noise = -cooldown so a kick may
-fire at t = 0.  The gradient step is _descend and the Nesterov update is
-_accelerate, whichever mode calls them.
+theory pagd/pagdot; a lane starts at t_noise = -cooldown so a kick may
+fire at t = 0.  _terminations is the improve-or-terminate rule, _descend
+the gradient step, and _accelerate the Nesterov update with the curvature
+certificate, which calls nce, negative-curvature exploitation, once per
+certified lane.  The single-state API (pgdot_step, pagdot_step,
+make_*_state) runs these rules as one-lane calls, and baseline_step takes
+a stack of lanes as it takes one iterate.
 
 Swapping the occupation sampler for a uniform ball sampler turns the adapted
 methods into the classical perturbed baselines (pgd, pagd) step for step.
 
-run() drives any algorithm (including sgd/adam/amsgrad/rmsprop baselines)
-for a step budget and returns a RunTrace of per-step f, gradient norm, and
-event flags.  A method table, _stepper, maps each algorithm and mode to its
-initial state and step; every step reports its events on that state.
+run() and run_lanes drive any algorithm (including sgd/adam/amsgrad/rmsprop
+baselines) for a step budget and return RunTraces of per-step f, gradient
+norm, and event flags.
 """
 
 from __future__ import annotations
@@ -195,14 +212,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _incoming(obj: Objective, state: OptimizerState, fg) -> tuple:
-    """(f, grad f, ||grad f||) at state.x: fg when given, else evaluated."""
-    if fg is not None:
-        return fg
-    f_t, g_t = eval_objective(obj, state.x)
-    return f_t, g_t, _norm(g_t)
-
-
 def gd_step(obj: Objective, x, eta: float, grad: Optional[np.ndarray] = None) -> np.ndarray:
     """One plain gradient descent step x - eta * grad f(x)."""
     v = as_vector(x, obj.dim)
@@ -210,60 +219,354 @@ def gd_step(obj: Objective, x, eta: float, grad: Optional[np.ndarray] = None) ->
     return v - eta * g
 
 
-def _gate(state: OptimizerState, f_t: float, g_norm: float, g_thres: float,
-          cooldown: int, r: float, sampler: str, weight: WeightFn) -> bool:
-    """The perturbation gate of every perturbed method; True when it fired.
+# ---------------------------------------------------------------------------
+# Lanes and the oracle path
+# ---------------------------------------------------------------------------
 
-    Fires when g_norm, the norm of the gate's gradient, is at most g_thres
-    and t - t_noise >= cooldown.  Firing saves the incoming iterate and
-    value as (x_tilde, f_tilde), stamps t_noise, and replaces state.x by a
-    kick from `sampler`.  The incoming
-    (pre-perturbation) iterate is then recorded into the window, with the
-    occupation sampler only (the ball sampler never reads it), so the counts
-    behind a kick at step t cover strictly earlier iterates.
+
+class _Lanes:
+    """Loop state of lanes that step in lockstep.
+
+    X and V (None for unaccelerated methods) are stacked (lanes x dim)
+    arrays; every other field holds one entry per lane.  `fired` and
+    `nce_hits` list the lanes on which the last step kicked or ran NCE.
+    `failed` maps a lane whose oracle call failed during the current step
+    to (the NumericalDomainError, its iterate at that moment).
     """
-    if sampler not in ("occupation", "ball"):
-        raise ContractViolation(f"unknown sampler {sampler!r}, expected 'occupation' or 'ball'")
-    x_in = state.x
-    fired = g_norm <= g_thres and state.t - state.t_noise >= cooldown
+
+    def __init__(self, X: np.ndarray, rngs: list, windows=None, t_noise=None,
+                 V: Optional[np.ndarray] = None, hyper=None):
+        n = X.shape[0]
+        self.X = X
+        self.V = V
+        self.rngs = rngs
+        self.windows = [None] * n if windows is None else windows
+        self.t_noise = [0] * n if t_noise is None else t_noise
+        self.x_tilde = [None] * n
+        self.f_tilde = [None] * n
+        self.n_perturbations = [0] * n
+        self.n_nce = [0] * n
+        self.hyper = hyper
+        self.t = 0
+        self.fired = []
+        self.nce_hits = []
+        self.failed = {}
+
+    def fail(self, lane: int, exc: NumericalDomainError) -> None:
+        self.failed.setdefault(lane, (exc, self.X[lane].copy()))
+
+    def raise_failure(self) -> None:
+        """Re-raise the failure of a one-lane call, if it had one."""
+        if self.failed:
+            raise self.failed[0][0]
+
+    def keep(self, positions: list) -> None:
+        """Drop every lane not in `positions`."""
+        self.X = self.X[positions]
+        if self.V is not None:
+            self.V = self.V[positions]
+        for name in ("rngs", "windows", "t_noise", "x_tilde", "f_tilde",
+                     "n_perturbations", "n_nce"):
+            values = getattr(self, name)
+            setattr(self, name, [values[p] for p in positions])
+        if self.hyper is not None:
+            for name in ("m", "v", "v_max"):
+                acc = getattr(self.hyper, name)
+                if acc is not None:
+                    setattr(self.hyper, name, acc[positions])
+        self.fired, self.nce_hits, self.failed = [], [], {}
+
+
+_CHECKED, _FUSED, _VALUE, _GRADIENT = "checked", "fused", "value", "gradient"
+
+
+def _call(obj: Objective, x: np.ndarray, want: str) -> tuple:
+    """One oracle call at one point: (f, gradient), with None for the part
+    not asked for.  want is _CHECKED (eval_objective's checks), _FUSED (f
+    and the gradient, unchecked), _VALUE or _GRADIENT.  A float overflow
+    inside the objective raises NumericalDomainError."""
+    try:
+        if want is _CHECKED:
+            return eval_objective(obj, x)
+        if want is _FUSED:
+            return call_oracle(obj, x)
+        if want is _VALUE:
+            return float(obj.value(x)), None
+        return None, np.asarray(obj.gradient(x), dtype=np.float64)
+    except OverflowError as exc:
+        raise NumericalDomainError(f"{obj.name or 'objective'}: float overflow: {exc}") from exc
+
+
+def _lane_call(obj: Objective, X: np.ndarray, want: str):
+    """One lane-oracle call for every row of X, as (F, G) with F a list, or
+    None when it fails or, for _CHECKED, a row does not pass
+    eval_objective's finiteness checks; the rows then call one by one."""
+    if want is _CHECKED and not np.isfinite(X).all():
+        return None
+    try:
+        F, G = obj.lane_value_and_gradient(X)
+    except (NumericalDomainError, OverflowError):
+        return None
+    if G.shape != X.shape or F.shape != (X.shape[0],):
+        raise ContractViolation(f"{obj.name or 'objective'}: lane oracle shapes {F.shape}, "
+                                f"{G.shape} for lanes of shape {X.shape}")
+    F = F.tolist()
+    # a sum of finite floats is finite unless it overflows, and then the
+    # rows decide
+    if want is _CHECKED and not (math.isfinite(sum(F)) and np.isfinite(G).all()):
+        return None
+    return F, G
+
+
+def _evaluate(lanes: _Lanes, obj, X: np.ndarray, want: str,
+              rows: Optional[list] = None) -> tuple:
+    """The oracle at the rows of X.  With _call, which each row uses and nce's
+    probes call directly, this is the one path the engine's oracle calls take.
+
+    obj is one Objective for every lane, or a list with one per lane; rows
+    names the lane of each row of X (default: row i is lane i).  want is
+    as in _call.  Returns (F, G): F a list of floats, G a (rows x dim)
+    array (None for _VALUE).
+
+    With more than one row, an objective with a lane oracle answers in one
+    call (_lane_call).  Otherwise, and whenever that call does not answer,
+    each row makes its own call, as a one-lane run would.  A row whose
+    call raises NumericalDomainError marks its lane failed and reads NaN;
+    a lane that already failed is not called.
+    """
+    k = X.shape[0]
+    shared = isinstance(obj, Objective)
+    if k > 1 and shared and obj.lane_value_and_gradient is not None and not lanes.failed:
+        answer = _lane_call(obj, X, want)
+        if answer is not None:
+            return answer
+    F, gs = [math.nan] * k, [None] * k
+    for j in range(k):
+        lane = j if rows is None else rows[j]
+        if lane in lanes.failed:
+            continue
+        try:
+            F[j], gs[j] = _call(obj if shared else obj[lane], X[j], want)
+        except NumericalDomainError as exc:
+            lanes.fail(lane, exc)
+    if want is _VALUE:
+        return F, None
+    if k == 1 and gs[0] is not None:
+        return F, gs[0][None, :]
+    return F, np.array([np.full(X.shape[1], math.nan) if g is None else g for g in gs])
+
+
+# ---------------------------------------------------------------------------
+# Step rules, written once over lanes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """What one step of an algorithm does; _step reads it for every
+    algorithm and mode.
+
+    sampler None means unperturbed.  `terminate` carries the theory-mode
+    pgd/pgdot constants (improve-or-terminate), `certify` the theory-mode
+    pagd/pagdot constants (curvature certificate and NCE), and `baseline`
+    names a stochastic baseline.  t_count and h size the occupation windows.
+    """
+
+    eta: float
+    accelerated: bool = False
+    momentum: float = 0.0
+    sampler: Optional[str] = None
+    weight: WeightFn = WeightFn()
+    g_thres: float = 0.0
+    cooldown: int = 0
+    r: float = 0.0
+    reset_velocity: bool = False
+    terminate: Optional[PgdotParams] = None
+    certify: Optional[PagdotParams] = None
+    baseline: Optional[str] = None
+    t_count: Optional[int] = None
+    h: float = math.inf
+
+    def __post_init__(self):
+        if self.sampler not in (None, "occupation", "ball"):
+            raise ContractViolation(
+                f"unknown sampler {self.sampler!r}, expected 'occupation' or 'ball'")
+
+
+def _pgdot_rule(params: PgdotParams, sampler: str, weight: WeightFn) -> _Rule:
+    """Theory-mode pgd/pgdot: cooldown t_thres + 1, full-history window."""
+    return _Rule(eta=params.eta, sampler=sampler, weight=weight, g_thres=params.g_thres,
+                 cooldown=params.t_thres + 1, r=params.r, terminate=params)
+
+
+def _pagdot_rule(params: PagdotParams, sampler: str, weight: WeightFn,
+                 reset_velocity: bool) -> _Rule:
+    """Theory-mode pagd/pagdot: gate at eps with cooldown script_t, momentum
+    1 - theta, then the curvature certificate."""
+    return _Rule(eta=params.eta, accelerated=True, momentum=1.0 - params.theta,
+                 sampler=sampler, weight=weight, g_thres=params.eps,
+                 cooldown=params.script_t, r=params.r, reset_velocity=reset_velocity,
+                 certify=params)
+
+
+def _gate(rule: _Rule, lanes: _Lanes, F: list, norms: list) -> list:
+    """The perturbation gate of every perturbed method; returns the lanes it fired on.
+
+    A lane fires when its gate norm is at most g_thres and
+    t - t_noise >= cooldown.  Firing saves the incoming iterate and value
+    as (x_tilde, f_tilde), stamps t_noise, and replaces the iterate by a
+    kick from the rule's sampler.  The incoming (pre-perturbation)
+    iterates are then recorded into the windows, with the occupation
+    sampler only (the ball sampler never reads them), so the counts behind
+    a kick at step t cover strictly earlier iterates.
+    """
+    t, t_noise = lanes.t, lanes.t_noise
+    fired = [i for i, g_norm in enumerate(norms)
+             if g_norm <= rule.g_thres and t - t_noise[i] >= rule.cooldown]
+    X_in = lanes.X
+    occupation = rule.sampler == "occupation"
     if fired:
-        state.x_tilde = x_in.copy()
-        state.f_tilde = f_t
-        state.t_noise = state.t
-        if sampler == "occupation":
-            state.x = sample_occupation_perturbation(x_in, state.window, r, weight, state.rng)
-        else:
-            state.x = sample_ball_perturbation(x_in, r, state.rng)
-        state.n_perturbations += 1
-    if sampler == "occupation":
-        state.window.record(x_in)
-    state.perturbed_last = fired
+        X = X_in.copy()
+        for i in fired:
+            x_in = X_in[i]
+            lanes.x_tilde[i] = x_in.copy()
+            lanes.f_tilde[i] = F[i]
+            t_noise[i] = t
+            if occupation:
+                X[i] = sample_occupation_perturbation(x_in, lanes.windows[i], rule.r,
+                                                      rule.weight, lanes.rngs[i])
+            else:
+                X[i] = sample_ball_perturbation(x_in, rule.r, lanes.rngs[i])
+            lanes.n_perturbations[i] += 1
+        lanes.X = X
+    if occupation:
+        for window, x_in in zip(lanes.windows, X_in):
+            window.record(x_in)
+    lanes.fired = fired
     return fired
 
 
-def _descend(obj: Objective, state: OptimizerState, g_t: np.ndarray, eta: float) -> None:
-    """Gradient step from state.x; a kicked iterate needs its own gradient."""
-    g = np.asarray(obj.gradient(state.x), dtype=np.float64) if state.perturbed_last else g_t
-    state.x = state.x - eta * g
+def _terminations(rule: _Rule, lanes: _Lanes, F: list, fired: list) -> dict:
+    """Improve-or-terminate: {lane: saved point} for each lane that was
+    kicked exactly t_thres steps ago, did not fire now, and has not lowered
+    f by more than f_thres since."""
+    p = rule.terminate
+    t = lanes.t
+    return {i: lanes.x_tilde[i] for i, t_noise in enumerate(lanes.t_noise)
+            if t - t_noise == p.t_thres and lanes.x_tilde[i] is not None
+            and i not in fired and F[i] - lanes.f_tilde[i] > -p.f_thres}
 
 
-def _accelerate(obj: Objective, state: OptimizerState, momentum: float,
-                eta: float, with_value: bool = False) -> tuple:
+def _descend(rule: _Rule, lanes: _Lanes, obj, G: np.ndarray, fired: list) -> None:
+    """Gradient step; a kicked lane needs the gradient at its kicked iterate."""
+    if fired:
+        G = G.copy()
+        G[fired] = _evaluate(lanes, obj, lanes.X[fired], _GRADIENT, fired)[1]
+    lanes.X = lanes.X - rule.eta * G
+
+
+def _accelerate(rule: _Rule, lanes: _Lanes, obj, F: list, fired: list) -> None:
     """Nesterov update y = x + momentum*v, x' = y - eta*grad f(y), v' = x' - x.
 
-    Returns (y, f(y), grad f(y)) for the theory-mode curvature certificate;
-    f(y) comes from the same oracle call as the gradient, and is None
-    unless with_value is set.
+    A kicked lane's velocity is zeroed first when the rule resets it.  With
+    `certify` (theory pagd/pagdot), f(y) comes from the same oracle call as
+    the gradient, and each lane whose segment certifies negative curvature,
+        f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2,
+    with x its (possibly kicked) iterate, replaces (x', v') by nce(x, v, s).
+    A zero velocity makes the certificate 0 <= 0, which counts as
+    certified.
     """
-    x = state.x
-    y = x + momentum * state.v
-    if with_value:
-        f_y, g_y = call_oracle(obj, y)
+    X, V = lanes.X, lanes.V
+    if fired and rule.reset_velocity:
+        V = V.copy()
+        V[fired] = 0.0
+    cert = rule.certify
+    if cert is not None:
+        f_x = list(F)
+        if fired:
+            for i, f in zip(fired, _evaluate(lanes, obj, X[fired], _VALUE, fired)[0]):
+                f_x[i] = f
+    Y = X + rule.momentum * V
+    f_y, g_y = _evaluate(lanes, obj, Y, _GRADIENT if cert is None else _FUSED)
+    lanes.X = Y - rule.eta * g_y
+    lanes.V = lanes.X - X
+    if cert is None:
+        return
+    D = X - Y
+    hits = [i for i, f in enumerate(f_x)
+            if f <= f_y[i] + float(g_y[i].dot(D[i])) - 0.5 * cert.gamma * float(D[i].dot(D[i]))]
+    shared = isinstance(obj, Objective)
+    for i in hits:
+        try:
+            lanes.X[i] = nce(obj if shared else obj[i], X[i], V[i], cert.s, lanes.rngs[i])[0]
+        except NumericalDomainError as exc:
+            lanes.fail(i, exc)
+            continue
+        lanes.V[i] = 0.0
+        lanes.n_nce[i] += 1
+    lanes.nce_hits = hits
+
+
+def _step(rule: _Rule, lanes: _Lanes, obj, F: list, G: np.ndarray, norms: list,
+          gate_obj: Optional[Objective] = None) -> dict:
+    """Advance every lane by one step of `rule`, given f, the gradient and
+    its norm at the incoming iterates.
+
+    The gate reads the norm of gate_obj's gradient when gate_obj is given.
+    Returns {lane: saved point} for the lanes that a theory-mode pgd/pgdot
+    termination stops; their new iterate is to be discarded.
+    """
+    fired = []
+    if rule.sampler is not None:
+        if gate_obj is not None:
+            norms = [_norm(g) for g in _evaluate(lanes, gate_obj, lanes.X, _GRADIENT)[1]]
+        fired = _gate(rule, lanes, F, norms)
+    saved = _terminations(rule, lanes, F, fired) if rule.terminate is not None else {}
+    if rule.baseline is not None:
+        lanes.X = baseline_step(lanes.hyper, lanes.X, G)
+    elif rule.accelerated:
+        _accelerate(rule, lanes, obj, F, fired)
     else:
-        f_y, g_y = None, np.asarray(obj.gradient(y), dtype=np.float64)
-    state.x = y - eta * g_y
-    state.v = state.x - x
-    return y, f_y, g_y
+        _descend(rule, lanes, obj, G, fired)
+    return saved
+
+
+# ---------------------------------------------------------------------------
+# Single-state step operations: one-lane calls of the rules above
+# ---------------------------------------------------------------------------
+
+
+def _step_state(rule: _Rule, obj: Objective, state: OptimizerState, fg) -> Optional[np.ndarray]:
+    """One step of `rule` on `state`, as a one-lane _step; fg as in pgdot_step."""
+    lanes = _Lanes(np.asarray(state.x, dtype=np.float64)[None, :], [state.rng],
+                   [state.window], [state.t_noise],
+                   None if state.v is None else np.asarray(state.v, dtype=np.float64)[None, :])
+    lanes.t = state.t
+    lanes.x_tilde = [state.x_tilde]
+    lanes.f_tilde = [state.f_tilde]
+    lanes.n_perturbations = [state.n_perturbations]
+    lanes.n_nce = [state.n_nce]
+    if fg is None:
+        F, G = _evaluate(lanes, obj, lanes.X, _CHECKED)
+        lanes.raise_failure()
+        fg = (F[0], G[0], _norm(G[0]))
+    f_t, g_t, g_norm = fg
+    saved = _step(rule, lanes, obj, [f_t], np.asarray(g_t, dtype=np.float64)[None, :], [g_norm])
+    lanes.raise_failure()
+    state.t_noise = lanes.t_noise[0]
+    state.x_tilde = lanes.x_tilde[0]
+    state.f_tilde = lanes.f_tilde[0]
+    state.n_perturbations = lanes.n_perturbations[0]
+    state.n_nce = lanes.n_nce[0]
+    state.perturbed_last = bool(lanes.fired)
+    state.nce_last = bool(lanes.nce_hits)
+    if saved:
+        return saved[0]
+    state.x = lanes.X[0]
+    if lanes.V is not None:
+        state.v = lanes.V[0]
+    state.t += 1
+    return None
 
 
 def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
@@ -279,19 +582,10 @@ def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
     (possibly perturbed) iterate.
 
     Returns the saved pre-perturbation point when the run terminates
-    (insufficient decrease t_thres steps after a perturbation), else None.
+    (insufficient decrease t_thres steps after a perturbation), else None;
+    a terminating step leaves state.x and state.t as they were.
     """
-    weight = weight or WeightFn()
-    f_t, g_t, g_norm = _incoming(obj, state, fg)
-    fired = _gate(state, f_t, g_norm, params.g_thres, params.t_thres + 1, params.r,
-                  sampler, weight)
-    if (state.x_tilde is not None and not fired
-            and state.t - state.t_noise == params.t_thres
-            and f_t - state.f_tilde > -params.f_thres):
-        return state.x_tilde
-    _descend(obj, state, g_t, params.eta)
-    state.t += 1
-    return None
+    return _step_state(_pgdot_rule(params, sampler, weight or WeightFn()), obj, state, fg)
 
 
 def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +595,8 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
     velocity is reset.  Otherwise the method probes distance s along +-v
     and keeps the better endpoint; a zero velocity probes s along a
     uniformly random unit direction instead.  Ties keep x + delta.
-    The returned velocity is always zero.
+    The returned velocity is always zero.  A float overflow in a probe
+    raises NumericalDomainError.
     """
     xv = as_vector(x, obj.dim)
     vv = as_vector(v, obj.dim)
@@ -318,10 +613,10 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
         delta = (s / dnorm) * direction
     else:
         delta = (s / vnorm) * vv
-    f_plus = float(obj.value(xv + delta))
-    f_minus = float(obj.value(xv - delta))
-    x_next = xv + delta if f_plus <= f_minus else xv - delta
-    return x_next, zero
+    plus, minus = xv + delta, xv - delta
+    f_plus = _call(obj, plus, _VALUE)[0]
+    f_minus = _call(obj, minus, _VALUE)[0]
+    return (plus if f_plus <= f_minus else minus), zero
 
 
 def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
@@ -340,22 +635,8 @@ def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
     velocity makes the certificate 0 <= 0, which counts as triggered.
     fg is as in pgdot_step.
     """
-    weight = weight or WeightFn()
-    f_t, g_t, g_norm = _incoming(obj, state, fg)
-    state.nce_last = False
-    f_x = f_t
-    if _gate(state, f_t, g_norm, params.eps, params.script_t, params.r, sampler, weight):
-        f_x = float(obj.value(state.x))
-        if reset_velocity:
-            state.v = np.zeros_like(state.x)
-    x, v = state.x, state.v
-    y, f_y, g_y = _accelerate(obj, state, 1.0 - params.theta, params.eta, with_value=True)
-    diff = x - y
-    if f_x <= f_y + float(g_y @ diff) - 0.5 * params.gamma * float(diff @ diff):
-        state.x, state.v = nce(obj, x, v, params.s, state.rng)
-        state.nce_last = True
-        state.n_nce += 1
-    state.t += 1
+    _step_state(_pagdot_rule(params, sampler, weight or WeightFn(), reset_velocity),
+                obj, state, fg)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +669,17 @@ class BaselineHyper:
 def baseline_step(hyper: BaselineHyper, x, grad) -> np.ndarray:
     """One update of sgd_momentum / adam / amsgrad / rmsprop.
 
-    Accumulators live on `hyper` and are updated in place; adam and amsgrad
-    use bias-corrected moment estimates, rmsprop does not.
+    x is one iterate, or a (lanes x dim) stack of them stepping together,
+    and grad has the same shape.  Accumulators live on `hyper` and are
+    updated in place; adam and amsgrad use bias-corrected moment
+    estimates, rmsprop does not.
     """
-    xv = as_vector(x)
-    g = as_vector(grad, xv.shape[0])
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.ndim not in (1, 2):
+        raise ContractViolation(f"expected a vector or a stack of vectors, got shape {xv.shape}")
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != xv.shape:
+        raise ContractViolation(f"gradient shape {g.shape} != iterate shape {xv.shape}")
     if hyper.kind == "sgd_momentum":
         if hyper.v is None:
             hyper.v = np.zeros_like(xv)
@@ -542,68 +829,135 @@ class Batcher:
         return self.problem.objective_for(idx)
 
 
-def _stepper(algo: AlgoConfig, x: np.ndarray, rng: RngStream,
-             gate_obj: Optional[Objective]):
-    """Method table: the initial state and the step function for `algo`.
-
-    step(obj, f_t, g_t, g_norm) advances the state by one step on `obj`,
-    given f, the gradient and its norm at the incoming iterate.  It returns
-    the saved point when a theory-mode pgd/pgdot run terminates, else None.
-    The practical gate reads the norm of gate_obj's gradient at the
-    incoming iterate when gate_obj is given, else g_norm.
-    """
+def _rule(algo: AlgoConfig, dim: int) -> _Rule:
+    """Method table: the step rule of `algo` on a problem of dimension dim."""
     name = algo.name
-    sampler = "ball" if name in ("pgd", "pagd") else "occupation"
-    weight = WeightFn(algo.alpha)
     if name in BASELINE_ALGORITHMS:
-        hyper = BaselineHyper(kind=name, lr=algo.eta, momentum=algo.momentum)
-        state = OptimizerState(x=x, rng=rng)
-
-        def step(obj, f_t, g_t, g_norm):
-            state.x = baseline_step(hyper, state.x, g_t)
-        return state, step
-
-    if algo.mode == "theory" and name in PERTURBED_ALGORITHMS:
-        inputs = (x.shape[0], algo.ell, algo.rho, algo.eps, algo.c, algo.delta, algo.delta_f)
+        return _Rule(eta=algo.eta, baseline=name)
+    sampler = None
+    if name in PERTURBED_ALGORITHMS:
+        sampler = "ball" if name in ("pgd", "pagd") else "occupation"
+    weight = WeightFn(algo.alpha)
+    if algo.mode == "theory" and sampler is not None:
+        inputs = (dim, algo.ell, algo.rho, algo.eps, algo.c, algo.delta, algo.delta_f)
         if name in ("pgd", "pgdot"):
-            pg_params = derive_pgdot_params(*inputs)
-            state = make_pgdot_state(x, pg_params, rng)
-
-            def step(obj, f_t, g_t, g_norm):
-                return pgdot_step(obj, state, pg_params, sampler, weight,
-                                  fg=(f_t, g_t, g_norm))
-            return state, step
-        pa_params = derive_pagdot_params(*inputs)
-        state = make_pagdot_state(x, pa_params, rng)
-
-        def step(obj, f_t, g_t, g_norm):
-            pagdot_step(obj, state, pa_params, sampler, weight,
-                        algo.reset_velocity_on_perturb, fg=(f_t, g_t, g_norm))
-        return state, step
-
+            return _pgdot_rule(derive_pgdot_params(*inputs), sampler, weight)
+        return _pagdot_rule(derive_pagdot_params(*inputs), sampler, weight,
+                            algo.reset_velocity_on_perturb)
     # practical mode, and gd/agd in either mode: explicit knobs, no
     # termination rule, no NCE
-    perturbed = name in PERTURBED_ALGORITHMS
-    accelerated = name in ("agd", "pagd", "pagdot")
-    cooldown = algo.t_thres + 1
-    window = (OccupationWindow(x.shape[0], t_count=algo.t_count, h=algo.h)
-              if perturbed and sampler == "occupation" else None)
-    state = OptimizerState(x=x, rng=rng, window=window, t_noise=-cooldown,
-                           v=np.zeros_like(x) if accelerated else None)
+    return _Rule(eta=algo.eta, accelerated=name in ("agd", "pagd", "pagdot"),
+                 momentum=algo.momentum, sampler=sampler, weight=weight,
+                 g_thres=algo.g_thres, cooldown=algo.t_thres + 1, r=algo.r,
+                 reset_velocity=algo.reset_velocity_on_perturb,
+                 t_count=algo.t_count, h=algo.h)
 
-    def step(obj, f_t, g_t, g_norm):
-        if perturbed:
-            if gate_obj is not None:
-                g_norm = _norm(np.asarray(gate_obj.gradient(state.x), dtype=np.float64))
-            _gate(state, f_t, g_norm, algo.g_thres, cooldown, algo.r, sampler, weight)
-        if not accelerated:
-            _descend(obj, state, g_t, algo.eta)
-        else:
-            if state.perturbed_last and algo.reset_velocity_on_perturb:
-                state.v = np.zeros_like(state.x)
-            _accelerate(obj, state, algo.momentum, algo.eta)
-        state.t += 1
-    return state, step
+
+def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
+              record_every: int = 1, batchers=None, problem_name: str = "") -> list:
+    """Run one algorithm from several seeds in lockstep, one lane per seed.
+
+    Returns, in seed order, one RunTrace per lane, or a RunError holding
+    the partial trace of a lane that failed.  Each lane's result equals
+    run() on that seed alone, bit for bit: iterates, velocities and
+    gradients are stacked (lanes x dim) arrays, while each lane keeps its
+    own stream (seed, STREAM_ALGORITHM), occupation window, gate clock,
+    termination state and trace.  A lane that terminates (theory-mode
+    pgd/pgdot) or fails (NumericalDomainError or float overflow in an
+    oracle call) drops out and the others go on.
+
+    x0s holds one start per lane (default zeros); batchers, when given,
+    one Batcher per lane, with `obj` then the full objective or the
+    dataset-backed problem (see run).
+    """
+    if max_steps < 0:
+        raise ContractViolation(f"max_steps must be >= 0, got {max_steps}")
+    if record_every < 1:
+        raise ContractViolation(f"record_every must be >= 1, got {record_every}")
+    full_obj = obj if isinstance(obj, Objective) else None
+    if batchers is None and full_obj is None:
+        raise ContractViolation("run() needs an Objective, or a problem plus a Batcher")
+    seeds = list(seeds)
+    n = len(seeds)
+    for name, per_lane in (("x0s", x0s), ("batchers", batchers)):
+        if per_lane is not None and len(per_lane) != n:
+            raise ContractViolation(f"{name} has {len(per_lane)} entries for {n} seeds")
+    if n == 0:
+        return []
+    dim = obj.dim
+    X = np.zeros((n, dim)) if x0s is None else np.array([as_vector(x0, dim) for x0 in x0s])
+    rule = _rule(algo, dim)
+    lanes = _Lanes(
+        X, [derive_stream(seed, STREAM_ALGORITHM) for seed in seeds],
+        windows=[OccupationWindow(dim, t_count=rule.t_count, h=rule.h)
+                 if rule.sampler == "occupation" else None for _ in seeds],
+        t_noise=[-rule.cooldown] * n,
+        V=np.zeros_like(X) if rule.accelerated else None,
+        hyper=None if rule.baseline is None else
+        BaselineHyper(kind=rule.baseline, lr=algo.eta, momentum=algo.momentum))
+    gate_obj = full_obj if algo.full_grad_gate and batchers is not None else None
+    problem = problem_name or getattr(obj, "name", "")
+    results = [RunTrace(algorithm=algo.name, problem=problem, seed=seed, mode=algo.mode)
+               for seed in seeds]
+    live = list(range(n))      # the seed index of each lane
+
+    def step_objective():
+        if batchers is None:
+            return obj
+        return [batchers[i].next_objective() for i in live]
+
+    def retire(done: dict, t: int) -> list:
+        """Finish the lanes in done, {lane: (final_x, terminated)}, plus the
+        failed ones; returns the positions of the lanes that go on."""
+        done.update((p, (x, False)) for p, (_, x) in lanes.failed.items())
+        for p, (x, terminated) in done.items():
+            i = live[p]
+            trace = results[i]
+            trace.final_x = np.array(x, dtype=np.float64)
+            trace.final_t = t
+            trace.terminated = terminated
+            trace.n_perturbations = lanes.n_perturbations[p]
+            trace.n_nce = lanes.n_nce[p]
+            if p in lanes.failed:
+                exc = lanes.failed[p][0]
+                results[i] = RunError(f"run aborted at step {len(trace.ts)}: {exc}", trace)
+                results[i].__cause__ = exc
+        keep = [p for p in range(len(live)) if p not in done]
+        lanes.keep(keep)
+        live[:] = [live[p] for p in keep]
+        return keep
+
+    t = 0
+    for t in range(max_steps):
+        lanes.t = t
+        step_obj = step_objective()
+        F, G = _evaluate(lanes, step_obj, lanes.X, _CHECKED)
+        if lanes.failed:
+            keep = retire({}, t)
+            if not live:
+                break
+            F, G = [F[p] for p in keep], G[keep]
+            if batchers is not None:
+                step_obj = [step_obj[p] for p in keep]
+        norms = [math.sqrt(float(g.dot(g))) for g in G]
+        saved = _step(rule, lanes, step_obj, F, G, norms, gate_obj)
+        recorded = t % record_every == 0
+        if recorded or saved:
+            for p, i in enumerate(live):
+                if (recorded or p in saved) and p not in lanes.failed:
+                    results[i].add_row(t, F[p], norms[p], p in lanes.fired, p in lanes.nce_hits)
+        if saved or lanes.failed:
+            retire({p: (x, True) for p, x in saved.items()}, t)
+            if not live:
+                break
+    else:
+        t = max_steps
+        F, G = _evaluate(lanes, step_objective(), lanes.X, _CHECKED)
+        keep = retire({}, t) if lanes.failed else range(len(live))
+        for i, p in zip(live, keep):
+            results[i].add_row(t, F[p], _norm(G[p]), 0, 0)
+    retire({p: (x, False) for p, x in enumerate(lanes.X)}, t)
+    return results
 
 
 def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
@@ -613,48 +967,12 @@ def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
 
     `obj` is an Objective, or a dataset-backed problem when `batcher` is
     given (each step then evaluates on that step's mini-batch).  All
-    algorithm randomness comes from stream (seed, STREAM_ALGORITHM).
+    algorithm randomness comes from stream (seed, STREAM_ALGORITHM).  This
+    is run_lanes with one lane; a failed run raises its RunError.
     """
-    if max_steps < 0:
-        raise ContractViolation(f"max_steps must be >= 0, got {max_steps}")
-    if record_every < 1:
-        raise ContractViolation(f"record_every must be >= 1, got {record_every}")
-    full_obj = obj if isinstance(obj, Objective) else None
-    if batcher is None and full_obj is None:
-        raise ContractViolation("run() needs an Objective, or a problem plus a Batcher")
-    dim = obj.dim
-    x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-    gate_obj = full_obj if algo.full_grad_gate and batcher is not None else None
-    state, step = _stepper(algo, x, derive_stream(seed, STREAM_ALGORITHM), gate_obj)
-    trace = RunTrace(algorithm=algo.name, problem=problem_name or getattr(obj, "name", ""),
-                     seed=seed, mode=algo.mode)
-
-    def objective_for_step() -> Objective:
-        return batcher.next_objective() if batcher is not None else full_obj
-
-    t = 0
-    saved = None
-    try:
-        for t in range(max_steps):
-            step_obj = objective_for_step()
-            f_t, g_t = eval_objective(step_obj, state.x)
-            g_norm = _norm(g_t)
-            saved = step(step_obj, f_t, g_t, g_norm)
-            if saved is not None or t % record_every == 0:
-                trace.add_row(t, f_t, g_norm, state.perturbed_last, state.nce_last)
-            if saved is not None:
-                trace.terminated = True
-                break
-        else:
-            t = max_steps
-            f_fin, g_fin = eval_objective(objective_for_step(), state.x)
-            trace.add_row(max_steps, f_fin, _norm(g_fin), 0, 0)
-    except NumericalDomainError as exc:
-        raise RunError(f"run aborted at step {len(trace.ts)}: {exc}", trace) from exc
-    finally:
-        # every exit, RunError included, leaves the trace complete up to t
-        trace.final_x = np.asarray(state.x if saved is None else saved, dtype=np.float64)
-        trace.final_t = t
-        trace.n_perturbations = state.n_perturbations
-        trace.n_nce = state.n_nce
-    return trace
+    result = run_lanes(obj, algo, max_steps, [seed], None if x0 is None else [x0],
+                       record_every, None if batcher is None else [batcher],
+                       problem_name)[0]
+    if isinstance(result, RunError):
+        raise result
+    return result

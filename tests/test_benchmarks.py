@@ -127,6 +127,30 @@ class TestStaircase:
             x = scale * rng.standard_normal(dim)
             _assert_same_bits(obj.value_and_gradient(x), _old_staircase(x))
 
+    @pytest.mark.parametrize("n_plateaus, length", [(4, 1.0), (4, 0.5), (2, 1.0)])
+    def test_lane_oracle_matches_fused_oracle_row_by_row(self, n_plateaus, length):
+        obj = staircase_objective(dim=4, n_plateaus=n_plateaus, length=length)
+        grid = np.array(_staircase_points())
+        rng = np.random.default_rng(6)
+        stacks = [grid, grid[::-1][:5], grid[:1]]
+        stacks += [scale * rng.standard_normal((50, 4))
+                   for scale in (1e-5, 1e-2, 1.0, 1.7, 30.0, 1e5)]
+        for X in stacks:
+            F, G = obj.lane_value_and_gradient(X)
+            assert F.shape == (X.shape[0],) and G.shape == X.shape
+            for x, f, g in zip(X, F, G):
+                _assert_same_bits((f, g), obj.value_and_gradient(x))
+
+    @pytest.mark.parametrize("dim", [1, 3, 7, 16, 129, 3562])
+    def test_lane_oracle_matches_fused_oracle_in_higher_dims(self, dim):
+        obj = staircase_objective(dim=dim)
+        rng = np.random.default_rng(dim)
+        X = np.concatenate([scale * rng.standard_normal((3, dim))
+                            for scale in (1e-5, 1.0, 2.0, 1e5)])
+        F, G = obj.lane_value_and_gradient(X)
+        for x, f, g in zip(X, F, G):
+            _assert_same_bits((f, g), obj.value_and_gradient(x))
+
     def test_profile_values(self):
         assert staircase_profile(0.0) == 0.0
         assert staircase_profile(0.5) == pytest.approx(0.125, abs=1e-15)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from otgrad.benchmarks import make_problem
 from otgrad.core import ContractViolation
 from otgrad.harness import (
     OUTPUT_ENV_VAR,
@@ -19,6 +20,8 @@ from otgrad.harness import (
     run_experiment,
 )
 from otgrad.harness.cli import main
+from otgrad.harness.experiment import initial_point, trace_csv_text
+from otgrad.optimizers import RunError, run
 
 SMALL_CONFIG = """
 [problem]
@@ -267,6 +270,37 @@ class TestRunExperiment:
         before = digest_dir(out)
         run_experiment(cfg)
         assert digest_dir(out) == before
+
+    def test_diverging_seed_fails_only_its_cell(self, tmp_path, monkeypatch):
+        # From gaussian init with std 0.3, eta = 5 makes seed 0 overflow
+        # after a few steps while seeds 1-3 stay finite.
+        text = SMALL_CONFIG.replace("dim = 2\nn_plateaus = 2\ndata_seed = 0",
+                                    "dim = 4\ndata_seed = 0\ninit = gaussian 2.0 0.3")
+        text = text.replace("seeds = 0 1", "seeds = 0 1 2 3").replace("eta = 0.1", "eta = 5.0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, cfg = self.run_small(tmp_path, monkeypatch, text)
+        index = json.loads((out / "index.json").read_text())
+        status = {(e["algorithm"], e["seed"]): e["status"]
+                  for e in index["artifacts"] if e["kind"] == "trace"}
+        for algo in cfg.algorithms:
+            assert status[(algo.name, 0)].startswith("failed: run aborted at step ")
+            assert "float overflow" in status[(algo.name, 0)]
+            assert [status[(algo.name, seed)] for seed in (1, 2, 3)] == ["ok"] * 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted((r["algorithm"], r["seed"]) for r in summary["runs"]) == \
+            [(a, s) for a in ("gd", "pgdot") for s in (1, 2, 3)]
+        # every cell's trace is the one its seed gives alone
+        bundle = make_problem("staircase", dim=4)
+        for algo in cfg.algorithms:
+            for seed in cfg.seeds:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        alone = run(bundle.objective, algo, cfg.max_steps, seed,
+                                    x0=initial_point(bundle, cfg, seed))
+                    except RunError as exc:
+                        alone = exc.trace
+                assert (out / f"trace_{algo.name}_seed{seed}.csv").read_text() == \
+                    trace_csv_text(alone)
 
     def test_record_every_thins_rows(self, tmp_path, monkeypatch):
         text = SMALL_CONFIG.replace("record_every = 1", "record_every = 10")

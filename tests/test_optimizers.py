@@ -14,6 +14,7 @@ from otgrad.core import (
     STREAM_BATCH,
     STREAM_INIT,
     ContractViolation,
+    NumericalDomainError,
     Objective,
     RngStream,
     derive_stream,
@@ -30,7 +31,10 @@ from otgrad.optimizers import (
     PagdotParams,
     PgdotParams,
     RunError,
+    _Lanes,
     _norm,
+    _pagdot_rule,
+    _step,
     baseline_step,
     derive_pagdot_params,
     derive_pgdot_params,
@@ -41,6 +45,7 @@ from otgrad.optimizers import (
     pagdot_step,
     pgdot_step,
     run,
+    run_lanes,
 )
 
 
@@ -772,3 +777,204 @@ class TestBatcher:
                               n_samples=64, n_hidden=4)
         with pytest.raises(ContractViolation):
             Batcher(bundle.problem, 0, derive_stream(0, 1))
+
+
+def _trace_record(result):
+    """Everything a run reports, RunError message included, for comparison."""
+    error = None
+    if isinstance(result, RunError):
+        result, error = result.trace, str(result)
+    return (error, result.algorithm, result.problem, result.seed, result.mode, result.ts,
+            result.fs, result.grad_norms, result.perturbed, result.nce,
+            result.final_x.tobytes(), result.final_t, result.terminated,
+            result.n_perturbations, result.n_nce)
+
+
+def _one_lane(obj, algo, steps, seed, x0, record_every=1):
+    try:
+        return run(obj, algo, steps, seed, x0=x0, record_every=record_every)
+    except RunError as exc:
+        return exc
+
+
+def _assert_lanes_match_one_lane_runs(obj, algo, steps, seeds, x0s, record_every=1):
+    lanes = run_lanes(obj, algo, steps, seeds, x0s, record_every=record_every)
+    assert len(lanes) == len(seeds)
+    for seed, x0, result in zip(seeds, x0s, lanes):
+        alone = _one_lane(obj, algo, steps, seed, x0, record_every)
+        assert _trace_record(result) == _trace_record(alone)
+    return lanes
+
+
+def _staircase_lanes():
+    """Staircase lanes from the saddle ring and three offsets: their gates
+    first fire at different steps, and theory pgd/pgdot stop at different
+    steps (one never does)."""
+    bundle = make_problem("staircase")
+    saddle = bundle.init_point(0)
+    return bundle.objective, [3, 0, 5, 1], [saddle + off for off in (0.0, 1e-3, -2e-3, 0.05)]
+
+
+def _lane_algo(name, mode):
+    return AlgoConfig(name=name, mode=mode, eta=0.05, t_thres=10, g_thres=0.01, r=0.3,
+                      h=0.04, t_count=50, alpha=5.0, momentum=0.6,
+                      **dict(THEORY_CONSTANTS, eps=0.1))
+
+
+class TestLanes:
+    """run_lanes against one-lane run() per seed.  TestPracticalRunTranscription
+    and TestTheoryRunWiring stay the independent references for run()."""
+
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_k_lanes_equal_k_one_lane_runs(self, name, mode):
+        obj, seeds, x0s = _staircase_lanes()
+        algo = _lane_algo(name, mode)
+        lanes = _assert_lanes_match_one_lane_runs(obj, algo, 300, seeds, x0s)
+        if name in PERTURBED_ALGORITHMS:
+            first_kicks = {tr.perturbed.index(1) if 1 in tr.perturbed else None for tr in lanes}
+            assert len(first_kicks) > 1
+        if mode == "theory" and name in ("pgd", "pgdot"):
+            assert [tr.terminated for tr in lanes] == [True, True, True, False]
+            assert len({tr.final_t for tr in lanes}) == 3
+        reversed_lanes = run_lanes(obj, algo, 300, seeds[::-1], x0s[::-1])
+        assert [_trace_record(tr) for tr in reversed_lanes[::-1]] == \
+            [_trace_record(tr) for tr in lanes]
+
+    @pytest.mark.parametrize("name", ["pgd", "pgdot", "pagdot"])
+    def test_termination_rows_between_recorded_rows(self, name):
+        obj, seeds, x0s = _staircase_lanes()
+        lanes = _assert_lanes_match_one_lane_runs(obj, _lane_algo(name, "theory"), 300,
+                                                  seeds, x0s, record_every=7)
+        assert all(t % 7 == 0 for tr in lanes for t in tr.ts[:-1])
+        for tr in lanes:
+            assert tr.ts[-1] == tr.final_t
+            if tr.terminated:
+                assert tr.final_t % 7 != 0  # the stop row lies between recorded rows
+
+    def test_certificate_and_nce_read_their_own_lane(self):
+        # Lane 1 moves with velocity along a convex direction, so its
+        # certificate fails; lanes 0 and 2 have zero velocity, so NCE probes
+        # a random direction drawn from each one's own stream.
+        obj = saddle_objective()
+        params = TestPagdotStep().params()
+        xs = np.array([[3.0, 0.1], [1.0, 0.0], [0.1, 0.1]])
+        vs = np.array([[0.0, 0.0], [-0.1, 0.0], [0.0, 0.0]])
+        states = []
+        for k in range(3):
+            state = make_pagdot_state(xs[k], params, RngStream(k + 4, 0))
+            state.v = vs[k].copy()
+            states.append(state)
+        F, G = zip(*(eval_objective(obj, x) for x in xs))
+        lanes = _Lanes(xs.copy(), [RngStream(k + 4, 0) for k in range(3)],
+                       windows=[OccupationWindow(2) for _ in range(3)],
+                       t_noise=[-params.script_t] * 3, V=vs.copy())
+        _step(_pagdot_rule(params, "occupation", WeightFn(), False), lanes, obj,
+              list(F), np.array(G), [_norm(g) for g in G])
+        for k, state in enumerate(states):
+            pagdot_step(obj, state, params)
+            assert state.x.tobytes() == lanes.X[k].tobytes()
+            assert state.v.tobytes() == lanes.V[k].tobytes()
+        assert lanes.nce_hits == [0, 2] and lanes.n_nce == [1, 0, 1]
+
+    @pytest.mark.parametrize("name", ["agd", "pgd", "pagd", "pgdot", "pagdot", "adam"])
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_lanes_without_a_lane_oracle(self, name, mode):
+        # each row calls the objective itself
+        x0s = [np.array([1e-6, 0.0]), np.array([0.3, 1e-3]), np.array([-1e-4, 2e-4])]
+        _assert_lanes_match_one_lane_runs(saddle_objective(), _lane_algo(name, mode), 60,
+                                          [2, 7, 2], x0s)
+
+    def test_mini_batch_lanes_with_full_gradient_gate(self):
+        bundle = make_problem("mlp", data_seed=0, dataset="synthetic_blobs",
+                              n_samples=64, n_hidden=4)
+        problem = bundle.problem
+        full = problem.full_objective()
+        x0 = problem.init_params(derive_stream(0, STREAM_INIT), mean=-1.0, std=0.1)
+        algo = AlgoConfig(name="pagdot", eta=0.01, t_thres=3, g_thres=0.1, r=0.5,
+                          momentum=0.9, h=1e12, t_count=10, full_grad_gate=True)
+        seeds = [2, 4]
+        lanes = run_lanes(full, algo, 20, seeds, [x0, x0 + 0.01],
+                          batchers=[Batcher(problem, 16, derive_stream(s, STREAM_BATCH))
+                                    for s in seeds])
+        for seed, start, result in zip(seeds, [x0, x0 + 0.01], lanes):
+            alone = run(full, algo, 20, seed, x0=start,
+                        batcher=Batcher(problem, 16, derive_stream(seed, STREAM_BATCH)))
+            assert _trace_record(result) == _trace_record(alone)
+        assert all(tr.n_perturbations >= 2 for tr in lanes)
+
+    def test_contract(self):
+        obj, seeds, x0s = _staircase_lanes()
+        assert run_lanes(obj, AlgoConfig(name="gd"), 10, []) == []
+        with pytest.raises(ContractViolation, match="x0s"):
+            run_lanes(obj, AlgoConfig(name="gd"), 10, seeds, x0s[:2])
+        with pytest.raises(ContractViolation):
+            run_lanes(obj, AlgoConfig(name="gd"), -1, seeds)
+        zero = run_lanes(obj, AlgoConfig(name="gd"), 0, seeds, x0s)
+        assert [tr.ts for tr in zero] == [[0]] * 4
+
+
+class TestDivergence:
+    """A float overflow in an oracle call ends the run as a RunError with
+    its partial trace, and in a group of lanes it ends only its own lane."""
+
+    @pytest.mark.parametrize("name", ["gd", "pgdot"])
+    def test_overflow_is_a_run_error(self, name):
+        bundle = make_problem("staircase")
+        x0 = bundle.init_point(0) + 0.5
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RunError) as info:
+            run(bundle.objective, AlgoConfig(name=name, eta=50.0), 100, 0, x0=x0)
+        trace = info.value.trace
+        assert isinstance(info.value.__cause__, NumericalDomainError)
+        assert "float overflow" in str(info.value)
+        assert str(info.value).startswith(f"run aborted at step {len(trace.ts)}: ")
+        assert 1 <= len(trace.ts) == trace.final_t < 100
+        assert trace.fs[0] == float(bundle.objective.value(x0))
+        assert np.isfinite(trace.final_x).all()
+
+    @pytest.mark.parametrize("name", ["gd", "pgdot", "pagdot", "sgd_momentum"])
+    def test_diverging_lane_leaves_the_others_alone(self, name):
+        bundle = make_problem("staircase")
+        saddle = bundle.init_point(0)
+        x0s = [saddle + off for off in (0.0, 0.5, 1e-3, -0.01)]
+        algo = AlgoConfig(name=name, eta=5.0, t_thres=10, g_thres=0.01, r=0.04)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lanes = _assert_lanes_match_one_lane_runs(bundle.objective, algo, 100,
+                                                      [0, 1, 2, 3], x0s)
+        assert isinstance(lanes[1], RunError)
+        assert not isinstance(lanes[0], RunError) and lanes[0].final_t == 100
+
+    def test_failure_in_a_step_ends_only_that_lane(self):
+        # the gradient at y overflows for lanes starting right of 1 only
+        def gradient(x):
+            if x[0] > 1.0:
+                raise OverflowError("gradient out of range")
+            return np.asarray(x, dtype=np.float64)
+
+        obj = Objective(dim=2, value=lambda x: 0.5 * float(x @ x), gradient=gradient,
+                        value_and_gradient=lambda x: (0.5 * float(x @ x), x.copy()))
+        x0s = [np.array([0.5, 0.1]), np.array([1.5, 0.1]), np.array([-0.5, 0.2])]
+        lanes = _assert_lanes_match_one_lane_runs(obj, AlgoConfig(name="agd", eta=0.1), 20,
+                                                  [0, 1, 2], x0s)
+        assert isinstance(lanes[1], RunError) and lanes[1].trace.ts == []
+        assert "float overflow: gradient out of range" in str(lanes[1])
+        assert [lane.final_t for lane in (lanes[0], lanes[2])] == [20, 20]
+
+    def test_failure_in_an_nce_probe_ends_only_that_lane(self):
+        # theory pagdot probes with value() on every certified step; the
+        # probes overflow once x[1] passes 1
+        def value(x):
+            if x[1] > 1.0:
+                raise OverflowError("value out of range")
+            return 0.5 * (x[0] ** 2 - x[1] ** 2)
+
+        obj = Objective(dim=2, value=value, gradient=lambda x: np.array([x[0], -x[1]]),
+                        value_and_gradient=lambda x: (0.5 * (x[0] ** 2 - x[1] ** 2),
+                                                      np.array([x[0], -x[1]])))
+        x0s = [np.array([0.5, 0.1]), np.array([0.3, 1.2]), np.array([-0.5, 0.2])]
+        lanes = _assert_lanes_match_one_lane_runs(obj, _lane_algo("pagdot", "theory"), 40,
+                                                  [0, 1, 2], x0s)
+        assert isinstance(lanes[1], RunError) and lanes[1].trace.ts == []
+        assert "float overflow: value out of range" in str(lanes[1])
+        assert lanes[1].trace.n_nce == 0
+        assert not isinstance(lanes[0], RunError) and lanes[0].n_nce > 0
