@@ -3,12 +3,13 @@
     PYTHONPATH=src python3 bench/run_bench.py [--out BENCH_<n>.json]
 
 Point PYTHONPATH at the src/ of any tree to time that tree: the one-lane
-rows call run(), which every tree has, so two trees' numbers compare row
-by row.  Rows whose entry point a tree lacks (run_lanes, the lane oracle)
-are left out of its output.
+rows call run() and the walk rows msd_curve and simulate, which every
+tree has, so two trees' numbers compare row by row.  Rows whose entry
+point a tree lacks (run_lanes, the lane oracle) are left out of its
+output.
 
-Layers, all on the d = 4 staircase from its saddle ring with preset
-example1's knobs, REPEATS runs each:
+Layers, REPEATS runs each. On the d = 4 staircase from its saddle ring
+with preset example1's knobs:
 
     step.<algo>.lanes1     microseconds per step of run(), one lane, for
                            every algorithm in practical mode and the four
@@ -18,6 +19,14 @@ example1's knobs, REPEATS runs each:
                            pagdot, and theory pagdot
     oracle.lane<L>         microseconds per lane of one lane-oracle call
     oracle.fused<L>        microseconds per lane of L fused oracle calls
+
+On the walks, WALK_T steps:
+
+    walk.msd_curve.alpha<a>    nanoseconds per path-step of
+                               msd_curve("repelling", WeightFn(a), ...) over
+                               WALK_PATHS paths, a in {0, 1}
+    walk.simulate.reinforced5  nanoseconds per step of
+                               simulate("reinforced", WeightFn(5.0), ...)
 
 A step is one trace row (every run records every step), so a theory
 pgd/pgdot lane that terminates early is charged only for the steps it
@@ -39,7 +48,9 @@ import numpy as np
 
 from otgrad import optimizers
 from otgrad.benchmarks import make_problem
+from otgrad.occupation import WeightFn
 from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, run
+from otgrad.walks import msd_curve, simulate
 
 REPEATS = 5
 STEPS = 2000
@@ -50,6 +61,8 @@ ONE_LANE = {**{name: AlgoConfig(name=name, **KNOBS) for name in ALGORITHMS},
             **{f"theory_{name}": AlgoConfig(name=name, mode="theory", **KNOBS)
                for name in PERTURBED_ALGORITHMS}}
 MANY_LANES = ("gd", "pgdot", "pagdot", "theory_pagdot")
+WALK_T = 20000
+WALK_PATHS = 100
 
 
 def _median_us(fn, per) -> float:
@@ -102,6 +115,12 @@ def bench() -> dict:
 
             layers[f"oracle.lane{n}"] = _median_us(lane_calls, lambda _: ORACLE_CALLS * n)
             layers[f"oracle.fused{n}"] = _median_us(fused_calls, lambda _: ORACLE_CALLS * n)
+    for alpha in (0, 1):
+        layers[f"walk.msd_curve.alpha{alpha}"] = 1e3 * _median_us(
+            lambda: msd_curve("repelling", WeightFn(float(alpha)), WALK_T, WALK_PATHS, 0),
+            lambda _: WALK_T * WALK_PATHS)
+    layers["walk.simulate.reinforced5"] = 1e3 * _median_us(
+        lambda: simulate("reinforced", WeightFn(5.0), WALK_T, 0), lambda _: WALK_T)
     return layers
 
 
@@ -115,7 +134,10 @@ def main() -> None:
         "repeats": REPEATS,
         "steps": STEPS,
         "oracle_calls": ORACLE_CALLS,
-        "unit": "microseconds per cell-step (step.*) or per lane evaluation (oracle.*), median",
+        "walk_t": WALK_T,
+        "walk_paths": WALK_PATHS,
+        "unit": "microseconds per cell-step (step.*) or per lane evaluation (oracle.*); "
+                "nanoseconds per path-step (walk.*); median",
         "layers": bench(),
     }
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"

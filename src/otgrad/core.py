@@ -83,11 +83,17 @@ def call_oracle(obj: Objective, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def eval_objective(obj: Objective, x) -> tuple[float, np.ndarray]:
-    """Evaluate (f(x), grad f(x)) with dimension and finiteness checks."""
+    """Evaluate (f(x), grad f(x)) with dimension and finiteness checks.
+
+    A float overflow inside the objective raises NumericalDomainError.
+    """
     v = as_vector(x, obj.dim)
     if not np.isfinite(v).all():
         raise NumericalDomainError(f"{obj.name or 'objective'}: non-finite input point")
-    f, g = call_oracle(obj, v)
+    try:
+        f, g = call_oracle(obj, v)
+    except OverflowError as exc:
+        raise NumericalDomainError(f"{obj.name or 'objective'}: float overflow: {exc}") from exc
     if g.shape != (obj.dim,):
         raise ContractViolation(
             f"{obj.name or 'objective'}: gradient shape {g.shape} != ({obj.dim},)"

@@ -22,6 +22,13 @@ below the left-move probability, and evaluate each weight as the scalar
 identical paths. The two batch engines give path i of seed s the stream
 RngStream(s + i, 0), and they raise ContractViolation once a visit count
 reaches a weight too large for w(L) + w(R) to be a finite float.
+
+At alpha = 0 every weight is 1 + c**0 = 2, so every left-move
+probability is 2 / (2 + 2) = 0.5 exactly, for both kinds: the walk is the
+simple random walk. simulate and msd_curve then keep no visit counts and
+take each path as the running sum of -1 where its uniform is below 0.5
+and +1 elsewhere (_simple_walk). That is the same comparison of the same
+uniforms, so the paths are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -92,6 +99,12 @@ _MAX_WEIGHT = sys.float_info.max / 2
 _LOOP_CHUNK = 4096    # uniforms drawn at a time by the single-path loop
 _LOCKSTEP_CHUNK = 64  # lockstep steps per block of uniforms
 _LATTICE_PAD = 256    # columns added past the needed range when the lattice grows
+# uniforms each path draws per call in msd_curve: four lattice blocks, or
+# one block of the constant-weight walk. That block's 9 bytes per path-step
+# (a bool and an int64) come to 2304 bytes per path, less than the lattice
+# engine holds per path: 2048 for the drawn uniforms, 1040 for G and 2 for
+# each of at least 643 lattice sites
+_DRAW_CHUNK = 4 * _LOCKSTEP_CHUNK
 
 
 def _walk_weight(alpha: float, c: int) -> float:
@@ -136,6 +149,24 @@ def _check_weights(alpha: float, cmax: int) -> None:
         f"walk weight 1 + c**alpha overflows at alpha={alpha}, visit count c={c}")
 
 
+def _simple_walk(rngs: Sequence[RngStream], z: np.ndarray, k: int) -> np.ndarray:
+    """The next k positions of constant-weight walks, as a (paths, k) int64 array.
+
+    When every weight is the same w, each left-move probability is
+    w / (w + w) = 0.5 exactly, for both kinds, so row i continues from
+    z[i] by -1 where the next uniform of rngs[i] is below 0.5 and by +1
+    otherwise: the simple random walk, with no visit counts to keep.
+    """
+    left = np.empty((len(rngs), k), dtype=bool)
+    for rng, row in zip(rngs, left):
+        np.less(rng.uniforms(k), 0.5, out=row)
+    Z = np.multiply(left, -2, dtype=np.int64)
+    Z += 1
+    np.cumsum(Z, axis=1, out=Z)
+    Z += z[:, None]
+    return Z
+
+
 def _check_walk_args(kind: str, T: int) -> None:
     if kind not in WALK_KINDS:
         raise ContractViolation(f"unknown walk kind {kind!r}, expected one of {WALK_KINDS}")
@@ -151,7 +182,14 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     """
     _check_walk_args(kind, T)
     rng = RngStream(seed, 0)
+    path = np.empty(T + 1, dtype=np.int64)
+    path[0] = 0
     alpha = weight.alpha
+    if alpha == 0:
+        for t in range(0, T, _LOOP_CHUNK):
+            k = min(_LOOP_CHUNK, T - t)
+            path[t + 1:t + 1 + k] = _simple_walk([rng], path[t:t + 1], k)[0]
+        return path
     # p_left = ws[n] / (ws[n] + ws[o]), where n is the neighbour in the
     # numerator of the kind's rule: the right one when repelling, the left
     # one when reinforced (float addition commutes, so this is wl + wr)
@@ -163,8 +201,6 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     ws = [w0] * len(counts)
     off = i = _LOOP_CHUNK + 1
     counts[i], ws[i] = 1, _walk_weight(alpha, 1)
-    path = np.empty(T + 1, dtype=np.int64)
-    path[0] = 0
     t = 0
     while t < T:
         k = min(_LOOP_CHUNK, T - t)
@@ -246,9 +282,10 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     Path i is simulate(kind, weight, T, seed + i). All paths advance in
     lockstep as arrays; path i draws its uniforms in blocks from its own
     RngStream(seed + i, 0), which yields the same numbers as one long
-    draw. The visit counts live in a (paths x sites) lattice that grows
-    with the ensemble's range, not with T. Each step's sum of Z_t^2 is an
-    exact int64 sum, so the curve equals the float average of the
+    draw. At alpha = 0 the paths are simple random walks (_simple_walk);
+    otherwise the visit counts live in a (paths x sites) lattice that
+    grows with the ensemble's range, not with T. Each step's sum of Z_t^2
+    is an exact int64 sum, so the curve equals the float average of the
     per-path squares bit for bit: every partial sum is an integer below
     2**53.
     """
@@ -256,6 +293,17 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     if n_paths < 1:
         raise ContractViolation(f"n_paths must be >= 1, got {n_paths}")
     rngs = [RngStream(seed + i, 0) for i in range(n_paths)]
+    acc = np.zeros(T + 1, dtype=np.float64)
+    if weight.alpha == 0:
+        z = np.zeros(n_paths, dtype=np.int64)
+        for t in range(0, T, _DRAW_CHUNK):
+            k = min(_DRAW_CHUNK, T - t)
+            Z = _simple_walk(rngs, z, k)
+            z = Z[:, -1].copy()
+            Z *= Z
+            acc[t + 1:t + 1 + k] = Z.sum(axis=0)
+        acc /= n_paths
+        return acc
     repelling = kind == "repelling"
     weights = np.empty(0)  # weights[c] = w(c), grown geometrically
     # counts[i, j] is path i's visit count of site j - off; uint16 until a
@@ -267,8 +315,8 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     cmax = 1
     moves = np.array([1, -1], dtype=np.int64)  # indexed by "moved left"
     z = np.zeros(n_paths, dtype=np.int64)
-    acc = np.zeros(T + 1, dtype=np.float64)
-    t = 0
+    drawn = np.empty((min(_DRAW_CHUNK, T), n_paths))
+    t = drawn_to = 0
     while t < T:
         k = min(_LOCKSTEP_CHUNK, T - t)
         # k steps reach at most k sites further and raise a count by at most k
@@ -284,10 +332,12 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
             counts = counts.astype(np.int64)
         if weights.shape[0] <= cmax + k:
             weights = _weight_table(weight.alpha, max(2 * weights.shape[0], cmax + k + 1))
-        u = np.empty((n_paths, k))
-        for rng, row in zip(rngs, u):
-            row[:] = rng.uniforms(k)
-        u = np.ascontiguousarray(u.T)
+        if t == drawn_to:  # one call per path draws the next _DRAW_CHUNK uniforms
+            m = min(drawn.shape[0], T - t)
+            for i, rng in enumerate(rngs):
+                drawn[:m, i] = rng.uniforms(m)
+            drawn_from, drawn_to = t, t + m
+        u = drawn[t - drawn_from:t - drawn_from + k]  # u[j, i]: path i, step t + j
         # G[j] holds each path's flat lattice index of its left (row 0) and
         # right (row 1) neighbour site before step j
         flat = counts.reshape(-1)

@@ -164,6 +164,14 @@ class TestClassifyPoint:
         assert abs(report.lambda_min) <= 1e-6
         assert report.label == "eps_second_order"
 
+    def test_float_overflow_is_a_domain_error(self):
+        # the squared radius of this finite point overflows to inf, and the
+        # staircase's branch lookup cannot floor it
+        bundle = make_problem("staircase", data_seed=0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalDomainError, match="float overflow"):
+                classify_point(bundle.objective, np.full(4, 1e200), eps=0.1, rho=1.0)
+
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ContractViolation):
             classify_point(quad(), np.zeros(2), eps=0.0, rho=1.0)

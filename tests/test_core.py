@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from otgrad.benchmarks.staircase import staircase_objective
 from otgrad.core import (
     STREAM_ALGORITHM,
     STREAM_BATCH,
@@ -166,3 +167,11 @@ class TestEvalObjective:
             eval_objective(fused((float("nan"), np.zeros(2))), np.zeros(2))
         with pytest.raises(NumericalDomainError):
             eval_objective(fused((0.0, np.array([np.inf, 0.0]))), np.zeros(2))
+
+    def test_float_overflow_is_a_domain_error(self):
+        # finite input whose squared radius overflows: math.floor(inf) in the
+        # staircase's branch lookup raises OverflowError inside the objective
+        obj = staircase_objective(4)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalDomainError, match="float overflow"):
+                eval_objective(obj, np.full(4, 1e200))

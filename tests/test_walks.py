@@ -234,10 +234,14 @@ class TestMsd:
             raise AssertionError("drew before validating")
 
         monkeypatch.setattr(walks, "RngStream", no_draws)
-        for args in (("levy", WeightFn(), 10, 2, 0), ("repelling", WeightFn(), 0, 2, 0),
-                     ("repelling", WeightFn(), 10, 0, 0)):
-            with pytest.raises(ContractViolation):
-                msd_curve(*args)
+        for weight in (WeightFn(), WeightFn(0.0)):  # lattice engine, closed form
+            for args in (("levy", weight, 10, 2, 0), ("repelling", weight, 0, 2, 0),
+                         ("repelling", weight, 10, 0, 0)):
+                with pytest.raises(ContractViolation):
+                    msd_curve(*args)
+            for args in (("levy", weight, 10, 0), ("repelling", weight, 0, 0)):
+                with pytest.raises(ContractViolation):
+                    simulate(*args)
 
     def test_msd_exponent_input_floors(self):
         with pytest.raises(ContractViolation):
@@ -274,11 +278,55 @@ class TestEnsemble:
         (("repelling", WeightFn(1.0), 3000, 20, 5), "d226882389d6b469"),
         (("reinforced", WeightFn(5.0), 2000, 10, 3), "10e9aee73c0ea299"),
         (("repelling", WeightFn(2.5), 4000, 10, 1), "2cdde9aeca6e1e52"),
+        (("repelling", WeightFn(0.0), 3000, 20, 5), "9eed6bf8b7074574"),
+        (("reinforced", WeightFn(0.0), 2000, 10, 3), "c57f764b4accafdd"),
     ])
     def test_golden_digests(self, args, prefix):
-        # digests of the curves of the per-path engine that msd_curve replaced
+        # digests of the curves of the per-path engine that msd_curve replaced;
+        # the alpha = 0 rows are the lattice engine's, from before the closed form
         digest = hashlib.sha256(msd_curve(*args).tobytes()).hexdigest()
         assert digest[:16] == prefix
+
+
+def _stepped_paths(kind, alpha, T, n_paths, seed):
+    """Paths seed .. seed + n_paths - 1 of T steps each, from walk_step."""
+    paths = []
+    for i in range(n_paths):
+        state = make_walk_state(kind, WeightFn(alpha), RngStream(seed + i, 0))
+        path = [0]
+        for _ in range(T):
+            path.append(walk_step(state).position)
+        paths.append(np.array(path))
+    return paths
+
+
+class TestConstantWeight:
+    """At alpha = 0 both engines take the closed form; walk_step stays the reference."""
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    @pytest.mark.parametrize("alpha", [0.0, -0.0])
+    def test_engines_equal_walk_step(self, kind, alpha):
+        # T straddles the block lengths: 64 and 256 in msd_curve, 4096 in
+        # simulate; a path of T steps is the first T steps of the 5000-step path
+        seed = 21
+        paths = _stepped_paths(kind, alpha, 5000, 7, seed)
+        for T in (1, 63, 64, 65, 257, 5000):
+            for i in range(7):
+                assert np.array_equal(simulate(kind, WeightFn(alpha), T, seed + i),
+                                      paths[i][:T + 1])
+            for n_paths in (1, 7):
+                expected = sum(p[:T + 1].astype(np.float64) ** 2
+                               for p in paths[:n_paths]) / n_paths
+                assert np.array_equal(msd_curve(kind, WeightFn(alpha), T, n_paths, seed),
+                                      expected)
+
+    def test_nan_exponent_is_not_constant_weight(self):
+        # NaN == 0 is false, so NaN reaches the lattice engines' weight check
+        weight = WeightFn(float("nan"))
+        with pytest.raises(ContractViolation, match=r"visit count c=0$"):
+            simulate("repelling", weight, 10, 0)
+        with pytest.raises(ContractViolation, match=r"visit count c=0$"):
+            msd_curve("reinforced", weight, 10, 3, 0)
 
 
 class TestPathStatistics:
