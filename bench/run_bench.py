@@ -25,8 +25,13 @@ On the walks, WALK_T steps:
     walk.msd_curve.alpha<a>    nanoseconds per path-step of
                                msd_curve("repelling", WeightFn(a), ...) over
                                WALK_PATHS paths, a in {0, 1}
-    walk.simulate.reinforced5  nanoseconds per step of
-                               simulate("reinforced", WeightFn(5.0), ...)
+    walk.simulate.<kind><a>    nanoseconds per step of
+                               simulate(kind, WeightFn(a), ...) for one path:
+                               reinforced at a = 5, which soon bounces
+                               between two sites, and reinforced at a = 1
+                               and repelling at a = 5, which seldom or never do
+
+bench_walks() times the walk rows alone.
 
 A step is one trace row (every run records every step), so a theory
 pgd/pgdot lane that terminates early is charged only for the steps it
@@ -63,6 +68,7 @@ ONE_LANE = {**{name: AlgoConfig(name=name, **KNOBS) for name in ALGORITHMS},
 MANY_LANES = ("gd", "pgdot", "pagdot", "theory_pagdot")
 WALK_T = 20000
 WALK_PATHS = 100
+SIMULATED_WALKS = (("reinforced", 5), ("repelling", 5), ("reinforced", 1))
 
 
 def _median_us(fn, per) -> float:
@@ -115,12 +121,19 @@ def bench() -> dict:
 
             layers[f"oracle.lane{n}"] = _median_us(lane_calls, lambda _: ORACLE_CALLS * n)
             layers[f"oracle.fused{n}"] = _median_us(fused_calls, lambda _: ORACLE_CALLS * n)
+    layers.update(bench_walks())
+    return layers
+
+
+def bench_walks() -> dict:
+    layers = {}
     for alpha in (0, 1):
         layers[f"walk.msd_curve.alpha{alpha}"] = 1e3 * _median_us(
             lambda: msd_curve("repelling", WeightFn(float(alpha)), WALK_T, WALK_PATHS, 0),
             lambda _: WALK_T * WALK_PATHS)
-    layers["walk.simulate.reinforced5"] = 1e3 * _median_us(
-        lambda: simulate("reinforced", WeightFn(5.0), WALK_T, 0), lambda _: WALK_T)
+    for kind, alpha in SIMULATED_WALKS:
+        layers[f"walk.simulate.{kind}{alpha}"] = 1e3 * _median_us(
+            lambda: simulate(kind, WeightFn(float(alpha)), WALK_T, 0), lambda _: WALK_T)
     return layers
 
 

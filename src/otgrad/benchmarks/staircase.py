@@ -17,12 +17,15 @@ import math
 
 import numpy as np
 
-from ..core import ContractViolation, Objective
+from ..core import ContractViolation, NumericalDomainError, Objective
 
 
 def _branch(r: float, n_plateaus: int, length: float) -> int:
     """Plateau index for radius r: 0 for the innermost bowl, else min(n, N)."""
-    n = math.floor(r / length + 0.5)
+    try:
+        n = math.floor(r / length + 0.5)
+    except ValueError:  # math.floor(nan); the try costs nothing when r is a number
+        raise NumericalDomainError(f"squared-radius mean is {r}") from None
     return min(n, n_plateaus)
 
 

@@ -13,15 +13,29 @@ where L and R are the visit counts of sites Z-1 and Z+1 among all sites
 occupied strictly before the current step. The start site counts as
 visited at t=0, so after t steps the counts sum to t+1.
 
-Three functions apply this rule. walk_step advances one dict-backed
-WalkState and is the reference. simulate runs one path in a scalar loop
-over Python lists. msd_curve advances a whole ensemble in lockstep as
-numpy arrays. All three draw one uniform per step, move left when it is
-below the left-move probability, and evaluate each weight as the scalar
-1 + c**alpha that WeightFn computes, so with the same stream they give
-identical paths. The two batch engines give path i of seed s the stream
-RngStream(s + i, 0), and they raise ContractViolation once a visit count
-reaches a weight too large for w(L) + w(R) to be a finite float.
+Two functions apply this rule. simulate runs one path in a scalar loop
+over Python lists, which steps two-site bounces as arrays (see below).
+msd_curve advances a whole ensemble in lockstep as numpy arrays. Both
+draw one uniform per step, move left when it is below the left-move
+probability, and evaluate each weight as the scalar 1 + c**alpha that
+WeightFn computes, so with the same stream they give identical paths,
+and the same paths as the one-step reference walker in the tests. Path
+i of seed s uses the stream RngStream(s + i, 0), and both raise
+ContractViolation once a visit count reaches a weight too large for
+w(L) + w(R) to be a finite float.
+
+With strong reinforcement the walk soon spends almost every step
+bouncing between two sites: a, b, a, b. While it bounces, only the
+counts of a and b change, each by one per visit, and the weights of the
+two outer neighbours stay fixed, so the probability of every step ahead
+is known. Once 64 scalar steps in a row bounce, simulate compares the
+probabilities of the next steps with their uniforms in one numpy
+comparison and keeps the steps up to the first one that leaves the
+bounce, which goes back to the scalar loop (_bounce_run). The paths stay
+bit-identical: numpy's float64 add, divide and < are the scalar loop's
+IEEE operations, every weight comes from the same scalar pow, and a run
+stops short of any weight that is not a finite float, so the scalar loop
+reaches that count and raises.
 
 At alpha = 0 every weight is 1 + c**0 = 2, so every left-move
 probability is 2 / (2 + 2) = 0.5 exactly, for both kinds: the walk is the
@@ -36,8 +50,8 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass
-from typing import Dict, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -48,55 +62,13 @@ WALK_KINDS = ("repelling", "reinforced")
 MSD_FIT_LO_FRAC = 0.1  # msd_exponent fits t in [MSD_FIT_LO_FRAC * T, T]
 
 
-@dataclass
-class WalkState:
-    position: int
-    counts: Dict[int, int]
-    t: int
-    kind: str
-    weight: WeightFn
-    rng: RngStream
-
-    def neighbor_counts(self) -> tuple[int, int]:
-        return (self.counts.get(self.position - 1, 0),
-                self.counts.get(self.position + 1, 0))
-
-
-def make_walk_state(kind: str, weight: WeightFn, rng: RngStream,
-                    start: int = 0) -> WalkState:
-    if kind not in WALK_KINDS:
-        raise ContractViolation(f"unknown walk kind {kind!r}, expected one of {WALK_KINDS}")
-    return WalkState(position=start, counts={start: 1}, t=0, kind=kind,
-                     weight=weight, rng=rng)
-
-
-def left_move_probability(kind: str, weight: WeightFn, n_left: int, n_right: int) -> float:
-    wl = weight(n_left)
-    wr = weight(n_right)
-    if kind == "repelling":
-        return wr / (wl + wr)
-    if kind == "reinforced":
-        return wl / (wl + wr)
-    raise ContractViolation(f"unknown walk kind {kind!r}")
-
-
-def walk_step(state: WalkState) -> WalkState:
-    """Advance the walk one step in place (one uniform draw per step)."""
-    n_left, n_right = state.neighbor_counts()
-    p_left = left_move_probability(state.kind, state.weight, n_left, n_right)
-    if state.rng.uniform() < p_left:
-        state.position -= 1
-    else:
-        state.position += 1
-    state.counts[state.position] = state.counts.get(state.position, 0) + 1
-    state.t += 1
-    return state
-
-
 # Largest weight for which w(L) + w(R) is still a finite float.
 _MAX_WEIGHT = sys.float_info.max / 2
 
 _LOOP_CHUNK = 4096    # uniforms drawn at a time by the single-path loop
+# scalar steps between simulate's bounce checks, and a bounce run's first
+# window; windows double from there up to the end of the block
+_BOUNCE_CHECK = 64
 _LOCKSTEP_CHUNK = 64  # lockstep steps per block of uniforms
 _LATTICE_PAD = 256    # columns added past the needed range when the lattice grows
 # uniforms each path draws per call in msd_curve: four lattice blocks, or
@@ -110,9 +82,9 @@ _DRAW_CHUNK = 4 * _LOCKSTEP_CHUNK
 def _walk_weight(alpha: float, c: int) -> float:
     """w(c) = 1 + c**alpha as the scalar expression 1.0 + float(c) ** alpha.
 
-    This equals WeightFn(alpha)(c), and so walk_step's weights, bit for
-    bit; array np.power rounds some counts differently. A weight too large
-    for w(L) + w(R) to stay finite comes back as inf.
+    This equals WeightFn(alpha)(c) bit for bit; array np.power rounds
+    some counts differently. A weight too large for w(L) + w(R) to stay
+    finite comes back as inf.
     """
     try:
         w = 1.0 + float(c) ** alpha
@@ -121,13 +93,21 @@ def _walk_weight(alpha: float, c: int) -> float:
     return w if w <= _MAX_WEIGHT else math.inf
 
 
-def _weight_table(alpha: float, n: int) -> np.ndarray:
-    """[w(0), ..., w(n - 1)], one _walk_weight call per count.
+def _weight_table(alpha: float, n: int, start: int = 0) -> np.ndarray:
+    """[w(start), ..., w(n - 1)], each entry equal to _walk_weight's.
 
-    Array np.power would round some entries differently (alpha 1.5 at
-    count 7, 2.5 at 10, 5 at 1553 on numpy 2.4).
+    Each weight is one scalar float pow, as in _walk_weight: array
+    np.power would round some entries differently (alpha 1.5 at count 7,
+    2.5 at 10, 5 at 1553 on numpy 2.4).
     """
-    return np.array([_walk_weight(alpha, c) for c in range(n)])
+    try:
+        table = np.fromiter(map(pow, map(float, range(start, n)), repeat(alpha)),
+                            np.float64, n - start)
+        table += 1.0
+    except OverflowError:
+        table = np.array([_walk_weight(alpha, c) for c in range(start, n)])
+    table[~(table <= _MAX_WEIGHT)] = math.inf  # NaN too, as in _walk_weight
+    return table
 
 
 def _check_weights(alpha: float, cmax: int) -> None:
@@ -174,11 +154,97 @@ def _check_walk_args(kind: str, T: int) -> None:
         raise ContractViolation(f"T must be >= 1, got {T}")
 
 
+class _WeightTable:
+    """w(0), w(1), ... for one alpha, filled in on demand.
+
+    One array of fixed capacity holds the weights; each fill at least
+    doubles the filled part, with one _weight_table call. Pages of the
+    array that are never filled are never touched.
+    """
+
+    def __init__(self, alpha: float, capacity: int):
+        self.alpha = alpha
+        self.w = np.empty(capacity)
+        self.filled = 0
+
+    def upto(self, n: int) -> np.ndarray:
+        """The array, with w(0), ..., w(n - 1) filled in."""
+        if self.filled < n:
+            size = max(n, min(2 * self.filled, self.w.shape[0]))
+            self.w[self.filled:size] = _weight_table(self.alpha, size, self.filled)
+            self.filled = size
+        return self.w
+
+
+def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
+                s: int, weights: _WeightTable, segment: np.ndarray) -> tuple[int, int]:
+    """Step simulate's bounce between sites i and j = i +- 1 as arrays.
+
+    The walker sits at i and has just come from j. While it bounces, only
+    the counts of i and j change, each by one per visit, and the weights
+    of the two outer sites stay fixed. So the probability of each step is
+    known ahead: from i it is a table weight of j's count and the fixed
+    weight of i's outer site, and from j likewise. Windows of uniforms
+    us[q:], doubling from _BOUNCE_CHECK steps, are compared with these
+    probabilities in one go. The steps up to the first one that does not
+    move to the other site are accepted; that step, and the rest of the
+    block, go back to the scalar loop. numpy's float64 add, divide and <
+    are the scalar loop's IEEE operations and the table holds its weight
+    for each count, so the accepted steps are the scalar loop's.
+
+    A window that would use an infinite table weight is not stepped: the
+    scalar loop reaches that count and the overflow check names it.
+
+    Writes the accepted steps' sites to segment[q:], updates counts and ws
+    in place, and returns (q, i) after those steps.
+    """
+    k = us.shape[0]
+    d = j - i
+    m = _BOUNCE_CHECK
+    while q < k - 1:  # a window steps at least once from each site
+        m = min(m, k - q)
+        hi, hj = (m + 1) // 2, m // 2  # steps taken from i, from j
+        ci, cj = counts[i], counts[j]
+        table = weights.upto(max(cj + hi, ci + hj) + 1)
+        # the inner neighbour's weight at each step from i (from j), then
+        # the weight j (i) has after the last of them; w grows with c
+        wi = table[cj:cj + hi + 1]
+        wj = table[ci:ci + hj + 1]
+        if wi[-1] == math.inf or wj[-1] == math.inf:
+            break
+        oi, oj = ws[i - d], ws[j + d]  # the outer sites' weights
+        pi = np.divide(wi[:hi] if s == d else oi, wi[:hi] + oi)
+        pj = np.divide(wj[:hj] if s == -d else oj, wj[:hj] + oj)
+        # a step leaves the bounce when its move is not toward the other site
+        out_i = np.less(us[q:q + m:2], pi) != (d < 0)
+        out_j = np.less(us[q + 1:q + m:2], pj) != (d > 0)
+        n = m
+        e = int(out_i.argmax())
+        if out_i[e]:
+            n = 2 * e
+        e = int(out_j.argmax())
+        if out_j[e]:
+            n = min(n, 2 * e + 1)
+        counts[j], ws[j] = cj + (n + 1) // 2, wi.item((n + 1) // 2)
+        counts[i], ws[i] = ci + n // 2, wj.item(n // 2)
+        segment[q:q + n:2] = j
+        segment[q + 1:q + n:2] = i
+        if n % 2:
+            i, j, d = j, i, -d
+        q += n
+        if n < m:
+            break
+        m *= 2
+    return q, i
+
+
 def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     """Run one walk for T steps; returns the path (length T+1, starts at 0).
 
     Step t compares the t-th uniform of RngStream(seed, 0) with the
-    left-move probability, as walk_step does.
+    left-move probability. The steps go through a scalar loop, except
+    that once _BOUNCE_CHECK of them in a row bounce between two sites,
+    the bounce is stepped as arrays (_bounce_run) until it ends.
     """
     _check_walk_args(kind, T)
     rng = RngStream(seed, 0)
@@ -201,6 +267,11 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     ws = [w0] * len(counts)
     off = i = _LOOP_CHUNK + 1
     counts[i], ws[i] = 1, _walk_weight(alpha, 1)
+    cmax = 1  # the largest visit count so far
+    # w(c) for the bounce runs; a site gets at most T // 2 + 1 visits in T steps
+    weights = _WeightTable(alpha, T // 2 + 2)
+    h = _BOUNCE_CHECK
+    half = h // 2
     t = 0
     while t < T:
         k = min(_LOOP_CHUNK, T - t)
@@ -212,24 +283,38 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
         if i + k + 1 >= len(counts):
             counts.extend([0] * (k + 1))
             ws.extend([w0] * (k + 1))
-        chunk = []
-        append = chunk.append
-        try:
-            for u in rng.uniforms(k).tolist():
-                wn = ws[i + s]
-                if u < wn / (wn + ws[i - s]):
-                    i -= 1
-                else:
-                    i += 1
-                c = counts[i] + 1
-                counts[i] = c
-                ws[i] = 1.0 + c ** alpha  # int ** float is float(c) ** alpha
-                append(i)
-        except OverflowError:
-            pass  # the check below names the count
-        _check_weights(alpha, max(counts))
+        us = rng.uniforms(k)
         segment = path[t + 1:t + 1 + k]
-        segment[:] = chunk
+        chunk = []  # the scalar loop's sites since segment[q - len(chunk)]
+        append = chunk.append
+        q = 0
+        try:
+            while q < k:
+                for u in us[q:q + h].tolist():
+                    wn = ws[i + s]
+                    if u < wn / (wn + ws[i - s]):
+                        i -= 1
+                    else:
+                        i += 1
+                    c = counts[i] + 1
+                    counts[i] = c
+                    ws[i] = 1.0 + c ** alpha  # int ** float is float(c) ** alpha
+                    append(i)
+                q += h
+                # the last h steps bounce when they alternate between i and
+                # the site before it; chunk[-half - 1] rules most walks out
+                if (q < k and chunk[-half - 1] == i and chunk[1 - h::2].count(i) == half
+                        and chunk[-h::2].count(chunk[-2]) == half):
+                    j = chunk[-2]
+                    segment[q - len(chunk):q] = chunk
+                    chunk.clear()
+                    q, i = _bounce_run(us, q, i, j, counts, ws, s, weights, segment)
+        except OverflowError:
+            _check_weights(alpha, c)  # raises: w(c) is not a finite float
+        segment[k - len(chunk):] = chunk
+        # only sites the block visited changed their counts
+        cmax = max(cmax, max(counts[segment.min():segment.max() + 1]))
+        _check_weights(alpha, cmax)
         segment -= off
         t += k
     return path

@@ -202,6 +202,16 @@ class TestStaircase:
         with pytest.raises(ContractViolation):
             staircase_objective(dim=0)
 
+    def test_nan_point_is_a_domain_error(self):
+        obj = staircase_objective(dim=4)
+        x = np.full(4, np.nan)
+        for oracle in (obj.value, obj.gradient, obj.value_and_gradient,
+                       lambda x: obj.lane_value_and_gradient(np.stack([np.ones(4), x]))):
+            with pytest.raises(NumericalDomainError, match="squared-radius mean is nan"):
+                oracle(x)
+        with pytest.raises(NumericalDomainError):
+            staircase_profile(math.nan)
+
 
 class TestAiryFunction:
     @pytest.mark.parametrize("s,expected", AIRY_REFERENCE)

@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -14,17 +16,64 @@ from otgrad.occupation import WeightFn
 from otgrad.walks import (
     WALK_KINDS,
     fit_msd_exponent,
-    left_move_probability,
     localization_metric,
-    make_walk_state,
     msd_curve,
     msd_exponent,
     path_range,
     simulate,
-    walk_step,
     write_msd_csv,
     write_paths_csv,
 )
+
+
+@dataclass
+class WalkState:
+    """A walk as a position and a dict of visit counts: the reference walker."""
+
+    position: int
+    counts: Dict[int, int]
+    t: int
+    kind: str
+    weight: WeightFn
+    rng: RngStream
+
+    def neighbor_counts(self) -> tuple[int, int]:
+        return (self.counts.get(self.position - 1, 0),
+                self.counts.get(self.position + 1, 0))
+
+
+def make_walk_state(kind: str, weight: WeightFn, rng: RngStream,
+                    start: int = 0) -> WalkState:
+    if kind not in WALK_KINDS:
+        raise ContractViolation(f"unknown walk kind {kind!r}, expected one of {WALK_KINDS}")
+    return WalkState(position=start, counts={start: 1}, t=0, kind=kind,
+                     weight=weight, rng=rng)
+
+
+def left_move_probability(kind: str, weight: WeightFn, n_left: int, n_right: int) -> float:
+    wl = weight(n_left)
+    wr = weight(n_right)
+    if kind == "repelling":
+        return wr / (wl + wr)
+    if kind == "reinforced":
+        return wl / (wl + wr)
+    raise ContractViolation(f"unknown walk kind {kind!r}")
+
+
+def walk_step(state: WalkState) -> WalkState:
+    """Advance the walk one step in place (one uniform draw per step).
+
+    The reference that simulate and msd_curve must match bit for bit.
+    """
+    n_left, n_right = state.neighbor_counts()
+    p_left = left_move_probability(state.kind, state.weight, n_left, n_right)
+    if state.rng.uniform() < p_left:
+        state.position -= 1
+    else:
+        state.position += 1
+    state.counts[state.position] = state.counts.get(state.position, 0) + 1
+    state.t += 1
+    return state
 
 
 def _fit_msd_exponent_reference(msd, t_lo, t_hi):
@@ -160,11 +209,24 @@ class TestSimulate:
             with pytest.raises(ContractViolation, match=rf"alpha={alpha}, visit count c={count}$"):
                 run()
 
+    def test_overflow_at_a_site_left_behind(self):
+        # w(3) = 1 + 3**645.8 is finite but too large for w(L) + w(R); this
+        # repelling walk visits a site a third time and has left it when its
+        # 20 steps end, so the check must see more than the last site
+        with pytest.raises(ContractViolation, match=r"alpha=645.8, visit count c=3$"):
+            simulate("repelling", WeightFn(645.8), 20, 1)
+
     def test_weight_table_is_the_scalar_weight(self):
         # counts 7, 10 and 1553 are where array np.power rounds differently
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.5, 5.0):
             table = walks._weight_table(alpha, 2000)
             assert table.tolist() == [float(WeightFn(alpha)(c)) for c in range(2000)]
+        # a table extended from a start count, as the bounce runs grow it, and
+        # tables past an overflow (159**140 is finite, 35**200 is not)
+        for alpha, start, n in ((5.0, 2000, 60000), (2.0, 5, 9), (140.0, 150, 170),
+                                (200.0, 0, 40), (200.0, 40, 41)):
+            table = walks._weight_table(alpha, n, start)
+            assert table.tolist() == [walks._walk_weight(alpha, c) for c in range(start, n)]
 
     def test_weight_overflow_only_when_reached(self):
         # alpha=200 is fine while no site is visited 35 times
@@ -327,6 +389,113 @@ class TestConstantWeight:
             simulate("repelling", weight, 10, 0)
         with pytest.raises(ContractViolation, match=r"visit count c=0$"):
             msd_curve("reinforced", weight, 10, 3, 0)
+
+
+class TestBounceRuns:
+    """simulate steps two-site bounces as arrays; walk_step stays the reference."""
+
+    @staticmethod
+    def _spy_runs(monkeypatch):
+        """Record (first uniform, uniform after the run, block length) per run."""
+        runs = []
+        bounce_run = walks._bounce_run
+
+        def spy(us, q, *args):
+            result = bounce_run(us, q, *args)
+            runs.append((q, result[0], us.shape[0]))
+            return result
+
+        monkeypatch.setattr(walks, "_bounce_run", spy)
+        return runs
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+    def test_simulate_equals_walk_step(self, kind, alpha):
+        # T straddles the bounce check (64), its first window (128), the
+        # block (4096) and, at reinforced alpha 2, a run that ends at step
+        # 381, mid-block; a path of T steps is the first T of the longest
+        path = _stepped_paths(kind, alpha, 9000, 1, 0)[0]
+        for T in (1, 63, 64, 65, 127, 128, 129, 381, 382, 4095, 4096, 4097, 4161, 9000):
+            assert np.array_equal(simulate(kind, WeightFn(alpha), T, 0), path[:T + 1])
+
+    @pytest.mark.parametrize("alpha, seed", [(5.0, 758), (2.0, 0)])
+    def test_bounce_breaks_and_reforms(self, alpha, seed, monkeypatch):
+        runs = self._spy_runs(monkeypatch)
+        path = simulate("reinforced", WeightFn(alpha), 5000, seed)
+        assert np.array_equal(path, _stepped_paths("reinforced", alpha, 5000, 1, seed)[0])
+        if alpha == 5.0:
+            # it bounces on 1, 2, leaves for 0, bounces on 0, 1, leaves for
+            # 2 and bounces on 0, 1 again: no run before the second check
+            assert path[:16].tolist() == [0, 1, 2, 1, 2, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 1]
+            assert runs[0] == (128, 4096, 4096)
+        else:
+            # the first run leaves its bounce at step 381, mid-block, and the
+            # bounce forms again: a second run starts at step 509
+            assert runs[:2] == [(128, 381, 4096), (509, 4096, 4096)]
+
+    def test_overflow_reached_inside_a_run(self, monkeypatch):
+        # the alpha = 140 walk bounces from its first steps, and one run of
+        # 192 steps takes both counts past 128; it stops short of count
+        # 159, whose weight 1 + 159**140 is finite but too large for
+        # w(L) + w(R), and the scalar loop reaches that count and names it
+        runs = self._spy_runs(monkeypatch)
+        with pytest.raises(ContractViolation, match=r"alpha=140.0, visit count c=159$"):
+            simulate("reinforced", WeightFn(140.0), 2000, 1)
+        assert runs[0][:2] == (64, 256)
+
+    @staticmethod
+    def _scalar_bounce(us, q, i, j, counts, ws, s, alpha, segment):
+        """simulate's scalar loop from uniform q, stopped before the first
+        step that does not move to the other site of the i-j bounce."""
+        while q < len(us):
+            wn = ws[i + s]
+            if (i - 1 if us[q] < wn / (wn + ws[i - s]) else i + 1) != j:
+                break
+            c = counts[j] + 1
+            counts[j] = c
+            ws[j] = 1.0 + c ** alpha
+            segment[q] = j
+            i, j = j, i
+            q += 1
+        return q, i
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+    def test_run_equals_scalar_steps(self, kind, alpha):
+        # one 1000-step block from site 10 (last step from 10 + d), with
+        # outer sites visited 0 to 5 times; the windows of 64, 128, 256 and
+        # 512 steps leave 40 for the last one, so only a step that leaves
+        # the bounce ends a run early, and that step may come from either site
+        s = 1 if kind == "repelling" else -1
+        exits = set()
+        for seed in range(12):
+            rng = RngStream(seed, 0)
+            ci, cj, co_i, co_j = (int(c) for c in rng.uniforms(4) * (40, 40, 6, 6))
+            d = 1 if seed % 2 else -1
+            counts = [0] * 21
+            counts[10], counts[10 + d], counts[10 - d], counts[10 + 2 * d] = ci + 1, cj, co_i, co_j
+            ws = [walks._walk_weight(alpha, c) for c in counts]
+            us = rng.uniforms(1000)
+            ref_counts, ref_ws, ref_segment = list(counts), list(ws), np.zeros(1000, dtype=np.int64)
+            ref = self._scalar_bounce(us, 0, 10, 10 + d, ref_counts, ref_ws, s, alpha, ref_segment)
+            segment = np.zeros(1000, dtype=np.int64)
+            weights = walks._WeightTable(alpha, 600)
+            assert walks._bounce_run(us, 0, 10, 10 + d, counts, ws, s, weights, segment) == ref
+            assert counts == ref_counts and ws == ref_ws
+            assert np.array_equal(segment, ref_segment)
+            exits.add(ref[0] % 2 if ref[0] < 1000 else None)
+        if (kind, alpha) != ("repelling", 5.0):  # that walk leaves at once
+            assert {0, 1} <= exits  # runs left from i and from j
+        if kind == "reinforced" and alpha > 1.0:
+            assert None in exits  # and ran to the end of the block
+
+    def test_reinforced_paths_digest(self):
+        # recorded with the scalar loop alone, before the bounce runs
+        digest = hashlib.sha256()
+        for seed in range(5):
+            digest.update(simulate("reinforced", WeightFn(5.0), 20000, seed).tobytes())
+        assert digest.hexdigest() == (
+            "ee27e4273204510aef3190997a023c8bc03b16224cec6d8d6293555d4bd02a79")
 
 
 class TestPathStatistics:
