@@ -1,6 +1,6 @@
 """Layer bench: the cost of one layer at a time, median of repeats.
 
-    PYTHONPATH=src python3 bench/run_bench.py [--out BENCH_<n>.json]
+    PYTHONPATH=src python3 bench/run_bench.py [--out BENCH_<n>.json] [--walks]
 
 Point PYTHONPATH at the src/ of any tree to time that tree: the one-lane
 rows call run() and the walk rows msd_curve and simulate, which every
@@ -20,6 +20,20 @@ with preset example1's knobs:
     oracle.lane<L>         microseconds per lane of one lane-oracle call
     oracle.fused<L>        microseconds per lane of L fused oracle calls
 
+On every closed-form problem, at its default size and starting point:
+
+    eval_objective.<problem>   microseconds per eval_objective call
+
+On the default MLP (d = 3562, synthetic blobs) and the occupation layer:
+
+    mlp.loss_and_gradient      microseconds per fused loss and gradient of
+                               one batch of 128 samples
+    occupation.<layer>.d<d>    microseconds per call of counts_all,
+                               sample_occupation_perturbation (alpha 5) and
+                               sample_ball_perturbation at d in {4, 100,
+                               3562}, with the MLP preset's window: the last
+                               50 iterates, unwindowed (h = 1e12)
+
 On the walks, WALK_T steps:
 
     walk.msd_curve.alpha<a>    nanoseconds per path-step of
@@ -31,7 +45,9 @@ On the walks, WALK_T steps:
                                between two sites, and reinforced at a = 1
                                and repelling at a = 5, which seldom or never do
 
-bench_walks() times the walk rows alone.
+bench_walks() times the walk rows alone, and --walks prints only them:
+run it with PYTHONPATH at two trees in turn, in fresh processes, to
+compare their walk rows in alternating pairs.
 
 A step is one trace row (every run records every step), so a theory
 pgd/pgdot lane that terminates early is charged only for the steps it
@@ -53,7 +69,9 @@ import numpy as np
 
 from otgrad import optimizers
 from otgrad.benchmarks import make_problem
-from otgrad.occupation import WeightFn
+from otgrad.core import RngStream, eval_objective
+from otgrad.occupation import (OccupationWindow, WeightFn, sample_ball_perturbation,
+                               sample_occupation_perturbation)
 from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, run
 from otgrad.walks import msd_curve, simulate
 
@@ -69,6 +87,10 @@ MANY_LANES = ("gd", "pgdot", "pagdot", "theory_pagdot")
 WALK_T = 20000
 WALK_PATHS = 100
 SIMULATED_WALKS = (("reinforced", 5), ("repelling", 5), ("reinforced", 1))
+CLOSED_FORM = ("staircase", "airy_regression", "reglq", "phase_retrieval")
+MLP_BATCH = 128
+OCCUPATION_DIMS = (4, 100, 3562)
+WINDOW = dict(t_count=50, h=1e12)  # the MLP preset's window
 
 
 def _median_us(fn, per) -> float:
@@ -121,7 +143,45 @@ def bench() -> dict:
 
             layers[f"oracle.lane{n}"] = _median_us(lane_calls, lambda _: ORACLE_CALLS * n)
             layers[f"oracle.fused{n}"] = _median_us(fused_calls, lambda _: ORACLE_CALLS * n)
+    layers.update(bench_layers())
     layers.update(bench_walks())
+    return layers
+
+
+def _per_call_us(fn, calls) -> float:
+    """Microseconds per call of fn(), calling it calls times per repeat."""
+    def many():
+        for _ in range(calls):
+            fn()
+    return _median_us(many, lambda _: calls)
+
+
+def bench_layers() -> dict:
+    layers = {}
+    for name in CLOSED_FORM:
+        bundle = make_problem(name)
+        obj, x = bundle.objective, bundle.init_point(0)
+        layers[f"eval_objective.{name}"] = _per_call_us(lambda: eval_objective(obj, x),
+                                                        ORACLE_CALLS)
+    bundle = make_problem("mlp")
+    params = bundle.init_point(0)
+    batch = RngStream(0, 1).permutation(bundle.problem.n_samples)[:MLP_BATCH]
+    layers["mlp.loss_and_gradient"] = _per_call_us(
+        lambda: bundle.problem.loss_and_gradient(params, batch), ORACLE_CALLS // 10)
+    weight = WeightFn(5.0)
+    for d in OCCUPATION_DIMS:
+        rng = RngStream(d, 0)
+        window = OccupationWindow(d, **WINDOW)
+        for _ in range(WINDOW["t_count"]):
+            window.record(rng.normal(d))
+        x = rng.normal(d)
+        calls = ORACLE_CALLS if d <= 100 else ORACLE_CALLS // 10
+        for layer, fn in (
+                ("counts_all", lambda: window.counts_all(x)),
+                ("sample_occupation", lambda: sample_occupation_perturbation(
+                    x, window, 0.5, weight, rng)),
+                ("sample_ball", lambda: sample_ball_perturbation(x, 0.5, rng))):
+            layers[f"occupation.{layer}.d{d}"] = _per_call_us(fn, calls)
     return layers
 
 
@@ -140,6 +200,7 @@ def bench_walks() -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON file to write")
+    parser.add_argument("--walks", action="store_true", help="time the walk rows only")
     args = parser.parse_args()
     result = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
@@ -149,9 +210,10 @@ def main() -> None:
         "oracle_calls": ORACLE_CALLS,
         "walk_t": WALK_T,
         "walk_paths": WALK_PATHS,
-        "unit": "microseconds per cell-step (step.*) or per lane evaluation (oracle.*); "
+        "unit": "microseconds per cell-step (step.*), per lane evaluation (oracle.*) "
+                "or per call (eval_objective.*, mlp.*, occupation.*); "
                 "nanoseconds per path-step (walk.*); median",
-        "layers": bench(),
+        "layers": bench_walks() if args.walks else bench(),
     }
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -148,6 +148,9 @@ _ALGO_KEYS = {
     "full_grad_gate": (bool, _ANY),
 }
 
+# the float keys that may be infinite: h = inf means "unwindowed"
+_MAY_BE_INFINITE = {"h"}
+
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                "1": True, "0": False, "on": True, "off": False}
 
@@ -158,7 +161,11 @@ def _convert(section: str, key: str, raw: str, kind, errors: list):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            value = float(raw)
+            if not (math.isfinite(value) or key in _MAY_BE_INFINITE):
+                errors.append(f"[{section}] {key}: must be finite, got {raw!r}")
+                return None
+            return value
         if kind is bool:
             word = raw.lower()
             if word not in _BOOL_WORDS:
@@ -196,6 +203,13 @@ def _read_section(parser, section: str, keytable: dict, errors: list) -> dict:
     return out
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"values must be finite, got {token!r}")
+    return value
+
+
 def _parse_init(raw: str, errors: list):
     tokens = raw.split()
     style = tokens[0] if tokens else ""
@@ -210,15 +224,15 @@ def _parse_init(raw: str, errors: list):
         if style == "constant":
             if len(tokens) != 2:
                 raise ValueError("'constant' takes one value")
-            return (style, float(tokens[1]))
+            return (style, _finite(tokens[1]))
         if style == "gaussian":
             if len(tokens) != 3:
                 raise ValueError("'gaussian' takes mean and std")
-            mean, std = float(tokens[1]), float(tokens[2])
+            mean, std = _finite(tokens[1]), _finite(tokens[2])
             if std <= 0:
                 raise ValueError("gaussian std must be positive")
             return (style, mean, std)
-        values = [float(tok) for tok in tokens[1:]]
+        values = [_finite(tok) for tok in tokens[1:]]
         if not values:
             raise ValueError("'explicit' needs at least one value")
         return (style, tuple(values))

@@ -51,17 +51,6 @@ class WeightFn:
         return 1.0 + np.float64(n) ** self.alpha
 
 
-def left_probability(w: WeightFn, n_left, n_right) -> float:
-    """Probability of perturbing LEFT: w(R) / (w(L) + w(R)).
-
-    More recent occupation on the right makes a left kick more likely, so the
-    noise pushes the iterate away from where it has been.
-    """
-    wl = w(n_left)
-    wr = w(n_right)
-    return wr / (wl + wr)
-
-
 class OccupationWindow:
     """Sliding window over the last `t_count` recorded iterates.
 
@@ -112,25 +101,12 @@ class OccupationWindow:
         """Stored samples, shape (len(self), dim). Order not significant."""
         return self._buf[: self._n]
 
-    def counts(self, i: int, xi: float) -> tuple[int, int]:
-        """Left/right occupation counts of coordinate i around position xi.
-
-        Left counts stored values in [xi - h, xi] (ties at xi count left),
-        right counts values in (xi, xi + h].
-        """
-        if not 0 <= i < self.dim:
-            raise ContractViolation(f"coordinate index {i} out of range for dim {self.dim}")
-        col = self._buf[: self._n, i]
-        if self.unwindowed:
-            left = int(np.count_nonzero(col <= xi))
-            right = int(self._n - left)
-        else:
-            left = int(np.count_nonzero((col >= xi - self.h) & (col <= xi)))
-            right = int(np.count_nonzero((col > xi) & (col <= xi + self.h)))
-        return left, right
-
     def counts_all(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized counts for every coordinate of the point x."""
+        """Left/right occupation counts of every coordinate around the point x.
+
+        For coordinate i, left counts stored values in [x_i - h, x_i] (ties
+        at x_i count left), right counts values in (x_i, x_i + h].
+        """
         v = as_vector(x, self.dim)
         block = self._buf[: self._n]
         if self._n == 0:
@@ -146,9 +122,12 @@ class OccupationWindow:
 
 
 def _left_probabilities(w: WeightFn, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left_probability for every coordinate, bit for bit.
+    """Probability of a LEFT kick for every coordinate: w(R) / (w(L) + w(R)).
 
-    Array `np.power` may round differently from the scalar power inside
+    More recent occupation on the right makes a left kick more likely, so
+    the noise pushes the iterate away from where it has been. Each entry
+    equals the scalar expression with WeightFn's weights bit for bit:
+    array `np.power` may round differently from the scalar power inside
     WeightFn, so each distinct count is weighted by one scalar
     WeightFn.unchecked call (counts are never negative) and the weights
     are gathered from that table.
@@ -178,8 +157,8 @@ def sample_occupation_perturbation(
     u < p_i, as RngStream.bernoulli) then magnitude.  The 2d uniforms are
     drawn in one call; even entries are signs, odd entries magnitudes.
 
-    Each p_i equals left_probability(w, L_i, R_i) bit for bit, which is why
-    weights come from WeightFn's scalar power, never an array power.  A
+    Each p_i equals w(R_i) / (w(L_i) + w(R_i)) with WeightFn's scalar
+    weights bit for bit, never an array power (_left_probabilities).  A
     p_i that is NaN or outside [0, 1] (weight overflow at large alpha)
     raises ContractViolation.
     """

@@ -14,8 +14,8 @@ occupied strictly before the current step. The start site counts as
 visited at t=0, so after t steps the counts sum to t+1.
 
 Two functions apply this rule. simulate runs one path in a scalar loop
-over Python lists, which steps two-site bounces as arrays (see below).
-msd_curve advances a whole ensemble in lockstep as numpy arrays. Both
+over Python lists, which takes two-site bounces in windows (see below).
+msd_curve advances many paths at once as numpy arrays. Both
 draw one uniform per step, move left when it is below the left-move
 probability, and evaluate each weight as the scalar 1 + c**alpha that
 WeightFn computes, so with the same stream they give identical paths,
@@ -27,21 +27,26 @@ w(L) + w(R) to be a finite float.
 With strong reinforcement the walk soon spends almost every step
 bouncing between two sites: a, b, a, b. While it bounces, only the
 counts of a and b change, each by one per visit, and the weights of the
-two outer neighbours stay fixed, so the probability of every step ahead
-is known. Once 64 scalar steps in a row bounce, simulate compares the
-probabilities of the next steps with their uniforms in one numpy
-comparison and keeps the steps up to the first one that leaves the
-bounce, which goes back to the scalar loop (_bounce_run). The paths stay
-bit-identical: numpy's float64 add, divide and < are the scalar loop's
-IEEE operations, every weight comes from the same scalar pow, and a run
-stops short of any weight that is not a finite float, so the scalar loop
-reaches that count and raises.
+two outer neighbours stay fixed. So over a window of steps, each site's
+probability of moving on to the other one moves monotonically, and its
+worst case sits at one end of the window. Once 64 scalar steps in a row
+bounce, simulate takes the bounce in doubling windows (_bounce_run): it
+computes each site's probability at the window's two ends from two
+scalar weights, and when every uniform of the window lies on the staying
+side of the worse end, with a margin that covers rounding, it accepts
+the whole window with a few slice writes and no per-step weights. A
+uniform that the ends cannot decide gets the scalar loop's own step;
+the step that leaves the bounce goes back to the scalar loop. So the
+paths stay bit-identical, and a run stops short of any weight that is
+not a finite float, so the scalar loop reaches that count and raises.
 
 At alpha = 0 every weight is 1 + c**0 = 2, so every left-move
 probability is 2 / (2 + 2) = 0.5 exactly, for both kinds: the walk is the
 simple random walk. simulate and msd_curve then keep no visit counts and
 take each path as the running sum of -1 where its uniform is below 0.5
-and +1 elsewhere (_simple_walk). That is the same comparison of the same
+and +1 elsewhere (_simple_walk), in blocks of 4096 steps; msd_curve steps
+16 paths at a time through two buffers it allocates once, so its memory
+does not grow with n_paths. That is the same comparison of the same
 uniforms, so the paths are the same bit for bit.
 """
 
@@ -65,18 +70,21 @@ MSD_FIT_LO_FRAC = 0.1  # msd_exponent fits t in [MSD_FIT_LO_FRAC * T, T]
 # Largest weight for which w(L) + w(R) is still a finite float.
 _MAX_WEIGHT = sys.float_info.max / 2
 
-_LOOP_CHUNK = 4096    # uniforms drawn at a time by the single-path loop
+# uniforms drawn at a time by the single-path loop, and the steps of a
+# constant-weight block
+_LOOP_CHUNK = 4096
+# paths a constant-weight block steps at once: its buffers hold 9 bytes per
+# path-step (a bool and an int64), 576 KiB whatever n_paths is
+_SIMPLE_PATHS = 16
 # scalar steps between simulate's bounce checks, and a bounce run's first
 # window; windows double from there up to the end of the block
 _BOUNCE_CHECK = 64
+# relative and absolute widening of a bounce window's probability bounds
+_P_MARGIN = 2.0 ** -44
+_P_FLOOR = 2.0 ** -1064
 _LOCKSTEP_CHUNK = 64  # lockstep steps per block of uniforms
 _LATTICE_PAD = 256    # columns added past the needed range when the lattice grows
-# uniforms each path draws per call in msd_curve: four lattice blocks, or
-# one block of the constant-weight walk. That block's 9 bytes per path-step
-# (a bool and an int64) come to 2304 bytes per path, less than the lattice
-# engine holds per path: 2048 for the drawn uniforms, 1040 for G and 2 for
-# each of at least 643 lattice sites
-_DRAW_CHUNK = 4 * _LOCKSTEP_CHUNK
+_DRAW_CHUNK = 4 * _LOCKSTEP_CHUNK  # uniforms each lattice path draws per call
 
 
 def _walk_weight(alpha: float, c: int) -> float:
@@ -93,19 +101,18 @@ def _walk_weight(alpha: float, c: int) -> float:
     return w if w <= _MAX_WEIGHT else math.inf
 
 
-def _weight_table(alpha: float, n: int, start: int = 0) -> np.ndarray:
-    """[w(start), ..., w(n - 1)], each entry equal to _walk_weight's.
+def _weight_table(alpha: float, n: int) -> np.ndarray:
+    """[w(0), ..., w(n - 1)], each entry equal to _walk_weight's.
 
     Each weight is one scalar float pow, as in _walk_weight: array
     np.power would round some entries differently (alpha 1.5 at count 7,
     2.5 at 10, 5 at 1553 on numpy 2.4).
     """
     try:
-        table = np.fromiter(map(pow, map(float, range(start, n)), repeat(alpha)),
-                            np.float64, n - start)
+        table = np.fromiter(map(pow, map(float, range(n)), repeat(alpha)), np.float64, n)
         table += 1.0
     except OverflowError:
-        table = np.array([_walk_weight(alpha, c) for c in range(start, n)])
+        table = np.array([_walk_weight(alpha, c) for c in range(n)])
     table[~(table <= _MAX_WEIGHT)] = math.inf  # NaN too, as in _walk_weight
     return table
 
@@ -129,22 +136,23 @@ def _check_weights(alpha: float, cmax: int) -> None:
         f"walk weight 1 + c**alpha overflows at alpha={alpha}, visit count c={c}")
 
 
-def _simple_walk(rngs: Sequence[RngStream], z: np.ndarray, k: int) -> np.ndarray:
-    """The next k positions of constant-weight walks, as a (paths, k) int64 array.
+def _simple_walk(rngs: Sequence[RngStream], z: np.ndarray, left: np.ndarray,
+                 Z: np.ndarray) -> None:
+    """Write the next k positions of constant-weight walks into Z, (paths, k) int64.
 
     When every weight is the same w, each left-move probability is
     w / (w + w) = 0.5 exactly, for both kinds, so row i continues from
     z[i] by -1 where the next uniform of rngs[i] is below 0.5 and by +1
     otherwise: the simple random walk, with no visit counts to keep.
+    left is a bool array of Z's shape that the steps are drawn into.
     """
-    left = np.empty((len(rngs), k), dtype=bool)
+    k = Z.shape[1]
     for rng, row in zip(rngs, left):
         np.less(rng.uniforms(k), 0.5, out=row)
-    Z = np.multiply(left, -2, dtype=np.int64)
+    np.multiply(left, -2, out=Z)
     Z += 1
     np.cumsum(Z, axis=1, out=Z)
     Z += z[:, None]
-    return Z
 
 
 def _check_walk_args(kind: str, T: int) -> None:
@@ -154,46 +162,52 @@ def _check_walk_args(kind: str, T: int) -> None:
         raise ContractViolation(f"T must be >= 1, got {T}")
 
 
-class _WeightTable:
-    """w(0), w(1), ... for one alpha, filled in on demand.
+def _first_unsure(u: np.ndarray, w_first: float, w_last: float, o: float,
+                  inner_numerator: bool, left: bool) -> int:
+    """Index of the first uniform in u that may end a bounce, or len(u).
 
-    One array of fixed capacity holds the weights; each fill at least
-    doubles the filled part, with one _weight_table call. Pages of the
-    array that are never filled are never touched.
+    u holds the uniforms of the steps one bounce site takes in a window,
+    in order. At those steps the inner neighbour weighs w_first, rising
+    to w_last, and the outer one o; the left-move probability is
+    w / (w + o) when the inner neighbour's weight is the numerator of
+    the kind's rule and o / (w + o) otherwise, and a step stays in the
+    bounce when (u < p) == left. Exactly, p is monotone in w, so every
+    step's p lies between the end values; rounding can put it a few ulps
+    past them, far less than the _P_MARGIN and _P_FLOOR by which the
+    bound is widened. So each uniform before the returned index stays in
+    the bounce for certain, with no per-step weights.
     """
-
-    def __init__(self, alpha: float, capacity: int):
-        self.alpha = alpha
-        self.w = np.empty(capacity)
-        self.filled = 0
-
-    def upto(self, n: int) -> np.ndarray:
-        """The array, with w(0), ..., w(n - 1) filled in."""
-        if self.filled < n:
-            size = max(n, min(2 * self.filled, self.w.shape[0]))
-            self.w[self.filled:size] = _weight_table(self.alpha, size, self.filled)
-            self.filled = size
-        return self.w
+    pa = (w_first if inner_numerator else o) / (w_first + o)
+    pb = (w_last if inner_numerator else o) / (w_last + o)
+    if left:
+        bound = min(pa, pb) * (1.0 - _P_MARGIN) - _P_FLOOR
+        return u.shape[0] if u.max() < bound else int(np.argmax(u >= bound))
+    bound = max(pa, pb) * (1.0 + _P_MARGIN) + _P_FLOOR
+    return u.shape[0] if u.min() >= bound else int(np.argmax(u < bound))
 
 
 def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
-                s: int, weights: _WeightTable, segment: np.ndarray) -> tuple[int, int]:
-    """Step simulate's bounce between sites i and j = i +- 1 as arrays.
+                s: int, alpha: float, segment: np.ndarray) -> tuple[int, int]:
+    """Step simulate's bounce between sites i and j = i +- 1 in windows.
 
     The walker sits at i and has just come from j. While it bounces, only
     the counts of i and j change, each by one per visit, and the weights
-    of the two outer sites stay fixed. So the probability of each step is
-    known ahead: from i it is a table weight of j's count and the fixed
-    weight of i's outer site, and from j likewise. Windows of uniforms
-    us[q:], doubling from _BOUNCE_CHECK steps, are compared with these
-    probabilities in one go. The steps up to the first one that does not
-    move to the other site are accepted; that step, and the rest of the
-    block, go back to the scalar loop. numpy's float64 add, divide and <
-    are the scalar loop's IEEE operations and the table holds its weight
-    for each count, so the accepted steps are the scalar loop's.
+    of the two outer sites stay fixed. So within a window of uniforms
+    us[q:], doubling from _BOUNCE_CHECK steps, the probability of each
+    step from i moves monotonically between its values at the window's
+    first and last step from i, and likewise from j. Two _walk_weight
+    calls per site give those end values and the weight after the
+    window, and _first_unsure finds how many steps surely stay in the
+    bounce. A window whose uniforms all do is accepted whole. Otherwise
+    the steps before the first unsure uniform are accepted and that step
+    is decided with the scalar loop's own arithmetic: if it stays in the
+    bounce it is taken and the windows go on; if it leaves, it and the
+    rest of the block go back to the scalar loop. So the accepted steps
+    are the scalar loop's, bit for bit.
 
-    A window that would use an infinite table weight is not stepped: the
-    scalar loop reaches that count and the overflow check names it.
+    A window that would reach a weight that is not a finite float is not
+    stepped: the scalar loop reaches that count and the overflow check
+    names it.
 
     Writes the accepted steps' sites to segment[q:], updates counts and ws
     in place, and returns (q, i) after those steps.
@@ -205,35 +219,37 @@ def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
         m = min(m, k - q)
         hi, hj = (m + 1) // 2, m // 2  # steps taken from i, from j
         ci, cj = counts[i], counts[j]
-        table = weights.upto(max(cj + hi, ci + hj) + 1)
-        # the inner neighbour's weight at each step from i (from j), then
-        # the weight j (i) has after the last of them; w grows with c
-        wi = table[cj:cj + hi + 1]
-        wj = table[ci:ci + hj + 1]
-        if wi[-1] == math.inf or wj[-1] == math.inf:
+        # the inner neighbour's weight at the last step from i (from j),
+        # and the weight j (i) has after the window
+        wj_last, wj_end = _walk_weight(alpha, cj + hi - 1), _walk_weight(alpha, cj + hi)
+        wi_last, wi_end = _walk_weight(alpha, ci + hj - 1), _walk_weight(alpha, ci + hj)
+        if wj_end == math.inf or wi_end == math.inf:
             break
-        oi, oj = ws[i - d], ws[j + d]  # the outer sites' weights
-        pi = np.divide(wi[:hi] if s == d else oi, wi[:hi] + oi)
-        pj = np.divide(wj[:hj] if s == -d else oj, wj[:hj] + oj)
-        # a step leaves the bounce when its move is not toward the other site
-        out_i = np.less(us[q:q + m:2], pi) != (d < 0)
-        out_j = np.less(us[q + 1:q + m:2], pj) != (d > 0)
-        n = m
-        e = int(out_i.argmax())
-        if out_i[e]:
-            n = 2 * e
-        e = int(out_j.argmax())
-        if out_j[e]:
-            n = min(n, 2 * e + 1)
-        counts[j], ws[j] = cj + (n + 1) // 2, wi.item((n + 1) // 2)
-        counts[i], ws[i] = ci + n // 2, wj.item(n // 2)
+        # a step from i stays when it moves toward j: left when d < 0; the
+        # outer sites i - d and j + d keep their weights
+        n = min(2 * _first_unsure(us[q:q + m:2], ws[j], wj_last, ws[i - d], s == d, d < 0),
+                2 * _first_unsure(us[q + 1:q + m:2], ws[i], wi_last, ws[j + d], s == -d,
+                                  d > 0) + 1)
+        if n < m:
+            wj_end, wi_end = (_walk_weight(alpha, cj + (n + 1) // 2),
+                              _walk_weight(alpha, ci + n // 2))
+        counts[j], ws[j] = cj + (n + 1) // 2, wj_end
+        counts[i], ws[i] = ci + n // 2, wi_end
         segment[q:q + n:2] = j
         segment[q + 1:q + n:2] = i
         if n % 2:
             i, j, d = j, i, -d
         q += n
         if n < m:
-            break
+            # the unsure step, as the scalar loop takes it
+            wn = ws[i + s]
+            if (us[q] < wn / (wn + ws[i - s])) != (d < 0):
+                break
+            counts[j] += 1
+            ws[j] = _walk_weight(alpha, counts[j])
+            segment[q] = j
+            i, j, d = j, i, -d
+            q += 1
         m *= 2
     return q, i
 
@@ -244,7 +260,7 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     Step t compares the t-th uniform of RngStream(seed, 0) with the
     left-move probability. The steps go through a scalar loop, except
     that once _BOUNCE_CHECK of them in a row bounce between two sites,
-    the bounce is stepped as arrays (_bounce_run) until it ends.
+    the bounce is taken in windows (_bounce_run) until it ends.
     """
     _check_walk_args(kind, T)
     rng = RngStream(seed, 0)
@@ -252,9 +268,10 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     path[0] = 0
     alpha = weight.alpha
     if alpha == 0:
+        left = np.empty((1, min(_LOOP_CHUNK, T)), dtype=bool)
         for t in range(0, T, _LOOP_CHUNK):
             k = min(_LOOP_CHUNK, T - t)
-            path[t + 1:t + 1 + k] = _simple_walk([rng], path[t:t + 1], k)[0]
+            _simple_walk([rng], path[t:t + 1], left[:, :k], path[None, t + 1:t + 1 + k])
         return path
     # p_left = ws[n] / (ws[n] + ws[o]), where n is the neighbour in the
     # numerator of the kind's rule: the right one when repelling, the left
@@ -268,8 +285,6 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     off = i = _LOOP_CHUNK + 1
     counts[i], ws[i] = 1, _walk_weight(alpha, 1)
     cmax = 1  # the largest visit count so far
-    # w(c) for the bounce runs; a site gets at most T // 2 + 1 visits in T steps
-    weights = _WeightTable(alpha, T // 2 + 2)
     h = _BOUNCE_CHECK
     half = h // 2
     t = 0
@@ -308,7 +323,7 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
                     j = chunk[-2]
                     segment[q - len(chunk):q] = chunk
                     chunk.clear()
-                    q, i = _bounce_run(us, q, i, j, counts, ws, s, weights, segment)
+                    q, i = _bounce_run(us, q, i, j, counts, ws, s, alpha, segment)
         except OverflowError:
             _check_weights(alpha, c)  # raises: w(c) is not a finite float
         segment[k - len(chunk):] = chunk
@@ -364,31 +379,41 @@ def fit_msd_exponent(msd: np.ndarray, t_lo: int, t_hi: int) -> tuple[float, floa
 def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> np.ndarray:
     """Ensemble average of Z_t^2 over n_paths independent walks.
 
-    Path i is simulate(kind, weight, T, seed + i). All paths advance in
-    lockstep as arrays; path i draws its uniforms in blocks from its own
+    Path i is simulate(kind, weight, T, seed + i). Paths advance together
+    as arrays; path i draws its uniforms in blocks from its own
     RngStream(seed + i, 0), which yields the same numbers as one long
-    draw. At alpha = 0 the paths are simple random walks (_simple_walk);
-    otherwise the visit counts live in a (paths x sites) lattice that
+    draw. At alpha = 0 the paths are simple random walks (_simple_walk),
+    stepped _SIMPLE_PATHS at a time; otherwise all paths advance in
+    lockstep and the visit counts live in a (paths x sites) lattice that
     grows with the ensemble's range, not with T. Each step's sum of Z_t^2
-    is an exact int64 sum, so the curve equals the float average of the
-    per-path squares bit for bit: every partial sum is an integer below
-    2**53.
+    is exact, int64 sums added as floats, so the curve equals the float
+    average of the per-path squares bit for bit: every partial sum is an
+    integer below 2**53.
     """
     _check_walk_args(kind, T)
     if n_paths < 1:
         raise ContractViolation(f"n_paths must be >= 1, got {n_paths}")
-    rngs = [RngStream(seed + i, 0) for i in range(n_paths)]
     acc = np.zeros(T + 1, dtype=np.float64)
     if weight.alpha == 0:
-        z = np.zeros(n_paths, dtype=np.int64)
-        for t in range(0, T, _DRAW_CHUNK):
-            k = min(_DRAW_CHUNK, T - t)
-            Z = _simple_walk(rngs, z, k)
-            z = Z[:, -1].copy()
-            Z *= Z
-            acc[t + 1:t + 1 + k] = Z.sum(axis=0)
+        # groups of _SIMPLE_PATHS paths, each stepped to T in blocks of
+        # _LOOP_CHUNK steps through the same two buffers; a group's streams
+        # (about 10 kB each) exist only while it runs
+        shape = (min(_SIMPLE_PATHS, n_paths), min(_LOOP_CHUNK, T))
+        left = np.empty(shape, dtype=bool)
+        Z = np.empty(shape, dtype=np.int64)
+        for first in range(0, n_paths, shape[0]):
+            group = [RngStream(seed + i, 0) for i in range(first, min(first + shape[0], n_paths))]
+            z = np.zeros(len(group), dtype=np.int64)
+            for t in range(0, T, shape[1]):
+                k = min(shape[1], T - t)
+                block = Z[:len(group), :k]
+                _simple_walk(group, z, left[:len(group), :k], block)
+                z[:] = block[:, -1]
+                block *= block
+                acc[t + 1:t + 1 + k] += block.sum(axis=0)
         acc /= n_paths
         return acc
+    rngs = [RngStream(seed + i, 0) for i in range(n_paths)]
     repelling = kind == "repelling"
     weights = np.empty(0)  # weights[c] = w(c), grown geometrically
     # counts[i, j] is path i's visit count of site j - off; uint16 until a

@@ -174,6 +174,32 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             parse_config(SMALL_CONFIG.replace("eta = 0.1", "eta = 0.1\nmomentum = 1.0"))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("[algorithm pgdot]", "[algorithm pgdot]\nalpha = inf",
+         "[algorithm pgdot] alpha: must be finite, got 'inf'"),
+        ("eta = 0.1", "eta = inf", "[optimizer] eta: must be finite, got 'inf'"),
+        ("max_steps = 40", "max_steps = 40\nthreshold = nan",
+         "[run] threshold: must be finite, got 'nan'"),
+        ("n_plateaus = 2", "n_plateaus = 2\nlength = -inf",
+         "[problem] length: must be finite, got '-inf'"),
+        ("h = 0.04", "h = nan", "[optimizer] h: must be positive, got 'nan'"),
+        ("data_seed = 0", "data_seed = 0\ninit = explicit 0.5 inf",
+         "[problem] init: values must be finite, got 'inf'"),
+        ("data_seed = 0", "data_seed = 0\ninit = gaussian nan 1",
+         "[problem] init: values must be finite, got 'nan'"),
+    ])
+    def test_non_finite_floats_rejected(self, old, new, message):
+        # alpha = inf used to pass and abort a grid mid-run in the sampler,
+        # and an infinite init with an OverflowError
+        with pytest.raises(ConfigError) as info:
+            parse_config(SMALL_CONFIG.replace(old, new))
+        assert info.value.errors[0] == message  # a rejected eta is also missing
+
+    def test_infinite_window_allowed(self):
+        # h = inf means "unwindowed", the one float key that may be infinite
+        cfg = parse_config(SMALL_CONFIG.replace("h = 0.04", "h = inf"))
+        assert all(algo.h == math.inf for algo in cfg.algorithms)
+
     def test_bad_init_style(self):
         with pytest.raises(ConfigError) as info:
             parse_config(SMALL_CONFIG.replace("data_seed = 0",

@@ -13,10 +13,41 @@ from otgrad.occupation import (
     OccupationWindow,
     WeightFn,
     _left_probabilities,
-    left_probability,
     sample_ball_perturbation,
     sample_occupation_perturbation,
 )
+
+
+def left_probability(w, n_left, n_right) -> float:
+    """Probability of perturbing LEFT for one coordinate: w(R) / (w(L) + w(R)).
+
+    The scalar reference that the sampler's array probabilities must match
+    bit for bit.
+    """
+    wl = w(n_left)
+    wr = w(n_right)
+    return wr / (wl + wr)
+
+
+def window_counts(win, i, xi):
+    """Left/right occupation counts of coordinate i around position xi.
+
+    Left counts stored values in [xi - h, xi] (ties at xi count left),
+    right counts values in (xi, xi + h]. The one-coordinate reference for
+    OccupationWindow.counts_all.
+    """
+    col = win.samples()[:, i]
+    if win.unwindowed:
+        left = int(np.count_nonzero(col <= xi))
+        return left, len(win) - left
+    return (int(np.count_nonzero((col >= xi - win.h) & (col <= xi))),
+            int(np.count_nonzero((col > xi) & (col <= xi + win.h))))
+
+
+def counts_at(win, xi):
+    """counts_all of a one-dimensional window at xi, as a pair of ints."""
+    left, right = win.counts_all([xi])
+    return int(left[0]), int(right[0])
 
 
 def reference_occupation_perturbation(x, window, r, w, rng):
@@ -126,23 +157,23 @@ class TestLeftProbability:
 
 class TestOccupationWindow:
     def test_empty_window(self):
-        win = OccupationWindow(dim=2)
+        win = OccupationWindow(dim=1)
         assert len(win) == 0
-        assert win.counts(0, 0.3) == (0, 0)
+        assert window_counts(win, 0, 0.3) == counts_at(win, 0.3) == (0, 0)
 
     def test_counts_unwindowed_ties_go_left(self):
         win = OccupationWindow(dim=1)
         for v in (0.1, 0.5, 0.3):
             win.record([v])
         # Query at 0.3: 0.1 and the tie at 0.3 count left, 0.5 counts right.
-        assert win.counts(0, 0.3) == (2, 1)
+        assert window_counts(win, 0, 0.3) == counts_at(win, 0.3) == (2, 1)
 
     def test_counts_windowed(self):
         win = OccupationWindow(dim=1, h=0.1)
         for v in (0.1, 0.5, 0.3):
             win.record([v])
         # Only [0.2, 0.3] counts left; (0.3, 0.4] holds nothing.
-        assert win.counts(0, 0.3) == (1, 0)
+        assert window_counts(win, 0, 0.3) == counts_at(win, 0.3) == (1, 0)
 
     def test_ring_buffer_eviction(self):
         win = OccupationWindow(dim=1, t_count=2)
@@ -159,7 +190,7 @@ class TestOccupationWindow:
         x = rng.normal(3)
         left, right = win.counts_all(x)
         for i in range(3):
-            assert (int(left[i]), int(right[i])) == win.counts(i, float(x[i]))
+            assert (int(left[i]), int(right[i])) == window_counts(win, i, float(x[i]))
 
     def test_huge_h_is_unwindowed(self):
         assert OccupationWindow(dim=1, h=UNWINDOWED_H).unwindowed

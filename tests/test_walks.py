@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -74,6 +75,16 @@ def walk_step(state: WalkState) -> WalkState:
     state.counts[state.position] = state.counts.get(state.position, 0) + 1
     state.t += 1
     return state
+
+
+class _ListStream:
+    """Hands out the given uniforms in order, as RngStream.uniform would."""
+
+    def __init__(self, us):
+        self._us = iter(us.tolist())
+
+    def uniform(self) -> float:
+        return next(self._us)
 
 
 def _fit_msd_exponent_reference(msd, t_lo, t_hi):
@@ -221,12 +232,12 @@ class TestSimulate:
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.5, 5.0):
             table = walks._weight_table(alpha, 2000)
             assert table.tolist() == [float(WeightFn(alpha)(c)) for c in range(2000)]
-        # a table extended from a start count, as the bounce runs grow it, and
-        # tables past an overflow (159**140 is finite, 35**200 is not)
-        for alpha, start, n in ((5.0, 2000, 60000), (2.0, 5, 9), (140.0, 150, 170),
-                                (200.0, 0, 40), (200.0, 40, 41)):
-            table = walks._weight_table(alpha, n, start)
-            assert table.tolist() == [walks._walk_weight(alpha, c) for c in range(start, n)]
+        # large counts, and tables past an overflow (159**140 is finite, 35**200 is not)
+        for alpha, start, n in ((5.0, 2000, 60000), (140.0, 150, 170), (200.0, 0, 40),
+                                (200.0, 30, 41)):
+            table = walks._weight_table(alpha, n)
+            assert table[start:].tolist() == [walks._walk_weight(alpha, c)
+                                              for c in range(start, n)]
 
     def test_weight_overflow_only_when_reached(self):
         # alpha=200 is fine while no site is visited 35 times
@@ -368,11 +379,11 @@ class TestConstantWeight:
     @pytest.mark.parametrize("kind", WALK_KINDS)
     @pytest.mark.parametrize("alpha", [0.0, -0.0])
     def test_engines_equal_walk_step(self, kind, alpha):
-        # T straddles the block lengths: 64 and 256 in msd_curve, 4096 in
-        # simulate; a path of T steps is the first T steps of the 5000-step path
+        # T straddles the block length, 4096 steps in both engines; a path of
+        # T steps is the first T steps of the 5000-step path
         seed = 21
         paths = _stepped_paths(kind, alpha, 5000, 7, seed)
-        for T in (1, 63, 64, 65, 257, 5000):
+        for T in (1, 63, 64, 65, 4095, 4096, 4097, 5000):
             for i in range(7):
                 assert np.array_equal(simulate(kind, WeightFn(alpha), T, seed + i),
                                       paths[i][:T + 1])
@@ -381,6 +392,19 @@ class TestConstantWeight:
                                for p in paths[:n_paths]) / n_paths
                 assert np.array_equal(msd_curve(kind, WeightFn(alpha), T, n_paths, seed),
                                       expected)
+
+    def test_path_groups_equal_the_simple_walk(self):
+        # msd_curve steps 16 paths at a time: the second group of 17 or 33
+        # paths, and a last group of one, must continue the curve exactly;
+        # the closed form (pinned to walk_step above) is the reference here
+        T, seed = 4097, 40
+        squares = []
+        for i in range(33):
+            path = np.cumsum(np.where(RngStream(seed + i, 0).uniforms(T) < 0.5, -1, 1))
+            squares.append(np.concatenate([[0], path]).astype(np.float64) ** 2)
+        for n_paths in (15, 16, 17, 33):
+            assert np.array_equal(msd_curve("repelling", WeightFn(0.0), T, n_paths, seed),
+                                  sum(squares[:n_paths]) / n_paths)
 
     def test_nan_exponent_is_not_constant_weight(self):
         # NaN == 0 is false, so NaN reaches the lattice engines' weight check
@@ -479,8 +503,7 @@ class TestBounceRuns:
             ref_counts, ref_ws, ref_segment = list(counts), list(ws), np.zeros(1000, dtype=np.int64)
             ref = self._scalar_bounce(us, 0, 10, 10 + d, ref_counts, ref_ws, s, alpha, ref_segment)
             segment = np.zeros(1000, dtype=np.int64)
-            weights = walks._WeightTable(alpha, 600)
-            assert walks._bounce_run(us, 0, 10, 10 + d, counts, ws, s, weights, segment) == ref
+            assert walks._bounce_run(us, 0, 10, 10 + d, counts, ws, s, alpha, segment) == ref
             assert counts == ref_counts and ws == ref_ws
             assert np.array_equal(segment, ref_segment)
             exits.add(ref[0] % 2 if ref[0] < 1000 else None)
@@ -488,6 +511,129 @@ class TestBounceRuns:
             assert {0, 1} <= exits  # runs left from i and from j
         if kind == "reinforced" and alpha > 1.0:
             assert None in exits  # and ran to the end of the block
+
+    @staticmethod
+    def _crafted(kind, alpha, d, cij, outer, us):
+        """_bounce_run and walk_step from one crafted bounce state.
+
+        The walker sits at site 10, has just come from j = 10 + d, and the
+        counts of 10, j, 10 - d and j + d are cij[0], cij[1], outer[0] and
+        outer[1]. walk_step takes the uniforms us until a step does not move
+        to the other site, which it leaves untaken. Asserts that both agree
+        and returns (uniforms used, sites visited).
+        """
+        i, j = 10, 10 + d
+        start = {i: cij[0], j: cij[1], i - d: outer[0], j + d: outer[1]}
+        counts = [start.get(site, 0) for site in range(21)]
+        ws = [walks._walk_weight(alpha, c) for c in counts]
+        segment = np.zeros(us.shape[0], dtype=np.int64)
+        s = 1 if kind == "repelling" else -1
+        q, site = walks._bounce_run(us, 0, i, j, counts, ws, s, alpha, segment)
+
+        state = WalkState(position=i, counts=start, t=0, kind=kind, weight=WeightFn(alpha),
+                          rng=_ListStream(us))
+        sites, other = [], j
+        while len(sites) < us.shape[0]:
+            here = state.position
+            walk_step(state)
+            if state.position != other:  # leaves the bounce: undo that step
+                state.counts[state.position] -= 1
+                state.position = here
+                break
+            sites.append(state.position)
+            other = here
+        assert (q, site) == (len(sites), state.position)
+        assert segment[:q].tolist() == sites
+        assert counts == [state.counts.get(c, 0) for c in range(21)]
+        assert ws == [walks._walk_weight(alpha, c) for c in counts]
+        return q, sites
+
+    @staticmethod
+    def _staying(kind, alpha, d, cij, outer, m):
+        """m uniforms that keep the crafted bounce going at every step, and
+        the left-move probability of each step."""
+        us, ps = np.empty(m), []
+        c_near, c_far = cij[1], cij[0]  # the counts of the step's target and origin
+        toward = d  # the direction of the step's target
+        for t in range(m):
+            n_left, n_right = (c_near, outer[t % 2]) if toward < 0 else (outer[t % 2], c_near)
+            with np.errstate(over="ignore", invalid="ignore"):  # past an overflow
+                ps.append(float(left_move_probability(kind, WeightFn(alpha), n_left, n_right)))
+            # the step stays when it moves toward the other site
+            us[t] = 0.0 if toward < 0 else np.nextafter(1.0, 0.0)
+            c_near, c_far = c_far, c_near + 1
+            toward = -toward
+        return us, ps
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    @pytest.mark.parametrize("d", [1, -1])
+    @pytest.mark.parametrize("step", [20, 41])
+    def test_uniform_between_the_window_ends(self, kind, d, step):
+        # alpha = 1 with counts near 20: across the first 64-step window a
+        # site's probability moves far, so a uniform at the step's own
+        # probability lies between the window's end values, and only the
+        # step itself decides. At u == p the move is right; one ulp below it
+        # is left. Whichever of the two stays, the run goes on past it.
+        alpha, cij, outer = 1.0, (20, 20), (3, 5)
+        us, ps = self._staying(kind, alpha, d, cij, outer, 200)
+        site_ps = ps[step % 2:64:2]
+        assert min(site_ps) < ps[step] < max(site_ps)
+        for u in (ps[step], np.nextafter(ps[step], 0.0)):
+            us[step] = u
+            q, _ = self._crafted(kind, alpha, d, cij, outer, us)
+            target_left = (d < 0) == (step % 2 == 0)  # the other site is left
+            stays = (u < ps[step]) == target_left
+            assert q == (200 if stays else step)
+
+    @pytest.mark.parametrize("d", [1, -1])
+    def test_zero_uniform_ends_a_right_move(self, d):
+        # reinforced alpha = 5 with counts of 2000: the right-moving site
+        # leaves with probability about 6e-17, below the smallest positive
+        # uniform 2**-53, so any such uniform stays and only u == 0.0 leaves
+        alpha, cij, outer = 5.0, (2000, 2000), (1, 1)
+        us, ps = self._staying("reinforced", alpha, d, cij, outer, 3000)
+        right = 0 if d > 0 else 1  # parity of the steps that move right
+        assert 0.0 < max(ps[right::2]) < 2.0 ** -53
+        us[right::2] = 2.0 ** -53
+        assert self._crafted("reinforced", alpha, d, cij, outer, us)[0] == 3000
+        for step in (right + 2, right + 1000, right + 2998):
+            us[step] = 0.0
+            assert self._crafted("reinforced", alpha, d, cij, outer, us)[0] == step
+            us[step] = 2.0 ** -53
+
+    def test_overflow_inside_an_accepted_window(self):
+        # alpha = 140 with counts of 100: the first window of 64 steps ends
+        # at count 132; the next would end at 196, past count 159, whose
+        # weight is too large for w(L) + w(R), although its uniforms all
+        # stay. It is not stepped: the scalar loop reaches count 159 and
+        # raises (test_overflow_reached_inside_a_run)
+        alpha, cij, outer = 140.0, (100, 100), (0, 0)
+        assert walks._walk_weight(alpha, 158) < math.inf == walks._walk_weight(alpha, 159)
+        us, _ = self._staying("reinforced", alpha, 1, cij, outer, 1000)
+        q, sites = self._crafted("reinforced", alpha, 1, cij, outer, us[:64])
+        assert q == 64
+        counts = [0] * 21
+        counts[10], counts[11] = cij
+        ws = [walks._walk_weight(alpha, c) for c in counts]
+        segment = np.zeros(1000, dtype=np.int64)
+        assert walks._bounce_run(us, 0, 10, 11, counts, ws, -1, alpha, segment) == (64, 10)
+        assert counts[10:12] == [132, 132] and segment[:64].tolist() == sites
+
+    @pytest.mark.parametrize("alpha", [5.0, 30.0])
+    def test_runs_across_block_ends(self, alpha, monkeypatch):
+        # once the bounce is settled, each 4096-uniform block has 64 scalar
+        # steps and one run to its end, whose last window is cut at the
+        # block's end; the paths over three block ends are walk_step's
+        runs = self._spy_runs(monkeypatch)
+        T = 3 * 4096 + 100
+        for seed in range(2):
+            runs.clear()
+            path = simulate("reinforced", WeightFn(alpha), T, seed)
+            assert np.array_equal(path, _stepped_paths("reinforced", alpha, T, 1, seed)[0])
+            assert runs[-3:] == [(64, 4096, 4096)] * 2 + [(64, 100, 100)]
+        # a crafted run that starts 200 uniforms before the end of its block
+        us, _ = self._staying("reinforced", alpha, 1, (3000, 3000), (1, 1), 200)
+        assert self._crafted("reinforced", alpha, 1, (3000, 3000), (1, 1), us)[0] == 200
 
     def test_reinforced_paths_digest(self):
         # recorded with the scalar loop alone, before the bounce runs
