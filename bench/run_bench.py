@@ -3,10 +3,10 @@
     PYTHONPATH=src python3 bench/run_bench.py [--out BENCH_<n>.json] [--walks]
 
 Point PYTHONPATH at the src/ of any tree to time that tree: the one-lane
-rows call run() and the walk rows msd_curve and simulate, which every
-tree has, so two trees' numbers compare row by row.  Rows whose entry
-point a tree lacks (run_lanes, the lane oracle) are left out of its
-output.
+rows call run(), the harness rows run_experiment and the walk rows
+msd_curve and simulate, which every tree has, so two trees' numbers
+compare row by row.  Rows whose entry point a tree lacks (run_lanes, the
+lane oracle) are left out of its output.
 
 Layers, REPEATS runs each. On the d = 4 staircase from its saddle ring
 with preset example1's knobs:
@@ -19,6 +19,23 @@ with preset example1's knobs:
                            pagdot, and theory pagdot
     oracle.lane<L>         microseconds per lane of one lane-oracle call
     oracle.fused<L>        microseconds per lane of L fused oracle calls
+
+On the MLP of the mlp_plateau benchmark (d = 3562, synthetic blobs, from
+its saturated start, init_mean -1) with that benchmark's knobs, MLP_STEPS
+steps on mini-batches of 128:
+
+    step.<algo>.mlp.lanes<L>   microseconds per cell-step of adam, practical
+                               pgdot and pagdot: run() with one Batcher at
+                               L = 1, run_lanes with one Batcher per lane
+                               at L = 2
+
+On two presets, cut to HARNESS_STEPS steps:
+
+    harness.<preset>           microseconds per cell-step of run_experiment
+                               on example1 (staircase, 6 algorithms x 3
+                               seeds) and example3_pr (phase retrieval),
+                               writing its artifacts to a temporary
+                               directory (unless $OTGRAD_OUT is set)
 
 On every closed-form problem, at its default size and starting point:
 
@@ -63,16 +80,18 @@ import json
 import os
 import platform
 import statistics
+import tempfile
 import time
 
 import numpy as np
 
 from otgrad import optimizers
 from otgrad.benchmarks import make_problem
-from otgrad.core import RngStream, eval_objective
+from otgrad.core import STREAM_BATCH, RngStream, derive_stream, eval_objective
+from otgrad.harness import PRESETS, parse_config, run_experiment
 from otgrad.occupation import (OccupationWindow, WeightFn, sample_ball_perturbation,
                                sample_occupation_perturbation)
-from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, run
+from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, Batcher, run
 from otgrad.walks import msd_curve, simulate
 
 REPEATS = 5
@@ -89,6 +108,11 @@ WALK_PATHS = 100
 SIMULATED_WALKS = (("reinforced", 5), ("repelling", 5), ("reinforced", 1))
 CLOSED_FORM = ("staircase", "airy_regression", "reglq", "phase_retrieval")
 MLP_BATCH = 128
+MLP_STEPS = 200
+MLP_KNOBS = dict(eta=0.01, t_thres=10, g_thres=0.1, r=0.5, momentum=0.9, h=1e12, t_count=50)
+MLP_ALGORITHMS = ("adam", "pgdot", "pagdot")
+HARNESS_STEPS = 200
+HARNESS_PRESETS = {"example1": "max_steps = 2000", "example3_pr": "max_steps = 1200"}
 OCCUPATION_DIMS = (4, 100, 3562)
 WINDOW = dict(t_count=50, h=1e12)  # the MLP preset's window
 
@@ -143,8 +167,46 @@ def bench() -> dict:
 
             layers[f"oracle.lane{n}"] = _median_us(lane_calls, lambda _: ORACLE_CALLS * n)
             layers[f"oracle.fused{n}"] = _median_us(fused_calls, lambda _: ORACLE_CALLS * n)
+    layers.update(bench_mlp_steps())
+    layers.update(bench_harness())
     layers.update(bench_layers())
     layers.update(bench_walks())
+    return layers
+
+
+def bench_mlp_steps() -> dict:
+    bundle = make_problem("mlp", init_mean=-1.0)
+    problem = bundle.problem
+    full_obj = problem.full_objective()
+    start = bundle.init_point(0)
+    run_lanes = getattr(optimizers, "run_lanes", None)
+
+    def batchers(n):
+        return [Batcher(problem, MLP_BATCH, derive_stream(seed, STREAM_BATCH))
+                for seed in range(n)]
+
+    layers = {}
+    for name in MLP_ALGORITHMS:
+        algo = AlgoConfig(name=name, **MLP_KNOBS)
+        layers[f"step.{name}.mlp.lanes1"] = _median_us(
+            lambda: [run(full_obj, algo, MLP_STEPS, 0, x0=start, batcher=batchers(1)[0])],
+            _steps)
+        if run_lanes is not None:
+            layers[f"step.{name}.mlp.lanes2"] = _median_us(
+                lambda: run_lanes(full_obj, algo, MLP_STEPS, range(2), [start] * 2,
+                                  batchers=batchers(2)), _steps)
+    return layers
+
+
+def bench_harness() -> dict:
+    layers = {}
+    with tempfile.TemporaryDirectory() as out:
+        for preset, steps in HARNESS_PRESETS.items():
+            config = parse_config(PRESETS[preset].replace(
+                steps, f"max_steps = {HARNESS_STEPS}\noutput = {out}"))
+            cell_steps = len(config.algorithms) * len(config.seeds) * HARNESS_STEPS
+            layers[f"harness.{preset}"] = _median_us(
+                lambda: run_experiment(config), lambda _: cell_steps)
     return layers
 
 
@@ -210,7 +272,7 @@ def main() -> None:
         "oracle_calls": ORACLE_CALLS,
         "walk_t": WALK_T,
         "walk_paths": WALK_PATHS,
-        "unit": "microseconds per cell-step (step.*), per lane evaluation (oracle.*) "
+        "unit": "microseconds per cell-step (step.*, harness.*), per lane evaluation (oracle.*) "
                 "or per call (eval_objective.*, mlp.*, occupation.*); "
                 "nanoseconds per path-step (walk.*); median",
         "layers": bench_walks() if args.walks else bench(),

@@ -40,8 +40,7 @@ class Objective:
     (lanes,) and one of shape (lanes, dim), whose row i equals
     value_and_gradient(X[i]) bit for bit.  The lane engine
     (optimizers.run_lanes) answers every oracle call over more than one
-    lane with it, and the harness steps all seeds of an algorithm as one
-    group when the objective has one.  The staircase carries one.
+    lane with it.  The staircase carries one.
 
     Smoothness constants are optional metadata; they are required only by
     the theory-mode parameter derivations.

@@ -13,8 +13,8 @@ Config files are keyed, sectioned plain text (INI style, '#' comments):
 
     # [run] controls the grid and the artifacts.
     [run]
-    seeds = 0 1 2           # one replicate per seed; all algorithms in a
-                            # replicate share its initial point
+    seeds = 0 1 2           # one replicate per seed (distinct, >= 0); all
+                            # algorithms in a replicate share its initial point
     max_steps = 2000        # or, for dataset-backed problems: epochs = N
     record_every = 1
     output = runs           # base artifact directory (env override wins)
@@ -117,7 +117,7 @@ _PROBLEM_SPECIFIC = {
 }
 
 _RUN_KEYS = {
-    "seeds": ("ints", _ANY),
+    "seeds": ("ints", _NONNEG),
     "max_steps": (int, _GE1),
     "epochs": (int, _GE1),
     "batch_size": (int, _GE1),
@@ -315,6 +315,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(f"[{section}] 'full_grad_gate' requires mode = practical")
         algorithms.append(AlgoConfig(name=algo_name, **merged))
 
+    seeds = run_block.get("seeds", [0])
+    if len(set(seeds)) != len(seeds):
+        errors.append(f"[run] seeds: must not repeat, got {seeds}")
     max_steps = run_block.get("max_steps")
     epochs = run_block.get("epochs")
     if max_steps is None and epochs is None:
@@ -337,7 +340,7 @@ def parse_config(text: str) -> ExperimentConfig:
         problem_options=problem,
         data_seed=data_seed,
         init=init,
-        seeds=run_block.get("seeds", [0]),
+        seeds=seeds,
         max_steps=max_steps,
         epochs=epochs,
         batch_size=batch_size,

@@ -7,9 +7,8 @@ writes, into <output>/<hash12>/:
     summary.json                       per-run stats + final classification
     index.json                         artifact listing with statuses
 
-When the problem's objective has a lane oracle, all seeds of an algorithm
-run as one group of lanes (optimizers.run_lanes); otherwise each cell runs
-alone.  Either way a cell's trace is the same, bit for bit.
+All seeds of an algorithm run as one group of lanes (optimizers.run_lanes),
+and each cell's trace equals the one its seed gives alone, bit for bit.
 
 Everything is deterministic: reruns of the same config produce the same
 bytes, and the artifact contents do not depend on the order in which the
@@ -30,7 +29,9 @@ import numpy as np
 from ..analysis import MAX_HESSIAN_DIM, classify_point, escape_summary
 from ..benchmarks import ProblemBundle, make_problem
 from ..core import ContractViolation, STREAM_BATCH, STREAM_INIT, derive_stream
-from ..optimizers import Batcher, RunError, RunTrace, run, run_lanes
+from ..optimizers import Batcher, RunError, RunTrace, run_lanes
+# The benchmark's tracer rebinds experiment.run when it installs.
+from ..optimizers import run  # noqa: F401
 from .config import ExperimentConfig, OUTPUT_ENV_VAR, _jsonable
 
 TRACE_HEADER = "t,f,grad_norm,perturbed,nce"
@@ -124,21 +125,6 @@ def _classification_report(bundle: ProblemBundle, config: ExperimentConfig,
     }
 
 
-def _run_cell(bundle: ProblemBundle, config: ExperimentConfig, full_obj, algo,
-              max_steps: int, seed: int, x0: np.ndarray):
-    """One grid cell run alone: its RunTrace, or the RunError it raised."""
-    batcher = None
-    obj_arg = bundle.objective
-    if bundle.problem is not None:
-        batcher = Batcher(bundle.problem, config.batch_size, derive_stream(seed, STREAM_BATCH))
-        obj_arg = full_obj
-    try:
-        return run(obj_arg, algo, max_steps, seed, x0=x0, record_every=config.record_every,
-                   batcher=batcher, problem_name=config.problem_name)
-    except RunError as exc:
-        return exc
-
-
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the full grid and write artifacts; returns the artifact directory."""
     bundle = make_problem(config.problem_name, data_seed=config.data_seed,
@@ -160,20 +146,16 @@ def run_experiment(config: ExperimentConfig) -> Path:
         else:
             thresholds[seed] = 0.5 * float(full_obj.value(x0))
 
-    # Mini-batch cells run alone: each seed draws its own batches, and the
-    # per-lane oracle, not per-call overhead, is their cost.
-    grouped = bundle.problem is None and bundle.objective.lane_value_and_gradient is not None
     completed = []
     entries = []
     for algo in config.algorithms:
-        if grouped:
-            results = run_lanes(bundle.objective, algo, max_steps, config.seeds,
-                                [inits[seed] for seed in config.seeds],
-                                record_every=config.record_every,
-                                problem_name=config.problem_name)
-        else:
-            results = [_run_cell(bundle, config, full_obj, algo, max_steps, seed, inits[seed])
-                       for seed in config.seeds]
+        batchers = None if bundle.problem is None else [
+            Batcher(bundle.problem, config.batch_size, derive_stream(seed, STREAM_BATCH))
+            for seed in config.seeds]
+        results = run_lanes(full_obj, algo, max_steps, config.seeds,
+                            [inits[seed] for seed in config.seeds],
+                            record_every=config.record_every, batchers=batchers,
+                            problem_name=config.problem_name)
         for seed, result in zip(config.seeds, results):
             if isinstance(result, RunError):
                 trace = result.trace

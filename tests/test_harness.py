@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from otgrad.benchmarks import make_problem
-from otgrad.core import ContractViolation
+from otgrad.core import STREAM_BATCH, ContractViolation, derive_stream
 from otgrad.harness import (
     OUTPUT_ENV_VAR,
     PRESETS,
@@ -21,7 +21,7 @@ from otgrad.harness import (
 )
 from otgrad.harness.cli import main
 from otgrad.harness.experiment import initial_point, trace_csv_text
-from otgrad.optimizers import RunError, run
+from otgrad.optimizers import Batcher, RunError, run
 
 SMALL_CONFIG = """
 [problem]
@@ -206,6 +206,17 @@ class TestConfigErrors:
                                               "data_seed = 0\ninit = diagonal"))
         assert "unknown style" in str(info.value)
 
+    @pytest.mark.parametrize("seeds, message", [
+        ("-1 0", "[run] seeds: must be nonnegative, got '-1 0'"),
+        ("0 1 0", "[run] seeds: must not repeat, got [0, 1, 0]"),
+    ])
+    def test_bad_seeds_rejected(self, seeds, message):
+        # caught here, a negative seed cannot fail a grid after its artifact
+        # directory exists, nor a repeated one write its cells twice
+        with pytest.raises(ConfigError) as info:
+            parse_config(SMALL_CONFIG.replace("seeds = 0 1", f"seeds = {seeds}"))
+        assert info.value.errors == [message]
+
     def test_inline_comments_allowed(self):
         cfg = parse_config(SMALL_CONFIG.replace("eta = 0.1", "eta = 0.1  # step size"))
         assert cfg.algorithms[0].eta == 0.1
@@ -227,6 +238,11 @@ class TestConfigHash:
             SMALL_CONFIG.replace("eta = 0.1", "eta = 0.2")).config_hash != base.config_hash
         assert parse_config(
             SMALL_CONFIG.replace("seeds = 0 1", "seeds = 0 2")).config_hash != base.config_hash
+
+    def test_small_config_hash_pinned(self):
+        # validation rules do not enter the hash: a valid config keeps its
+        # artifact directory
+        assert parse_config(SMALL_CONFIG).config_hash[:12] == "3e490f0b40b5"
 
     def test_hash_shape(self):
         h = parse_config(SMALL_CONFIG).config_hash
@@ -297,6 +313,91 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert digest_dir(out) == before
 
+    def assert_cells_run_alone(self, out, cfg):
+        """Every cell's trace file is the trace of run() on that cell alone."""
+        bundle = make_problem(cfg.problem_name, data_seed=cfg.data_seed,
+                              **cfg.problem_options)
+        full_obj = bundle.objective or bundle.problem.full_objective()
+        for algo in cfg.algorithms:
+            for seed in cfg.seeds:
+                batcher = None if bundle.problem is None else Batcher(
+                    bundle.problem, cfg.batch_size, derive_stream(seed, STREAM_BATCH))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        alone = run(full_obj, algo, cfg.max_steps, seed,
+                                    x0=initial_point(bundle, cfg, seed),
+                                    record_every=cfg.record_every, batcher=batcher,
+                                    problem_name=cfg.problem_name)
+                    except RunError as exc:
+                        alone = exc.trace
+                assert (out / f"trace_{algo.name}_seed{seed}.csv").read_text() == \
+                    trace_csv_text(alone), (algo.name, seed)
+
+    def test_mini_batch_grid_cells_equal_their_runs_alone(self, tmp_path, monkeypatch):
+        text = """
+[problem]
+name = mlp
+dataset = synthetic_blobs
+n_samples = 64
+n_hidden = 4
+init_mean = -1.0
+
+[run]
+seeds = 0 1
+max_steps = 12
+batch_size = 16
+record_every = 2
+
+[optimizer]
+eta = 0.01
+t_thres = 2
+g_thres = 0.1
+r = 0.5
+h = 1e12
+t_count = 5
+
+[algorithm adam]
+[algorithm pgdot]
+g_thres = 1
+[algorithm pagdot]
+full_grad_gate = true
+"""
+        out, cfg = self.run_small(tmp_path, monkeypatch, text)
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["runs"]) == 6
+        assert all(read_trace_csv(out / f"trace_{algo}_seed{seed}.csv")["perturbed"].any()
+                   for algo in ("pgdot", "pagdot") for seed in (0, 1))
+        self.assert_cells_run_alone(out, cfg)
+
+    def test_grid_without_lane_oracle_cells_equal_their_runs_alone(self, tmp_path,
+                                                                  monkeypatch):
+        text = """
+[problem]
+name = phase_retrieval
+dim = 4
+n_measurements = 20
+data_seed = 3
+
+[run]
+seeds = 0 1 2
+max_steps = 60
+
+[optimizer]
+mode = theory
+eta = 0.01
+ell = 1
+rho = 1
+eps = 0.1
+delta = 0.1
+delta_f = 1
+
+[algorithm gd]
+[algorithm pagdot]
+"""
+        out, cfg = self.run_small(tmp_path, monkeypatch, text)
+        assert make_problem("phase_retrieval").objective.lane_value_and_gradient is None
+        self.assert_cells_run_alone(out, cfg)
+
     def test_diverging_seed_fails_only_its_cell(self, tmp_path, monkeypatch):
         # From gaussian init with std 0.3, eta = 5 makes seed 0 overflow
         # after a few steps while seeds 1-3 stay finite.
@@ -315,18 +416,7 @@ class TestRunExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert sorted((r["algorithm"], r["seed"]) for r in summary["runs"]) == \
             [(a, s) for a in ("gd", "pgdot") for s in (1, 2, 3)]
-        # every cell's trace is the one its seed gives alone
-        bundle = make_problem("staircase", dim=4)
-        for algo in cfg.algorithms:
-            for seed in cfg.seeds:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    try:
-                        alone = run(bundle.objective, algo, cfg.max_steps, seed,
-                                    x0=initial_point(bundle, cfg, seed))
-                    except RunError as exc:
-                        alone = exc.trace
-                assert (out / f"trace_{algo.name}_seed{seed}.csv").read_text() == \
-                    trace_csv_text(alone)
+        self.assert_cells_run_alone(out, cfg)
 
     def test_record_every_thins_rows(self, tmp_path, monkeypatch):
         text = SMALL_CONFIG.replace("record_every = 1", "record_every = 10")
