@@ -9,7 +9,8 @@ compare row by row.  Rows whose entry point a tree lacks (run_lanes, the
 lane oracle) are left out of its output.
 
 Layers, REPEATS runs each. On the d = 4 staircase from its saddle ring
-with preset example1's knobs:
+with preset example1's knobs (gd and agd from the ring plus MOVING in
+every coordinate, since on the ring they stand still):
 
     step.<algo>.lanes1     microseconds per step of run(), one lane, for
                            every algorithm in practical mode and the four
@@ -17,6 +18,9 @@ with preset example1's knobs:
     step.<algo>.lanes<L>   microseconds per cell-step of run_lanes with L
                            lanes (4, 16), for gd, practical pgdot and
                            pagdot, and theory pagdot
+    step.gd.ring.lanes4    the same for gd with 4 lanes on the ring, where
+                           the engine retires each lane after its first
+                           step (a tree without retirement steps them all)
     oracle.lane<L>         microseconds per lane of one lane-oracle call
     oracle.fused<L>        microseconds per lane of L fused oracle calls
 
@@ -103,6 +107,8 @@ ONE_LANE = {**{name: AlgoConfig(name=name, **KNOBS) for name in ALGORITHMS},
             **{f"theory_{name}": AlgoConfig(name=name, mode="theory", **KNOBS)
                for name in PERTURBED_ALGORITHMS}}
 MANY_LANES = ("gd", "pgdot", "pagdot", "theory_pagdot")
+UNPERTURBED = ("gd", "agd")
+MOVING = 0.05
 WALK_T = 20000
 WALK_PATHS = 100
 SIMULATED_WALKS = (("reinforced", 5), ("repelling", 5), ("reinforced", 1))
@@ -138,17 +144,23 @@ def bench() -> dict:
     bundle = make_problem("staircase")
     obj = bundle.objective
     saddle = bundle.init_point(0)
+
+    def start(name):
+        return saddle + MOVING if name in UNPERTURBED else saddle
+
     layers = {}
     for name, algo in ONE_LANE.items():
         layers[f"step.{name}.lanes1"] = _median_us(
-            lambda: [run(obj, algo, STEPS, 0, x0=saddle)], _steps)
+            lambda: [run(obj, algo, STEPS, 0, x0=start(name))], _steps)
     run_lanes = getattr(optimizers, "run_lanes", None)
     if run_lanes is not None:
         for name in MANY_LANES:
             for n in LANES:
                 layers[f"step.{name}.lanes{n}"] = _median_us(
-                    lambda: run_lanes(obj, ONE_LANE[name], STEPS, range(n), [saddle] * n),
+                    lambda: run_lanes(obj, ONE_LANE[name], STEPS, range(n), [start(name)] * n),
                     _steps)
+        layers["step.gd.ring.lanes4"] = _median_us(
+            lambda: run_lanes(obj, ONE_LANE["gd"], STEPS, range(4), [saddle] * 4), _steps)
     lane = getattr(obj, "lane_value_and_gradient", None)
     if lane is not None:
         rng = np.random.default_rng(0)

@@ -81,7 +81,11 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    out_dir = run_experiment(config)
+    try:
+        out_dir = run_experiment(config)
+    except ConfigError as exc:  # the windows' memory budget, checked before the run
+        print(exc, file=sys.stderr)
+        return 1
     print(f"artifacts written to {out_dir}")
     return 0
 

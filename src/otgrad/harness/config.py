@@ -355,6 +355,39 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
+# One algorithm's lanes hold their occupation windows together, and a
+# theory-mode window keeps every iterate of its run, so a long run on a
+# large problem would otherwise fill memory partway through the grid.
+WINDOW_BUDGET_BYTES = 1 << 30
+
+
+def check_window_budget(config: ExperimentConfig, dim: int, max_steps: int) -> None:
+    """Raise ConfigError if the occupation windows of some pgdot/pagdot
+    section would hold more than WINDOW_BUDGET_BYTES.
+
+    The estimate is one window per seed, each holding max_steps iterates in
+    theory mode and min(t_count, max_steps) in practical mode, of dim
+    float64 coordinates each.
+    """
+    errors = []
+    for algo in config.algorithms:
+        if algo.name not in ("pgdot", "pagdot"):
+            continue
+        theory = algo.mode == "theory"
+        rows = max_steps if theory else min(algo.t_count, max_steps)
+        size = len(config.seeds) * rows * dim * 8
+        if size > WINDOW_BUDGET_BYTES:
+            keys = ("[run] seeds, max_steps or epochs, or the problem's size, or use "
+                    "mode = practical with a t_count" if theory
+                    else "t_count, [run] seeds, or the problem's size")
+            errors.append(
+                f"[algorithm {algo.name}] occupation windows would hold {size / 2 ** 30:.3g} GiB "
+                f"({len(config.seeds)} seeds x {rows} iterates x {dim} coordinates), over the "
+                f"{WINDOW_BUDGET_BYTES / 2 ** 30:g} GiB budget: lower {keys}")
+    if errors:
+        raise ConfigError(errors)
+
+
 def _jsonable(value):
     if isinstance(value, float):
         if math.isinf(value):

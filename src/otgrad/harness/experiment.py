@@ -32,7 +32,7 @@ from ..core import ContractViolation, STREAM_BATCH, STREAM_INIT, derive_stream
 from ..optimizers import Batcher, RunError, RunTrace, run_lanes
 # The benchmark's tracer rebinds experiment.run when it installs.
 from ..optimizers import run  # noqa: F401
-from .config import ExperimentConfig, OUTPUT_ENV_VAR, _jsonable
+from .config import ExperimentConfig, OUTPUT_ENV_VAR, _jsonable, check_window_budget
 
 TRACE_HEADER = "t,f,grad_norm,perturbed,nce"
 
@@ -126,10 +126,16 @@ def _classification_report(bundle: ProblemBundle, config: ExperimentConfig,
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
-    """Run the full grid and write artifacts; returns the artifact directory."""
+    """Run the full grid and write artifacts; returns the artifact directory.
+
+    Raises ConfigError, before anything runs or is written, when the
+    occupation windows would exceed their memory budget
+    (check_window_budget).
+    """
     bundle = make_problem(config.problem_name, data_seed=config.data_seed,
                           **config.problem_options)
     max_steps = _resolve_max_steps(config, bundle)
+    check_window_budget(config, bundle.dim, max_steps)
     out_dir = resolve_output_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
 

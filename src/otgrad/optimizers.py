@@ -19,12 +19,15 @@ advances the seeds of one algorithm in lockstep as lanes: iterates,
 velocities and gradients are stacked (lanes x dim) arrays, while each lane
 keeps its own random stream, occupation window, gate clock, termination
 state and trace.  A lane that terminates or fails drops out; the others go
-on, and each lane's trace equals its run alone bit for bit.  run() is the
-one-lane call.  The engine evaluates the objective through one oracle
-path, _evaluate: with more than one lane, an objective's lane oracle
-answers each call for all lanes at once; otherwise each lane calls the
-objective through _call, and a NumericalDomainError or a float overflow
-there ends that lane as a RunError.
+on, and each lane's trace equals its run alone bit for bit.  So does a
+gd/agd lane that one step leaves exactly where it was: every later step
+would repeat that step, so it gets its remaining rows at once and
+retires.  run() is the one-lane call.  The engine evaluates the objective
+through one oracle path, _evaluate: with more than one lane, an
+objective's lane oracle answers each call for all lanes at once;
+otherwise each lane calls the objective through _call, and a
+NumericalDomainError or a float overflow there ends that lane as a
+RunError.
 
 Each rule is written once, over lanes, and _step applies the rule of an
 algorithm, a _Rule that the method table _rule derives from its config.
@@ -35,10 +38,11 @@ t_thres + 1 for theory pgd/pgdot and for practical mode, and script_t for
 theory pagd/pagdot; a lane starts at t_noise = -cooldown so a kick may
 fire at t = 0.  _terminations is the improve-or-terminate rule, _descend
 the gradient step, and _accelerate the Nesterov update with the curvature
-certificate, which calls nce, negative-curvature exploitation, once per
-certified lane.  The single-state API (pgdot_step, pagdot_step,
-make_*_state) runs these rules as one-lane calls, and baseline_step takes
-a stack of lanes as it takes one iterate.
+certificate, which hands every certified lane to _nce,
+negative-curvature exploitation, whose probes of all those lanes are one
+oracle call.  The single-state API (pgdot_step, pagdot_step,
+make_*_state) and nce run these rules as one-lane calls, and
+baseline_step takes a stack of lanes as it takes one iterate.
 
 Swapping the occupation sampler for a uniform ball sampler turns the adapted
 methods into the classical perturbed baselines (pgd, pagd) step for step.
@@ -328,15 +332,17 @@ def _evaluate(lanes: _Lanes, obj, X: np.ndarray, want: str,
     as in _call.  Returns (F, G): F a list of floats, G a (rows x dim)
     array (None for _VALUE).
 
-    With more than one row, an objective with a lane oracle answers in one
-    call (_lane_call).  Otherwise, and whenever that call does not answer,
-    each row makes its own call, as a one-lane run would.  A row whose
+    When the rows belong to more than one lane, an objective with a lane
+    oracle answers in one call (_lane_call).  Otherwise, and whenever that
+    call does not answer, each row makes its own call, as a one-lane run
+    would.  A row whose
     call raises NumericalDomainError marks its lane failed and reads NaN;
     a lane that already failed is not called.
     """
     k = X.shape[0]
     shared = isinstance(obj, Objective)
-    if k > 1 and shared and obj.lane_value_and_gradient is not None and not lanes.failed:
+    if (shared and obj.lane_value_and_gradient is not None and not lanes.failed
+            and (k if rows is None else len(set(rows))) > 1):
         answer = _lane_call(obj, X, want)
         if answer is not None:
             return answer
@@ -354,6 +360,15 @@ def _evaluate(lanes: _Lanes, obj, X: np.ndarray, want: str,
     if k == 1 and gs[0] is not None:
         return F, gs[0][None, :]
     return F, np.array([np.full(X.shape[1], math.nan) if g is None else g for g in gs])
+
+
+def _unchanged(A: np.ndarray, B: np.ndarray, rows) -> list:
+    """Those of `rows` in which two (lanes x dim) arrays are equal bit for
+    bit (so 0.0 and -0.0 differ).  Compares bytes: on a few short rows
+    that is several times cheaper than numpy's row reductions."""
+    a, b = A.tobytes(), B.tobytes()
+    n = len(a) // len(A)
+    return [p for p in rows if a[p * n:(p + 1) * n] == b[p * n:(p + 1) * n]]
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +406,13 @@ class _Rule:
         if self.sampler not in (None, "occupation", "ball"):
             raise ContractViolation(
                 f"unknown sampler {self.sampler!r}, expected 'occupation' or 'ball'")
+
+    @property
+    def deterministic(self) -> bool:
+        """Whether a step depends on (x, v) and the objective alone: no
+        kicks, no baseline accumulators, no termination or certificate."""
+        return (self.sampler is None and self.baseline is None
+                and self.terminate is None and self.certify is None)
 
 
 def _pgdot_rule(params: PgdotParams, sampler: str, weight: WeightFn) -> _Rule:
@@ -472,9 +494,9 @@ def _accelerate(rule: _Rule, lanes: _Lanes, obj, F: list, fired: list) -> None:
     `certify` (theory pagd/pagdot), f(y) comes from the same oracle call as
     the gradient, and each lane whose segment certifies negative curvature,
         f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2,
-    with x its (possibly kicked) iterate, replaces (x', v') by nce(x, v, s).
-    A zero velocity makes the certificate 0 <= 0, which counts as
-    certified.
+    with x its (possibly kicked) iterate, replaces (x', v') by nce(x, v, s);
+    _nce does so for all certified lanes together.  A zero velocity makes
+    the certificate 0 <= 0, which counts as certified.
     """
     X, V = lanes.X, lanes.V
     if fired and rule.reset_velocity:
@@ -495,16 +517,51 @@ def _accelerate(rule: _Rule, lanes: _Lanes, obj, F: list, fired: list) -> None:
     D = X - Y
     hits = [i for i, f in enumerate(f_x)
             if f <= f_y[i] + float(g_y[i].dot(D[i])) - 0.5 * cert.gamma * float(D[i].dot(D[i]))]
-    shared = isinstance(obj, Objective)
-    for i in hits:
-        try:
-            lanes.X[i] = nce(obj if shared else obj[i], X[i], V[i], cert.s, lanes.rngs[i])[0]
-        except NumericalDomainError as exc:
-            lanes.fail(i, exc)
-            continue
-        lanes.V[i] = 0.0
-        lanes.n_nce[i] += 1
+    if hits:
+        _nce(lanes, obj, X, V, hits, cert.s)
     lanes.nce_hits = hits
+
+
+def _nce(lanes: _Lanes, obj, X: np.ndarray, V: np.ndarray, hits: list, s: float) -> None:
+    """Negative-curvature exploitation on the lanes in `hits`, from their
+    iterates X and velocities V (one row per lane); see nce.
+
+    Each lane's new iterate goes into lanes.X and a zero velocity into
+    lanes.V, and n_nce counts it.  The probes of every lane are valued in
+    one _evaluate call, plus points before minus points; a lane whose probe
+    fails is marked failed and left as it is.
+    """
+    deltas = {}
+    for i in hits:
+        v = V[i]
+        vnorm = _norm(v)
+        if vnorm >= s:
+            continue
+        if vnorm == 0.0:
+            rng, dim = lanes.rngs[i], v.shape[0]
+            direction = rng.normal(dim)
+            dnorm = _norm(direction)
+            while dnorm == 0.0:
+                direction = rng.normal(dim)
+                dnorm = _norm(direction)
+            deltas[i] = (s / dnorm) * direction
+        else:
+            deltas[i] = (s / vnorm) * v
+    ends = {i: X[i] for i in hits if i not in deltas}
+    if deltas:
+        probed = list(deltas)
+        delta = np.array(list(deltas.values()))
+        k = len(probed)
+        P = X[probed]
+        probes = np.concatenate((P + delta, P - delta))
+        plus, minus = probes[:k], probes[k:]
+        f = _evaluate(lanes, obj, probes, _VALUE, probed + probed)[0]
+        ends.update((i, plus[j] if f[j] <= f[k + j] else minus[j]) for j, i in enumerate(probed))
+    for i, x in ends.items():
+        if i not in lanes.failed:
+            lanes.X[i] = x
+            lanes.V[i] = 0.0
+            lanes.n_nce[i] += 1
 
 
 def _step(rule: _Rule, lanes: _Lanes, obj, F: list, G: np.ndarray, norms: list,
@@ -596,27 +653,16 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
     and keeps the better endpoint; a zero velocity probes s along a
     uniformly random unit direction instead.  Ties keep x + delta.
     The returned velocity is always zero.  A float overflow in a probe
-    raises NumericalDomainError.
+    raises NumericalDomainError.  This is _nce on one lane, the rule that
+    theory pagd/pagdot apply to all their certified lanes at once: the two
+    probes are valued by one _evaluate call, which calls value() at each.
     """
-    xv = as_vector(x, obj.dim)
-    vv = as_vector(v, obj.dim)
-    zero = np.zeros_like(xv)
-    vnorm = _norm(vv)
-    if vnorm >= s:
-        return xv.copy(), zero
-    if vnorm == 0.0:
-        direction = rng.normal(obj.dim)
-        dnorm = _norm(direction)
-        while dnorm == 0.0:
-            direction = rng.normal(obj.dim)
-            dnorm = _norm(direction)
-        delta = (s / dnorm) * direction
-    else:
-        delta = (s / vnorm) * vv
-    plus, minus = xv + delta, xv - delta
-    f_plus = _call(obj, plus, _VALUE)[0]
-    f_minus = _call(obj, minus, _VALUE)[0]
-    return (plus if f_plus <= f_minus else minus), zero
+    X = as_vector(x, obj.dim)[None, :]
+    V = as_vector(v, obj.dim)[None, :]
+    lanes = _Lanes(X.copy(), [rng], V=V.copy())
+    _nce(lanes, obj, X, V, [0], s)
+    lanes.raise_failure()
+    return lanes.X[0], lanes.V[0]
 
 
 def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
@@ -780,6 +826,15 @@ class RunTrace:
         self.perturbed.append(int(perturbed))
         self.nce.append(int(nce_flag))
 
+    def add_rows(self, ts, f, grad_norm):
+        """One row (t, f, grad_norm) without events for each t in ts."""
+        k = len(ts)
+        self.ts.extend(ts)
+        self.fs.extend([float(f)] * k)
+        self.grad_norms.extend([float(grad_norm)] * k)
+        self.perturbed.extend([0] * k)
+        self.nce.extend([0] * k)
+
     def best_f(self) -> float:
         return min(self.fs) if self.fs else math.inf
 
@@ -866,6 +921,14 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     pgd/pgdot) or fails (NumericalDomainError or float overflow in an
     oracle call) drops out and the others go on.
 
+    A lane whose rule is deterministic (gd or agd, either mode) on a
+    shared Objective (no batchers) also retires early, when one step
+    leaves its iterate, and for agd its velocity, unchanged bit for bit:
+    every later step would repeat that step, so the lane gets each
+    remaining recorded row (t, f, ||g||, 0, 0) and its final row
+    (max_steps, f, ||g||) at once, with final_t = max_steps and
+    terminated False, as if it had run to the end.
+
     x0s holds one start per lane (default zeros); batchers, when given,
     one Batcher per lane, with `obj` then the full objective or the
     dataset-backed problem (see run).
@@ -896,6 +959,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
         hyper=None if rule.baseline is None else
         BaselineHyper(kind=rule.baseline, lr=algo.eta, momentum=algo.momentum))
     gate_obj = full_obj if algo.full_grad_gate and batchers is not None else None
+    settles = rule.deterministic and batchers is None
     problem = problem_name or getattr(obj, "name", "")
     results = [RunTrace(algorithm=algo.name, problem=problem, seed=seed, mode=algo.mode)
                for seed in seeds]
@@ -940,6 +1004,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
             if batchers is not None:
                 step_obj = [step_obj[p] for p in keep]
         norms = [math.sqrt(float(g.dot(g))) for g in G]
+        X_in, V_in = lanes.X, lanes.V
         saved = _step(rule, lanes, step_obj, F, G, norms, gate_obj)
         recorded = t % record_every == 0
         if recorded or saved:
@@ -948,8 +1013,19 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
                     results[i].add_row(t, F[p], norms[p], p in lanes.fired, p in lanes.nce_hits)
         if saved or lanes.failed:
             retire({p: (x, True) for p, x in saved.items()}, t)
-            if not live:
-                break
+        elif settles:
+            stalled = _unchanged(lanes.X, X_in, range(len(live)))
+            if stalled and V_in is not None:
+                stalled = _unchanged(lanes.V, V_in, stalled)
+            if stalled:
+                # every later step would repeat this one: give each such
+                # lane its remaining rows and its final row now
+                later = range((t // record_every + 1) * record_every, max_steps, record_every)
+                for p in stalled:
+                    results[live[p]].add_rows([*later, max_steps], F[p], norms[p])
+                retire({p: (lanes.X[p], False) for p in stalled}, max_steps)
+        if not live:
+            break
     else:
         t = max_steps
         F, G = _evaluate(lanes, step_objective(), lanes.X, _CHECKED)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from otgrad.benchmarks import make_problem
+from otgrad.benchmarks import make_problem, mlp_param_count
 from otgrad.core import STREAM_BATCH, ContractViolation, derive_stream
 from otgrad.harness import (
     OUTPUT_ENV_VAR,
@@ -20,6 +20,7 @@ from otgrad.harness import (
     run_experiment,
 )
 from otgrad.harness.cli import main
+from otgrad.harness.config import check_window_budget
 from otgrad.harness.experiment import initial_point, trace_csv_text
 from otgrad.optimizers import Batcher, RunError, run
 
@@ -474,6 +475,59 @@ eta = 100.0
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ContractViolation):
             read_trace_csv(bad)
+
+
+class TestWindowBudget:
+    """Occupation windows too large for memory are a ConfigError before the run."""
+
+    LONG_THEORY = SMALL_CONFIG.replace("dim = 2", "dim = 1000").replace(
+        "max_steps = 40", "max_steps = 200000").replace(
+        "[algorithm pgdot]", "[algorithm pgdot]\nmode = theory")
+
+    def test_long_theory_run_rejected_before_it_starts(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
+        cfg = parse_config(self.LONG_THEORY)
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg)
+        # 2 seeds x 200000 iterates x 1000 coordinates x 8 B
+        assert info.value.errors == [
+            "[algorithm pgdot] occupation windows would hold 2.98 GiB (2 seeds x 200000 "
+            "iterates x 1000 coordinates), over the 1 GiB budget: lower [run] seeds, "
+            "max_steps or epochs, or the problem's size, or use mode = practical with a "
+            "t_count"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_practical_window_counts_t_count_iterates(self):
+        cfg = parse_config(SMALL_CONFIG.replace("t_count = 50", "t_count = 100000"))
+        check_window_budget(cfg, 1000, 50)  # only 50 iterates ever stored
+        with pytest.raises(ConfigError, match=r"\[algorithm pgdot\].*lower t_count"):
+            check_window_budget(cfg, 1000, 100000)
+        check_window_budget(parse_config(SMALL_CONFIG), 1000, 100000)
+
+    def test_cli_reports_the_budget(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
+        path = tmp_path / "long.ini"
+        path.write_text(self.LONG_THEORY)
+        assert main(["run", str(path)]) == 1
+        assert "over the 1 GiB budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(PRESETS) + ["example1_theory"])
+    def test_presets_fit(self, name):
+        # example1_theory is the benchmark's staircase grid in theory mode:
+        # example1 on 4 seeds; the MLP presets' step count is bounded by
+        # 60000 samples
+        text = PRESETS[name.replace("_theory", "")]
+        if name == "example1_theory":
+            text = text.replace("mode = practical", "mode = theory").replace(
+                "seeds = 0 1 2", "seeds = 0 1 2 3")
+        cfg = parse_config(text)
+        if cfg.problem_name == "mlp":
+            dim = mlp_param_count(cfg.problem_options["n_hidden"])
+            steps = cfg.epochs * math.ceil(60000 / cfg.batch_size)
+        else:
+            dim = make_problem(cfg.problem_name, **cfg.problem_options).dim
+            steps = cfg.max_steps
+        check_window_budget(cfg, dim, steps)
 
 
 class TestReducedPresetRun:

@@ -32,6 +32,7 @@ from otgrad.optimizers import (
     PgdotParams,
     RunError,
     _Lanes,
+    _nce,
     _norm,
     _pagdot_rule,
     _step,
@@ -914,6 +915,200 @@ class TestLanes:
         assert [tr.ts for tr in zero] == [[0]] * 4
 
 
+def _plain_gd_agd(obj, name, eta, momentum, x0, steps, record_every):
+    """gd or agd by hand, one eval_objective per incoming iterate: the trace
+    rows (t, f, ||g||, 0, 0), the final row included, and the last iterate."""
+    x, v = np.array(x0, dtype=np.float64), np.zeros(len(x0))
+    rows = []
+    for t in range(steps):
+        f, g = eval_objective(obj, x)
+        if t % record_every == 0:
+            rows.append((t, f, float(np.linalg.norm(g)), 0, 0))
+        if name == "gd":
+            x = x - eta * g
+        else:
+            y = x + momentum * v
+            x_next = y - eta * obj.gradient(y)
+            v, x = x_next - x, x_next
+    f, g = eval_objective(obj, x)
+    rows.append((steps, f, float(np.linalg.norm(g)), 0, 0))
+    return rows, x
+
+
+class TestFixedPointRetirement:
+    """A gd/agd lane that one step leaves bit for bit where it was (x and,
+    for agd, v) gets its remaining rows at once; perturbed, baseline and
+    mini-batch lanes step on."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 50])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name,mode", [("gd", "practical"), ("agd", "practical"),
+                                           ("gd", "theory")])
+    def test_stalled_lane_next_to_a_moving_lane(self, name, mode, record_every, steps):
+        bundle = make_problem("staircase")
+        obj, ring = bundle.objective, bundle.init_point(0)
+        algo = AlgoConfig(name=name, mode=mode, eta=0.1, momentum=0.5, **THEORY_CONSTANTS)
+        x0s = [ring, ring + 0.05]
+        lanes = run_lanes(obj, algo, steps, [0, 1], x0s, record_every=record_every)
+        for x0, tr in zip(x0s, lanes):
+            rows, x = _plain_gd_agd(obj, name, 0.1, 0.5, x0, steps, record_every)
+            assert list(zip(tr.ts, tr.fs, tr.grad_norms, tr.perturbed, tr.nce)) == rows
+            assert tr.final_x.tobytes() == x.tobytes()
+            assert (tr.final_t, tr.terminated, tr.n_perturbations, tr.n_nce) == \
+                (steps, False, 0, 0)
+        assert lanes[0].final_x.tobytes() == ring.tobytes()
+        assert (lanes[1].final_x.tobytes() == x0s[1].tobytes()) == (steps == 0)
+
+    @pytest.mark.parametrize("name", ["gd", "agd"])
+    def test_ring_lane_evaluates_only_its_first_step(self, name):
+        bundle = make_problem("staircase")
+        obj, calls = _counting(bundle.objective)
+        tr = run(obj, AlgoConfig(name=name, eta=0.1, momentum=0.5), 50, 0,
+                 x0=bundle.init_point(0))
+        assert tr.ts == list(range(51))
+        assert calls["value_and_gradient"] == 1
+        assert calls["gradient"] == (name == "agd")  # agd's y at step 0
+
+    def test_agd_lane_whose_x_holds_but_v_does_not_steps_on(self):
+        # g(y) = y^2/2 + y/4 - 1 with eta = 1, momentum 1/2, from 0: x goes
+        # 0 -> 1 (v = 1), then y = 1.5 lands back on x = 1 with v = 0, and
+        # from there g(1) = -1/4 moves x on to 1.25
+        obj = Objective(dim=1, value=lambda x: float(x[0] ** 3 / 6 + x[0] ** 2 / 8 - x[0]),
+                        gradient=lambda x: 0.5 * x * x + 0.25 * x - 1.0)
+        tr = run(obj, AlgoConfig(name="agd", eta=1.0, momentum=0.5), 6, 0, x0=np.zeros(1))
+        rows, x = _plain_gd_agd(obj, "agd", 1.0, 0.5, np.zeros(1), 6, 1)
+        assert list(zip(tr.ts, tr.fs, tr.grad_norms, tr.perturbed, tr.nce)) == rows
+        assert tr.final_x.tobytes() == x.tobytes()
+        assert tr.fs[1] == tr.fs[2] != tr.fs[3]
+
+    @pytest.mark.parametrize("name", ["pgd", "pgdot", "pagdot", "sgd_momentum", "adam"])
+    def test_perturbed_and_baseline_lanes_at_the_ring_step_on(self, name):
+        bundle = make_problem("staircase")
+        obj, calls = _counting(bundle.objective)
+        steps = 40
+        tr = run(obj, _lane_algo(name, "practical"), steps, 0, x0=bundle.init_point(0))
+        assert calls["value_and_gradient"] == steps + 1  # one checked call per row
+
+    def test_kicks_on_a_flat_landscape_keep_coming(self):
+        # between kicks pgd's step leaves x where it is, and the next kick
+        # still comes t_thres + 1 steps after the last
+        flat = Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        tr = run(flat, AlgoConfig(name="pgd", t_thres=4, g_thres=0.1, r=0.5), 23, 0,
+                 x0=np.zeros(2))
+        assert [t for t, p in zip(tr.ts, tr.perturbed) if p] == [0, 5, 10, 15, 20]
+        assert tr.n_perturbations == 5
+
+    def test_mini_batch_lane_steps_on_after_a_still_step(self):
+        # batch [0] is flat, so gd's step on it leaves x where it is; batch
+        # [1] is a bowl that moves x again
+        class Problem:
+            dim, n_samples = 2, 2
+
+            def objective_for(self, idx):
+                if list(idx) == [0]:
+                    return Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+                return convex_objective()
+
+        problem = Problem()
+        seeds, steps, x0 = [0, 1], 12, np.array([1.0, -0.5])
+        lanes = run_lanes(problem, AlgoConfig(name="gd", eta=0.25), steps, seeds, [x0, x0],
+                          batchers=[Batcher(problem, 1, derive_stream(s, STREAM_BATCH))
+                                    for s in seeds])
+        for seed, tr in zip(seeds, lanes):
+            batcher = Batcher(problem, 1, derive_stream(seed, STREAM_BATCH))
+            x, fs = x0.copy(), []
+            for _ in range(steps + 1):
+                f, g = eval_objective(batcher.next_objective(), x)
+                fs.append(f)
+                x = x - 0.25 * g
+            assert tr.fs == fs and tr.final_t == steps
+            still = tr.fs.index(0.0)  # a flat batch's step
+            assert any(f != 0.0 for f in tr.fs[still + 1:])
+
+
+def _probe_objective(lane_oracle):
+    """The quadratic saddle, whose value() overflows once x[1] passes 1 while
+    its fused oracle does not; with lane_oracle, a stack of rows is valued
+    by value() too, so one such row fails the whole call."""
+    def value(x):
+        if x[1] > 1.0:
+            raise OverflowError("value out of range")
+        return 0.5 * (x[0] ** 2 - x[1] ** 2)
+
+    def gradient(x):
+        return np.array([x[0], -x[1]])
+
+    def lanes(X):
+        return np.array([value(x) for x in X]), np.array([gradient(x) for x in X])
+
+    return Objective(dim=2, value=value, gradient=gradient,
+                     value_and_gradient=lambda x: (0.5 * (x[0] ** 2 - x[1] ** 2), gradient(x)),
+                     lane_value_and_gradient=lanes if lane_oracle else None)
+
+
+class TestNceOverLanes:
+    """_nce on a stack of certified lanes equals nce lane by lane."""
+
+    S = 0.5
+
+    def _stack(self, centre):
+        X = centre + np.array([[0.01, -0.02], [0.03, 0.0], [-0.01, 0.05]])
+        V = np.array([[0.6, 0.0], [0.0, 0.0], [0.01, -0.02]])
+        return X, V
+
+    @pytest.mark.parametrize("problem", ["staircase", "saddle"])
+    def test_mixed_stack_equals_per_lane_nce(self, problem):
+        if problem == "staircase":
+            obj, calls = _counting(make_problem("staircase", dim=2).objective)
+            centre = np.full(2, 2.0)
+        else:
+            obj, centre = saddle_objective(), np.array([0.2, 0.1])
+        X, V = self._stack(centre)
+        assert _norm(V[0]) >= self.S and _norm(V[1]) == 0.0 and 0.0 < _norm(V[2]) < self.S
+        lanes = _Lanes(X.copy(), [RngStream(k + 4, 0) for k in range(3)], V=V.copy())
+        _nce(lanes, obj, X, V, [0, 1, 2], self.S)
+        assert not lanes.failed and lanes.n_nce == [1, 1, 1]
+        if problem == "staircase":
+            assert calls["value"] == 0  # the lane oracle valued all four probes
+        for k in range(3):
+            x, v = nce(obj, X[k], V[k], self.S, RngStream(k + 4, 0))
+            assert lanes.X[k].tobytes() == x.tobytes()
+            assert lanes.V[k].tobytes() == v.tobytes() == np.zeros(2).tobytes()
+        assert lanes.X[0].tobytes() == X[0].tobytes()  # frozen
+        # the probed lanes by hand, valued by value() one point at a time
+        direction = RngStream(5, 0).normal(2)
+        for k, delta in ((1, (self.S / np.linalg.norm(direction)) * direction),
+                         (2, (self.S / np.linalg.norm(V[2])) * V[2])):
+            plus, minus = X[k] + delta, X[k] - delta
+            best = plus if obj.value(plus) <= obj.value(minus) else minus
+            assert lanes.X[k].tobytes() == best.tobytes()
+
+    def test_uncertified_lanes_are_left_alone(self):
+        obj = saddle_objective()
+        X, V = self._stack(np.array([0.2, 0.1]))
+        after = X + 1.0
+        lanes = _Lanes(after.copy(), [RngStream(k, 0) for k in range(3)], V=V.copy())
+        _nce(lanes, obj, X, V, [2], self.S)
+        assert lanes.X[:2].tobytes() == after[:2].tobytes()
+        assert lanes.V[:2].tobytes() == V[:2].tobytes()
+        assert lanes.n_nce == [0, 0, 1]
+
+    @pytest.mark.parametrize("lane_oracle", [True, False])
+    def test_overflowing_probe_fails_only_its_lane(self, lane_oracle):
+        obj = _probe_objective(lane_oracle)
+        X = np.array([[0.1, 0.2], [0.0, 0.9], [0.3, -0.1]])
+        V = np.array([[0.01, 0.0], [0.0, 0.1], [0.0, -0.02]])
+        lanes = _Lanes(X + 1.0, [RngStream(k, 0) for k in range(3)], V=V.copy())
+        _nce(lanes, obj, X, V, [0, 1, 2], self.S)
+        assert list(lanes.failed) == [1]
+        assert "value out of range" in str(lanes.failed[1][0])
+        assert lanes.X[1].tobytes() == (X[1] + 1.0).tobytes() and lanes.n_nce == [1, 0, 1]
+        for k in (0, 2):
+            assert lanes.X[k].tobytes() == nce(obj, X[k], V[k], self.S, RngStream(k, 0))[0].tobytes()
+        with pytest.raises(NumericalDomainError, match="value out of range"):
+            nce(obj, X[1], V[1], self.S, RngStream(1, 0))
+
+
 class TestDivergence:
     """A float overflow in an oracle call ends the run as a RunError with
     its partial trace, and in a group of lanes it ends only its own lane."""
@@ -960,17 +1155,10 @@ class TestDivergence:
         assert "float overflow: gradient out of range" in str(lanes[1])
         assert [lane.final_t for lane in (lanes[0], lanes[2])] == [20, 20]
 
-    def test_failure_in_an_nce_probe_ends_only_that_lane(self):
-        # theory pagdot probes with value() on every certified step; the
-        # probes overflow once x[1] passes 1
-        def value(x):
-            if x[1] > 1.0:
-                raise OverflowError("value out of range")
-            return 0.5 * (x[0] ** 2 - x[1] ** 2)
-
-        obj = Objective(dim=2, value=value, gradient=lambda x: np.array([x[0], -x[1]]),
-                        value_and_gradient=lambda x: (0.5 * (x[0] ** 2 - x[1] ** 2),
-                                                      np.array([x[0], -x[1]])))
+    def test_failure_in_an_nce_probe_ends_only_that_lane(self, lane_oracle=False):
+        # theory pagdot probes on every certified step; the probes overflow
+        # once x[1] passes 1
+        obj = _probe_objective(lane_oracle)
         x0s = [np.array([0.5, 0.1]), np.array([0.3, 1.2]), np.array([-0.5, 0.2])]
         lanes = _assert_lanes_match_one_lane_runs(obj, _lane_algo("pagdot", "theory"), 40,
                                                   [0, 1, 2], x0s)
@@ -978,3 +1166,7 @@ class TestDivergence:
         assert "float overflow: value out of range" in str(lanes[1])
         assert lanes[1].trace.n_nce == 0
         assert not isinstance(lanes[0], RunError) and lanes[0].n_nce > 0
+
+    def test_failure_in_an_nce_probe_with_a_lane_oracle(self):
+        # the lanes' probes fail as one lane-oracle call, then row by row
+        self.test_failure_in_an_nce_probe_ends_only_that_lane(lane_oracle=True)
