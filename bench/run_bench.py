@@ -6,7 +6,7 @@ Point PYTHONPATH at the src/ of any tree to time that tree: the one-lane
 rows call run(), the harness rows run_experiment and the walk rows
 msd_curve and simulate, which every tree has, so two trees' numbers
 compare row by row.  Rows whose entry point a tree lacks (run_lanes, the
-lane oracle) are left out of its output.
+stacked oracle) are left out of its output.
 
 Layers, REPEATS runs each. On the d = 4 staircase from its saddle ring
 with preset example1's knobs (gd and agd from the ring plus MOVING in
@@ -21,8 +21,8 @@ every coordinate, since on the ring they stand still):
     step.gd.ring.lanes4    the same for gd with 4 lanes on the ring, where
                            the engine retires each lane after its first
                            step (a tree without retirement steps them all)
-    oracle.lane<L>         microseconds per lane of one lane-oracle call
-    oracle.fused<L>        microseconds per lane of L fused oracle calls
+    oracle.rows<L>         microseconds per row of one call of the
+                           Objective's stacked oracle over L rows (1, 4, 16)
 
 On the MLP of the mlp_plateau benchmark (d = 3562, synthetic blobs, from
 its saturated start, init_mean -1) with that benchmark's knobs, MLP_STEPS
@@ -161,24 +161,12 @@ def bench() -> dict:
                     _steps)
         layers["step.gd.ring.lanes4"] = _median_us(
             lambda: run_lanes(obj, ONE_LANE["gd"], STEPS, range(4), [saddle] * 4), _steps)
-    lane = getattr(obj, "lane_value_and_gradient", None)
-    if lane is not None:
+    oracle = getattr(obj, "oracle", None)
+    if oracle is not None:
         rng = np.random.default_rng(0)
         for n in (1,) + LANES:
             X = saddle + 0.1 * rng.standard_normal((n, saddle.shape[0]))
-            fused = obj.value_and_gradient
-
-            def lane_calls():
-                for _ in range(ORACLE_CALLS):
-                    lane(X)
-
-            def fused_calls():
-                for _ in range(ORACLE_CALLS):
-                    for x in X:
-                        fused(x)
-
-            layers[f"oracle.lane{n}"] = _median_us(lane_calls, lambda _: ORACLE_CALLS * n)
-            layers[f"oracle.fused{n}"] = _median_us(fused_calls, lambda _: ORACLE_CALLS * n)
+            layers[f"oracle.rows{n}"] = _per_call_us(lambda: oracle(X), ORACLE_CALLS) / n
     layers.update(bench_mlp_steps())
     layers.update(bench_harness())
     layers.update(bench_layers())
@@ -284,7 +272,7 @@ def main() -> None:
         "oracle_calls": ORACLE_CALLS,
         "walk_t": WALK_T,
         "walk_paths": WALK_PATHS,
-        "unit": "microseconds per cell-step (step.*, harness.*), per lane evaluation (oracle.*) "
+        "unit": "microseconds per cell-step (step.*, harness.*), per row (oracle.*) "
                 "or per call (eval_objective.*, mlp.*, occupation.*); "
                 "nanoseconds per path-step (walk.*); median",
         "layers": bench_walks() if args.walks else bench(),

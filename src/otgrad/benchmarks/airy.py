@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ..core import ContractViolation, NumericalDomainError, Objective
+from ..core import ContractViolation, NumericalDomainError, Objective, row_oracle
 
 AIRY_MIN_ARG = -15.0
 AIRY_MAX_ARG = 10.0
@@ -149,11 +149,6 @@ def airy_regression_objective() -> Objective:
         yhat = ((a * cos_p + b * sin_p) * damp).sum(axis=1)
         return a, b, cos_p, sin_p, damp, yhat
 
-    def value(x: np.ndarray) -> float:
-        *_, yhat = _parts(x)
-        res = yhat - y
-        return float(res @ res) / n
-
     def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         a, b, cos_p, sin_p, damp, yhat = _parts(x)
         res = yhat - y
@@ -165,8 +160,5 @@ def airy_regression_objective() -> Objective:
         return float(res @ res) / n, scale * np.concatenate(
             [res @ d_a, res @ d_b, res @ d_lam, res @ d_w])
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return value_and_gradient(x)[1]
-
-    return Objective(dim=AIRY_DIM, value=value, gradient=gradient,
-                     name="airy_regression", value_and_gradient=value_and_gradient)
+    return Objective(dim=AIRY_DIM, name="airy_regression",
+                     oracle=row_oracle(value_and_gradient))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import ContractViolation, Objective, RngStream
+from ..core import ContractViolation, Objective, RngStream, row_oracle
 
 N_INPUT = 100
 N_OUTPUT = 10
@@ -129,14 +129,11 @@ class MlpProblem:
         return self.loss_and_gradient(params, indices)[1]
 
     def objective_for(self, indices) -> Objective:
+        """The loss on one batch: its oracle calls loss_and_gradient per row,
+        and value, the forward pass alone, is loss."""
         idx = np.asarray(indices)
-        return Objective(
-            dim=self.dim,
-            value=lambda p: self.loss(p, idx),
-            gradient=lambda p: self.loss_gradient(p, idx),
-            name=self.name,
-            value_and_gradient=lambda p: self.loss_and_gradient(p, idx),
-        )
+        return Objective(dim=self.dim, value=lambda p: self.loss(p, idx), name=self.name,
+                         oracle=row_oracle(lambda p: self.loss_and_gradient(p, idx)))
 
     def full_objective(self) -> Objective:
         return self.objective_for(np.arange(self.n_samples))

@@ -1,7 +1,9 @@
 """Regularized linear-quadratic and phase-retrieval benchmark instances.
 
 Both problems freeze their random data at construction from a seed-derived
-stream, so an instance is a pure deterministic Objective afterwards.
+stream, so an instance is a pure deterministic Objective afterwards.  Their
+oracles evaluate a stack row by row: the stacked products would round
+differently from the per-point ones.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..core import STREAM_DATA, ContractViolation, Objective, derive_stream
+from ..core import STREAM_DATA, ContractViolation, Objective, derive_stream, row_oracle
 
 REGLQ_DIM = 2
 REGLQ_N_TERMS = 10
@@ -28,19 +30,12 @@ def reglq_objective(data_seed: int = 0, n_terms: int = REGLQ_N_TERMS) -> Objecti
     b = np.array([rng.normal(REGLQ_DIM) * _REGLQ_B_STD for _ in range(n_terms)])
     b_mean = b.mean(axis=0)
 
-    def value(x: np.ndarray) -> float:
-        return float(0.5 * (x * _REGLQ_H_DIAG) @ x + b_mean @ x + np.sum(x ** 10))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return _REGLQ_H_DIAG * x + b_mean + 10.0 * x ** 9
-
     def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         hx = _REGLQ_H_DIAG * x  # the same bits as x * H
         return (float(0.5 * hx @ x + b_mean @ x + np.sum(x ** 10)),
                 hx + b_mean + 10.0 * x ** 9)
 
-    return Objective(dim=REGLQ_DIM, value=value, gradient=gradient, name="reglq",
-                     value_and_gradient=value_and_gradient)
+    return Objective(dim=REGLQ_DIM, name="reglq", oracle=row_oracle(value_and_gradient))
 
 
 PR_N_MEASUREMENTS = 200
@@ -63,22 +58,13 @@ def phase_retrieval_objective(data_seed: int = 0,
     x_star = rng.normal(dim) / math.sqrt(dim)
     y = (a @ x_star) ** 2
 
-    def value(x: np.ndarray) -> float:
-        z = a @ x
-        res = z * z - y
-        return float(res @ res) / n_measurements
-
     def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         z = a @ x
         res = z * z - y
         return (float(res @ res) / n_measurements,
                 (4.0 / n_measurements) * (a.T @ (res * z)))
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return value_and_gradient(x)[1]
-
-    return Objective(dim=dim, value=value, gradient=gradient, name="phase_retrieval",
-                     value_and_gradient=value_and_gradient)
+    return Objective(dim=dim, name="phase_retrieval", oracle=row_oracle(value_and_gradient))
 
 
 def phase_retrieval_init_std(dim: int = PR_DIM) -> float:

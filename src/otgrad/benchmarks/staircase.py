@@ -53,11 +53,12 @@ def staircase_slope(r: float, n_plateaus: int = 4, length: float = 1.0) -> float
 def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) -> Objective:
     """f(x) = f~(mean(x_i^2)); gradient_i = f~'(r) * 2 x_i / dim.
 
-    The mean is np.add.reduce(x * x) / dim, which is what np.mean computes
-    for a float64 vector, bit for bit, without its wrapper.  r is a mean of
+    The mean of a row is np.add.reduce(x * x) / dim, which is what np.mean
+    computes for a float64 vector, bit for bit, without its wrapper; the
+    row reductions of a stack equal the per-vector ones.  r is a mean of
     squares, so it is never negative and the profile needs no sign check.
-    The lane oracle evaluates a (lanes, dim) stack with the same bits per
-    row.
+    The profile stays scalar per row, because array np.power rounds
+    differently.
     """
     if dim <= 0 or n_plateaus < 1 or length <= 0:
         raise ContractViolation(
@@ -65,20 +66,7 @@ def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) 
     scale = 2.0 / dim
     add = np.add.reduce
 
-    def value(x: np.ndarray) -> float:
-        return _profile_and_slope(float(add(x * x)) / dim, n_plateaus, length)[0]
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        slope = _profile_and_slope(float(add(x * x)) / dim, n_plateaus, length)[1]
-        return slope * scale * x
-
-    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
-        f, slope = _profile_and_slope(float(add(x * x)) / dim, n_plateaus, length)
-        return f, slope * scale * x
-
-    def lane_value_and_gradient(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The row reductions equal the per-vector ones; the profile stays
-        # scalar per row, because array np.power rounds differently.
+    def oracle(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fs, coefs = [], []
         for sum_sq in add(X * X, axis=1).tolist():
             f, slope = _profile_and_slope(sum_sq / dim, n_plateaus, length)
@@ -86,9 +74,7 @@ def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) 
             coefs.append(slope * scale)
         return np.array(fs), X * np.array(coefs)[:, None]
 
-    return Objective(dim=dim, value=value, gradient=gradient, name="staircase",
-                     known_min=0.0, value_and_gradient=value_and_gradient,
-                     lane_value_and_gradient=lane_value_and_gradient)
+    return Objective(dim=dim, name="staircase", oracle=oracle)
 
 
 def staircase_saddle_init(dim: int, n_plateaus: int = 4, length: float = 1.0) -> np.ndarray:

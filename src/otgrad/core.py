@@ -28,34 +28,59 @@ class NumericalDomainError(ArithmeticError):
 class Objective:
     """A differentiable function R^dim -> R with an analytic gradient.
 
-    `value` and `gradient` must accept a float64 array of shape (dim,).
-    `value_and_gradient`, when set, is a fused oracle returning
-    (value(x), gradient(x)) with the same bits from one pass; eval_objective
-    then calls it instead of the two.  Every closed-form benchmark problem
-    (staircase, reglq, phase_retrieval, airy_regression) and every MLP
-    objective carries one.
+    `oracle` is the first-order oracle: it maps a float64 stack X of shape
+    (rows, dim) to (F, G), float64 arrays of shape (rows,) and (rows, dim)
+    with F[i] = f(X[i]) and G[i] = grad f(X[i]).  Row i must not depend on
+    the other rows, so a row answers the same bits alone as in any stack.
+    The optimizers make every call through it.
 
-    `lane_value_and_gradient`, when set, is the lane oracle: it maps a
-    stack X of shape (lanes, dim) to (F, G), a float64 array of shape
-    (lanes,) and one of shape (lanes, dim), whose row i equals
-    value_and_gradient(X[i]) bit for bit.  The lane engine
-    (optimizers.run_lanes) answers every oracle call over more than one
-    lane with it.  The staircase carries one.
+    `value` and `gradient` are the single-point calls on a vector of shape
+    (dim,).  Give either the oracle or the two of them: an Objective built
+    from `value` and `gradient` alone gets an oracle that calls them row by
+    row, and one built from `oracle` alone gets them as its one-row case.
 
     Smoothness constants are optional metadata; they are required only by
     the theory-mode parameter derivations.
     """
 
     dim: int
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    value: Optional[Callable[[np.ndarray], float]] = None
+    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
     lipschitz_grad: Optional[float] = None
     lipschitz_hess: Optional[float] = None
-    known_min: Optional[float] = None
-    value_and_gradient: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
-    lane_value_and_gradient: Optional[
-        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    oracle: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+
+    def __post_init__(self):
+        value, gradient, oracle = self.value, self.gradient, self.oracle
+        if oracle is None:
+            if value is None or gradient is None:
+                raise ContractViolation("an Objective needs an oracle, or a value and a gradient")
+            object.__setattr__(self, "oracle", row_oracle(lambda x: (value(x), gradient(x))))
+            return
+        if value is None:
+            object.__setattr__(self, "value", lambda x: float(oracle(_one_row(x))[0][0]))
+        if gradient is None:
+            object.__setattr__(self, "gradient", lambda x: oracle(_one_row(x))[1][0])
+
+
+def _one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)[None, :]
+
+
+def row_oracle(point: Callable[[np.ndarray], tuple]) -> Callable:
+    """The stacked oracle that calls point(x) -> (f(x), grad f(x)) on each
+    row x of its stack in turn."""
+
+    def oracle(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        F, G = [], []
+        for x in X:
+            f, g = point(x)
+            F.append(float(f))
+            G.append(g)
+        return np.array(F), np.array(G, dtype=np.float64)
+
+    return oracle
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -68,38 +93,36 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
-def call_oracle(obj: Objective, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(f(x), grad f(x)) as a float and a float64 array, with no checks.
+def eval_rows(obj: Objective, X: np.ndarray, checked: bool = True) -> tuple[list, np.ndarray]:
+    """One oracle call over the rows of X: (F as a list of floats, G).
 
-    Makes one fused call when the objective has one, else calls value and
-    gradient.
+    A float overflow inside the objective raises NumericalDomainError, and
+    F or G of the wrong shape ContractViolation.  `checked` adds
+    eval_objective's finiteness checks on X, F and G.
     """
-    if obj.value_and_gradient is not None:
-        f, g = obj.value_and_gradient(x)
-    else:
-        f, g = obj.value(x), obj.gradient(x)
-    return float(f), np.asarray(g, dtype=np.float64)
+    name = obj.name or "objective"
+    if checked and not np.isfinite(X).all():
+        raise NumericalDomainError(f"{name}: non-finite input point")
+    try:
+        F, G = obj.oracle(X)
+    except OverflowError as exc:
+        raise NumericalDomainError(f"{name}: float overflow: {exc}") from exc
+    if F.shape != (X.shape[0],) or G.shape != X.shape:
+        raise ContractViolation(
+            f"{name}: oracle shapes {F.shape}, {G.shape} for rows of shape {X.shape}")
+    F = F.tolist()
+    # finite floats have a finite sum unless it overflows; then each decides
+    if checked and not ((math.isfinite(sum(F)) or all(map(math.isfinite, F)))
+                        and np.isfinite(G).all()):
+        raise NumericalDomainError(f"{name}: non-finite value or gradient")
+    return F, G
 
 
 def eval_objective(obj: Objective, x) -> tuple[float, np.ndarray]:
-    """Evaluate (f(x), grad f(x)) with dimension and finiteness checks.
-
-    A float overflow inside the objective raises NumericalDomainError.
-    """
-    v = as_vector(x, obj.dim)
-    if not np.isfinite(v).all():
-        raise NumericalDomainError(f"{obj.name or 'objective'}: non-finite input point")
-    try:
-        f, g = call_oracle(obj, v)
-    except OverflowError as exc:
-        raise NumericalDomainError(f"{obj.name or 'objective'}: float overflow: {exc}") from exc
-    if g.shape != (obj.dim,):
-        raise ContractViolation(
-            f"{obj.name or 'objective'}: gradient shape {g.shape} != ({obj.dim},)"
-        )
-    if not math.isfinite(f) or not np.isfinite(g).all():
-        raise NumericalDomainError(f"{obj.name or 'objective'}: non-finite value or gradient")
-    return f, g
+    """Evaluate (f(x), grad f(x)) with dimension and finiteness checks: the
+    one-row case of eval_rows."""
+    F, G = eval_rows(obj, as_vector(x, obj.dim)[None, :])
+    return F[0], G[0]
 
 
 _MASK64 = (1 << 64) - 1

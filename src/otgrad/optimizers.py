@@ -23,11 +23,12 @@ on, and each lane's trace equals its run alone bit for bit.  So does a
 gd/agd lane that one step leaves exactly where it was: every later step
 would repeat that step, so it gets its remaining rows at once and
 retires.  run() is the one-lane call.  The engine evaluates the objective
-through one oracle path, _evaluate: with more than one lane, an
-objective's lane oracle answers each call for all lanes at once;
-otherwise each lane calls the objective through _call, and a
-NumericalDomainError or a float overflow there ends that lane as a
-RunError.
+through one oracle path, _evaluate: each call (the step rows, the
+gradients of kicked lanes, certificate values, NCE probes) is one call of
+the Objective's stacked oracle over the rows of all its lanes, or one call
+per lane when each lane has its own mini-batch Objective.  Only when a
+call fails do the rows go one by one, to find the lanes that failed: a
+NumericalDomainError or a float overflow ends that lane as a RunError.
 
 Each rule is written once, over lanes, and _step applies the rule of an
 algorithm, a _Rule that the method table _rule derives from its config.
@@ -68,10 +69,11 @@ from .core import (
     Objective,
     RngStream,
     as_vector,
-    call_oracle,
     derive_stream,
-    eval_objective,
+    eval_rows,
 )
+# The benchmark's tracer rebinds optimizers.eval_objective when it installs.
+from .core import eval_objective  # noqa: F401
 from .occupation import (
     OccupationWindow,
     WeightFn,
@@ -281,85 +283,42 @@ class _Lanes:
         self.fired, self.nce_hits, self.failed = [], [], {}
 
 
-_CHECKED, _FUSED, _VALUE, _GRADIENT = "checked", "fused", "value", "gradient"
-
-
-def _call(obj: Objective, x: np.ndarray, want: str) -> tuple:
-    """One oracle call at one point: (f, gradient), with None for the part
-    not asked for.  want is _CHECKED (eval_objective's checks), _FUSED (f
-    and the gradient, unchecked), _VALUE or _GRADIENT.  A float overflow
-    inside the objective raises NumericalDomainError."""
-    try:
-        if want is _CHECKED:
-            return eval_objective(obj, x)
-        if want is _FUSED:
-            return call_oracle(obj, x)
-        if want is _VALUE:
-            return float(obj.value(x)), None
-        return None, np.asarray(obj.gradient(x), dtype=np.float64)
-    except OverflowError as exc:
-        raise NumericalDomainError(f"{obj.name or 'objective'}: float overflow: {exc}") from exc
-
-
-def _lane_call(obj: Objective, X: np.ndarray, want: str):
-    """One lane-oracle call for every row of X, as (F, G) with F a list, or
-    None when it fails or, for _CHECKED, a row does not pass
-    eval_objective's finiteness checks; the rows then call one by one."""
-    if want is _CHECKED and not np.isfinite(X).all():
-        return None
-    try:
-        F, G = obj.lane_value_and_gradient(X)
-    except (NumericalDomainError, OverflowError):
-        return None
-    if G.shape != X.shape or F.shape != (X.shape[0],):
-        raise ContractViolation(f"{obj.name or 'objective'}: lane oracle shapes {F.shape}, "
-                                f"{G.shape} for lanes of shape {X.shape}")
-    F = F.tolist()
-    # a sum of finite floats is finite unless it overflows, and then the
-    # rows decide
-    if want is _CHECKED and not (math.isfinite(sum(F)) and np.isfinite(G).all()):
-        return None
-    return F, G
-
-
-def _evaluate(lanes: _Lanes, obj, X: np.ndarray, want: str,
+def _evaluate(lanes: _Lanes, obj, X: np.ndarray, checked: bool = False,
               rows: Optional[list] = None) -> tuple:
-    """The oracle at the rows of X.  With _call, which each row uses and nce's
-    probes call directly, this is the one path the engine's oracle calls take.
+    """The oracle at the rows of X, the one path the engine's oracle calls take.
 
     obj is one Objective for every lane, or a list with one per lane; rows
-    names the lane of each row of X (default: row i is lane i).  want is
-    as in _call.  Returns (F, G): F a list of floats, G a (rows x dim)
-    array (None for _VALUE).
+    names the lane of each row of X (default: row i is lane i).  checked
+    adds eval_objective's finiteness checks (see eval_rows).  Returns
+    (F, G): F a list of floats, G a (rows x dim) array.
 
-    When the rows belong to more than one lane, an objective with a lane
-    oracle answers in one call (_lane_call).  Otherwise, and whenever that
-    call does not answer, each row makes its own call, as a one-lane run
-    would.  A row whose
-    call raises NumericalDomainError marks its lane failed and reads NaN;
-    a lane that already failed is not called.
+    A shared Objective answers every row in one oracle call.  When that
+    call fails, and with one Objective per lane, each row makes its own
+    call, as a one-lane run would.  A row whose call raises
+    NumericalDomainError marks its lane failed and reads NaN; a lane that
+    already failed is not called.
     """
-    k = X.shape[0]
     shared = isinstance(obj, Objective)
-    if (shared and obj.lane_value_and_gradient is not None and not lanes.failed
-            and (k if rows is None else len(set(rows))) > 1):
-        answer = _lane_call(obj, X, want)
-        if answer is not None:
-            return answer
-    F, gs = [math.nan] * k, [None] * k
+    if shared and not lanes.failed:
+        try:
+            return eval_rows(obj, X, checked)
+        except NumericalDomainError:
+            pass  # the rows below find the lanes that failed
+    k = X.shape[0]
+    F, G = [math.nan] * k, [None] * k
     for j in range(k):
         lane = j if rows is None else rows[j]
         if lane in lanes.failed:
             continue
         try:
-            F[j], gs[j] = _call(obj if shared else obj[lane], X[j], want)
+            f, G[j] = eval_rows(obj if shared else obj[lane], X[j:j + 1], checked)
+            F[j] = f[0]
         except NumericalDomainError as exc:
             lanes.fail(lane, exc)
-    if want is _VALUE:
-        return F, None
-    if k == 1 and gs[0] is not None:
-        return F, gs[0][None, :]
-    return F, np.array([np.full(X.shape[1], math.nan) if g is None else g for g in gs])
+    if k == 1 and G[0] is not None:
+        return F, G[0]  # a one-lane call's own array, not a copy
+    return F, np.concatenate([np.full((1, X.shape[1]), math.nan) if g is None else g
+                              for g in G])
 
 
 def _unchanged(A: np.ndarray, B: np.ndarray, rows) -> list:
@@ -483,7 +442,7 @@ def _descend(rule: _Rule, lanes: _Lanes, obj, G: np.ndarray, fired: list) -> Non
     """Gradient step; a kicked lane needs the gradient at its kicked iterate."""
     if fired:
         G = G.copy()
-        G[fired] = _evaluate(lanes, obj, lanes.X[fired], _GRADIENT, fired)[1]
+        G[fired] = _evaluate(lanes, obj, lanes.X[fired], rows=fired)[1]
     lanes.X = lanes.X - rule.eta * G
 
 
@@ -491,8 +450,8 @@ def _accelerate(rule: _Rule, lanes: _Lanes, obj, F: list, fired: list) -> None:
     """Nesterov update y = x + momentum*v, x' = y - eta*grad f(y), v' = x' - x.
 
     A kicked lane's velocity is zeroed first when the rule resets it.  With
-    `certify` (theory pagd/pagdot), f(y) comes from the same oracle call as
-    the gradient, and each lane whose segment certifies negative curvature,
+    `certify` (theory pagd/pagdot), each lane whose segment certifies
+    negative curvature,
         f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2,
     with x its (possibly kicked) iterate, replaces (x', v') by nce(x, v, s);
     _nce does so for all certified lanes together.  A zero velocity makes
@@ -506,10 +465,10 @@ def _accelerate(rule: _Rule, lanes: _Lanes, obj, F: list, fired: list) -> None:
     if cert is not None:
         f_x = list(F)
         if fired:
-            for i, f in zip(fired, _evaluate(lanes, obj, X[fired], _VALUE, fired)[0]):
+            for i, f in zip(fired, _evaluate(lanes, obj, X[fired], rows=fired)[0]):
                 f_x[i] = f
     Y = X + rule.momentum * V
-    f_y, g_y = _evaluate(lanes, obj, Y, _GRADIENT if cert is None else _FUSED)
+    f_y, g_y = _evaluate(lanes, obj, Y)
     lanes.X = Y - rule.eta * g_y
     lanes.V = lanes.X - X
     if cert is None:
@@ -555,7 +514,7 @@ def _nce(lanes: _Lanes, obj, X: np.ndarray, V: np.ndarray, hits: list, s: float)
         P = X[probed]
         probes = np.concatenate((P + delta, P - delta))
         plus, minus = probes[:k], probes[k:]
-        f = _evaluate(lanes, obj, probes, _VALUE, probed + probed)[0]
+        f = _evaluate(lanes, obj, probes, rows=probed + probed)[0]
         ends.update((i, plus[j] if f[j] <= f[k + j] else minus[j]) for j, i in enumerate(probed))
     for i, x in ends.items():
         if i not in lanes.failed:
@@ -576,7 +535,7 @@ def _step(rule: _Rule, lanes: _Lanes, obj, F: list, G: np.ndarray, norms: list,
     fired = []
     if rule.sampler is not None:
         if gate_obj is not None:
-            norms = [_norm(g) for g in _evaluate(lanes, gate_obj, lanes.X, _GRADIENT)[1]]
+            norms = [_norm(g) for g in _evaluate(lanes, gate_obj, lanes.X)[1]]
         fired = _gate(rule, lanes, F, norms)
     saved = _terminations(rule, lanes, F, fired) if rule.terminate is not None else {}
     if rule.baseline is not None:
@@ -604,7 +563,7 @@ def _step_state(rule: _Rule, obj: Objective, state: OptimizerState, fg) -> Optio
     lanes.n_perturbations = [state.n_perturbations]
     lanes.n_nce = [state.n_nce]
     if fg is None:
-        F, G = _evaluate(lanes, obj, lanes.X, _CHECKED)
+        F, G = _evaluate(lanes, obj, lanes.X, checked=True)
         lanes.raise_failure()
         fg = (F[0], G[0], _norm(G[0]))
     f_t, g_t, g_norm = fg
@@ -655,7 +614,7 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
     The returned velocity is always zero.  A float overflow in a probe
     raises NumericalDomainError.  This is _nce on one lane, the rule that
     theory pagd/pagdot apply to all their certified lanes at once: the two
-    probes are valued by one _evaluate call, which calls value() at each.
+    probes are valued by one oracle call.
     """
     X = as_vector(x, obj.dim)[None, :]
     V = as_vector(v, obj.dim)[None, :]
@@ -995,7 +954,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     for t in range(max_steps):
         lanes.t = t
         step_obj = step_objective()
-        F, G = _evaluate(lanes, step_obj, lanes.X, _CHECKED)
+        F, G = _evaluate(lanes, step_obj, lanes.X, checked=True)
         if lanes.failed:
             keep = retire({}, t)
             if not live:
@@ -1028,7 +987,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
             break
     else:
         t = max_steps
-        F, G = _evaluate(lanes, step_objective(), lanes.X, _CHECKED)
+        F, G = _evaluate(lanes, step_objective(), lanes.X, checked=True)
         keep = retire({}, t) if lanes.failed else range(len(live))
         for i, p in zip(live, keep):
             results[i].add_row(t, F[p], _norm(G[p]), 0, 0)

@@ -5,7 +5,6 @@ precision arithmetic and frozen here; the implementation must reproduce
 them to 1e-8 absolute.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -104,7 +103,7 @@ def _staircase_points():
 
 class TestStaircase:
     @pytest.mark.parametrize("n_plateaus, length", [(4, 1.0), (4, 0.5), (2, 1.0)])
-    def test_fused_oracle_matches_mean_formula(self, n_plateaus, length):
+    def test_oracle_matches_mean_formula(self, n_plateaus, length):
         obj = staircase_objective(dim=4, n_plateaus=n_plateaus, length=length)
         points = _staircase_points()
         radii = {float(np.mean(x * x)) for x in points}
@@ -115,41 +114,16 @@ class TestStaircase:
         for scale in (1e-5, 1e-2, 1.0, 1.7, 30.0, 1e5):
             points.extend(scale * rng.standard_normal((50, 4)))
         for x in points:
-            ref = _old_staircase(x, n_plateaus, length)
-            _assert_same_bits(obj.value_and_gradient(x), ref)
-            _assert_same_bits((obj.value(x), obj.gradient(x)), ref)
+            _assert_same_bits((obj.value(x), obj.gradient(x)),
+                              _old_staircase(x, n_plateaus, length))
 
     @pytest.mark.parametrize("dim", [1, 3, 7, 16, 129, 3562])
-    def test_fused_oracle_matches_mean_formula_in_higher_dims(self, dim):
+    def test_oracle_matches_mean_formula_in_higher_dims(self, dim):
         obj = staircase_objective(dim=dim)
         rng = np.random.default_rng(dim)
         for scale in (1e-5, 1.0, 2.0, 1e5):
             x = scale * rng.standard_normal(dim)
-            _assert_same_bits(obj.value_and_gradient(x), _old_staircase(x))
-
-    @pytest.mark.parametrize("n_plateaus, length", [(4, 1.0), (4, 0.5), (2, 1.0)])
-    def test_lane_oracle_matches_fused_oracle_row_by_row(self, n_plateaus, length):
-        obj = staircase_objective(dim=4, n_plateaus=n_plateaus, length=length)
-        grid = np.array(_staircase_points())
-        rng = np.random.default_rng(6)
-        stacks = [grid, grid[::-1][:5], grid[:1]]
-        stacks += [scale * rng.standard_normal((50, 4))
-                   for scale in (1e-5, 1e-2, 1.0, 1.7, 30.0, 1e5)]
-        for X in stacks:
-            F, G = obj.lane_value_and_gradient(X)
-            assert F.shape == (X.shape[0],) and G.shape == X.shape
-            for x, f, g in zip(X, F, G):
-                _assert_same_bits((f, g), obj.value_and_gradient(x))
-
-    @pytest.mark.parametrize("dim", [1, 3, 7, 16, 129, 3562])
-    def test_lane_oracle_matches_fused_oracle_in_higher_dims(self, dim):
-        obj = staircase_objective(dim=dim)
-        rng = np.random.default_rng(dim)
-        X = np.concatenate([scale * rng.standard_normal((3, dim))
-                            for scale in (1e-5, 1.0, 2.0, 1e5)])
-        F, G = obj.lane_value_and_gradient(X)
-        for x, f, g in zip(X, F, G):
-            _assert_same_bits((f, g), obj.value_and_gradient(x))
+            _assert_same_bits((obj.value(x), obj.gradient(x)), _old_staircase(x))
 
     def test_profile_values(self):
         assert staircase_profile(0.0) == 0.0
@@ -205,8 +179,8 @@ class TestStaircase:
     def test_nan_point_is_a_domain_error(self):
         obj = staircase_objective(dim=4)
         x = np.full(4, np.nan)
-        for oracle in (obj.value, obj.gradient, obj.value_and_gradient,
-                       lambda x: obj.lane_value_and_gradient(np.stack([np.ones(4), x]))):
+        for oracle in (obj.value, obj.gradient,
+                       lambda x: obj.oracle(np.stack([np.ones(4), x]))):
             with pytest.raises(NumericalDomainError, match="squared-radius mean is nan"):
                 oracle(x)
         with pytest.raises(NumericalDomainError):
@@ -271,22 +245,69 @@ def _random_points(dim, seed, scales=(1e-3, 0.3, 1.0, 2.5)):
     return [scale * rng.standard_normal(dim) for scale in scales for _ in range(5)]
 
 
-@pytest.mark.parametrize("make, dim", [
-    (lambda: reglq_objective(data_seed=4), REGLQ_DIM),
-    (lambda: phase_retrieval_objective(data_seed=2), 10),
-    (lambda: phase_retrieval_objective(data_seed=1, n_measurements=37, dim=6), 6),
-    (airy_regression_objective, AIRY_DIM),
-])
-def test_closed_form_fused_oracle_matches_separate_calls(make, dim):
-    obj = make()
-    assert obj.value_and_gradient is not None
-    for x in [np.zeros(dim)] + _random_points(dim, dim):
-        _assert_same_bits(obj.value_and_gradient(x), (obj.value(x), obj.gradient(x)))
+def _staircase_stacks(n_plateaus, length):
+    """The integer grid and scaled Gaussian stacks in d = 4."""
+    def stacks():
+        grid = np.array(_staircase_points())
+        rng = np.random.default_rng(6)
+        return [grid, grid[::-1][:5], grid[:1]] + [
+            scale * rng.standard_normal((50, 4)) for scale in (1e-5, 1e-2, 1.0, 1.7, 30.0, 1e5)]
+    return lambda: (staircase_objective(dim=4, n_plateaus=n_plateaus, length=length), stacks())
+
+
+def _staircase_in(dim):
+    def make():
+        rng = np.random.default_rng(dim)
+        return staircase_objective(dim=dim), [np.concatenate(
+            [scale * rng.standard_normal((3, dim)) for scale in (1e-5, 1.0, 2.0, 1e5)])]
+    return make
+
+
+def _closed_form(make, dim):
+    def made():
+        X = np.array([np.zeros(dim)] + _random_points(dim, dim))
+        return make(), [X, X[::-1][:3], X[:1]]
+    return made
+
+
+def _mlp_batch():
+    features, labels = synthetic_blobs(0, n_samples=100)
+    prob = MlpProblem(features, labels, n_hidden=8)
+    rng = derive_stream(3, 0)
+    X = np.array([prob.init_params(rng, mean=mean, std=0.5) for mean in (-1.0, -0.2, 0.0, 0.3)])
+    return prob.objective_for(derive_stream(4, 0).permutation(100)[:32]), [X, X[2:3]]
+
+
+ORACLE_CASES = {
+    **{f"staircase-N{n}-L{length}": _staircase_stacks(n, length)
+       for n, length in ((4, 1.0), (4, 0.5), (2, 1.0))},
+    **{f"staircase-d{dim}": _staircase_in(dim) for dim in (1, 3, 7, 16, 129, 3562)},
+    "reglq": _closed_form(lambda: reglq_objective(data_seed=4), REGLQ_DIM),
+    "phase_retrieval": _closed_form(lambda: phase_retrieval_objective(data_seed=2), 10),
+    "phase_retrieval-37x6": _closed_form(
+        lambda: phase_retrieval_objective(data_seed=1, n_measurements=37, dim=6), 6),
+    "airy_regression": _closed_form(airy_regression_objective, AIRY_DIM),
+    "mlp-batch": _mlp_batch,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_oracle_rows_equal_one_row_and_single_point_calls(case):
+    """Row i of oracle(X) is oracle(X[i:i+1]) and (value, gradient) at
+    X[i], bit for bit: no row depends on the others."""
+    obj, stacks = ORACLE_CASES[case]()
+    for X in stacks:
+        F, G = obj.oracle(X)
+        assert F.shape == (X.shape[0],) and G.shape == X.shape
+        for i, x in enumerate(X):
+            f_row, g_row = obj.oracle(X[i:i + 1])
+            _assert_same_bits((F[i], G[i]), (f_row[0], g_row[0]))
+            _assert_same_bits((F[i], G[i]), (obj.value(x), obj.gradient(x)))
 
 
 def test_closed_form_gradients_match_their_original_formulas():
-    """gradient() reads the fused oracle on airy and phase retrieval; pin
-    both against the unfused gradient formulas."""
+    """gradient() is the oracle's one-row case on airy and phase retrieval;
+    pin both against the gradient formulas written apart from the value."""
     x_pr = _random_points(10, 3)
     pr = phase_retrieval_objective(data_seed=2)
     rng = derive_stream(2, STREAM_DATA)
@@ -428,10 +449,8 @@ class TestMlp:
         assert f == prob.loss(params, idx)
         assert np.array_equal(g, _two_pass_loss_gradient(prob, params, idx))
         assert np.array_equal(prob.loss_gradient(params, idx), g)
-        fused = prob.objective_for(idx)
-        for obj in (fused, dataclasses.replace(fused, value_and_gradient=None)):
-            f_eval, g_eval = eval_objective(obj, params)
-            assert f_eval == f and np.array_equal(g_eval, g)
+        f_eval, g_eval = eval_objective(prob.objective_for(idx), params)
+        assert f_eval == f and np.array_equal(g_eval, g)
 
     def test_validation_errors(self):
         features, labels = synthetic_blobs(0, n_samples=50)

@@ -146,27 +146,38 @@ class TestEvalObjective:
         with pytest.raises(NumericalDomainError):
             eval_objective(bad, np.zeros(1))
 
-    def test_fused_oracle_replaces_separate_calls(self):
+    def test_oracle_replaces_separate_calls(self):
         def unused(_x):
-            raise AssertionError("separate oracle called despite value_and_gradient")
+            raise AssertionError("separate oracle called despite the stacked oracle")
 
         obj = Objective(dim=2, value=unused, gradient=unused,
-                        value_and_gradient=lambda x: (0.5 * float(x @ x), x.copy()))
+                        oracle=lambda X: (0.5 * (X * X).sum(axis=1), X.copy()))
         f, g = eval_objective(obj, np.array([3.0, 4.0]))
         assert f == 12.5
         assert np.array_equal(g, np.array([3.0, 4.0]))
 
-    def test_fused_oracle_is_checked(self):
-        def fused(result):
-            return Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: x,
-                             value_and_gradient=lambda x: result)
+    def test_oracle_is_checked(self):
+        def stacked(F, G):
+            return Objective(dim=2, oracle=lambda X: (np.array(F), np.array(G)))
 
+        with pytest.raises(ContractViolation, match="oracle shapes"):
+            eval_objective(stacked([0.0], [np.zeros(3)]), np.zeros(2))
+        with pytest.raises(ContractViolation, match="oracle shapes"):
+            eval_objective(stacked([0.0, 0.0], [np.zeros(2)]), np.zeros(2))
+        with pytest.raises(NumericalDomainError):
+            eval_objective(stacked([float("nan")], [np.zeros(2)]), np.zeros(2))
+        with pytest.raises(NumericalDomainError):
+            eval_objective(stacked([0.0], [[np.inf, 0.0]]), np.zeros(2))
+
+    def test_missing_calls_are_derived(self):
+        stacked = Objective(dim=2, oracle=lambda X: (0.5 * (X * X).sum(axis=1), 2.0 * X))
+        x = np.array([3.0, 4.0])
+        assert stacked.value(x) == 12.5 and type(stacked.value(x)) is float
+        assert np.array_equal(stacked.gradient(x), 2.0 * x)
+        F, G = quad().oracle(np.array([[3.0, 4.0], [1.0, 0.0]]))
+        assert F.tolist() == [12.5, 0.5] and G.tolist() == [[3.0, 4.0], [1.0, 0.0]]
         with pytest.raises(ContractViolation):
-            eval_objective(fused((0.0, np.zeros(3))), np.zeros(2))
-        with pytest.raises(NumericalDomainError):
-            eval_objective(fused((float("nan"), np.zeros(2))), np.zeros(2))
-        with pytest.raises(NumericalDomainError):
-            eval_objective(fused((0.0, np.array([np.inf, 0.0]))), np.zeros(2))
+            Objective(dim=2, value=lambda x: 0.0)
 
     def test_float_overflow_is_a_domain_error(self):
         # finite input whose squared radius overflows: math.floor(inf) in the

@@ -705,55 +705,56 @@ class TestNorm:
 
 
 def _counting(obj):
-    """obj with each oracle entry point counting its calls in `calls`."""
-    calls = {"value": 0, "gradient": 0, "value_and_gradient": 0}
+    """obj with its oracle, value and gradient counting their calls in
+    `calls`, and the oracle the rows it was asked for."""
+    calls = {"value": 0, "gradient": 0, "oracle": 0, "rows": 0}
 
     def counted(name, fn):
         def wrapper(x):
             calls[name] += 1
+            if name == "oracle":
+                calls["rows"] += x.shape[0]
             return fn(x)
         return wrapper
 
     wrapped = dataclasses.replace(
         obj, value=counted("value", obj.value), gradient=counted("gradient", obj.gradient),
-        value_and_gradient=counted("value_and_gradient", obj.value_and_gradient))
+        oracle=counted("oracle", obj.oracle))
     return wrapped, calls
 
 
-class TestFusedOracleUse:
-    def test_practical_gd_makes_one_fused_call_per_row(self):
+class TestOracleUse:
+    def test_practical_gd_makes_one_oracle_call_per_row(self):
         bundle = make_problem("staircase")
         obj, calls = _counting(bundle.objective)
         x0 = bundle.init_point(0) + 0.1
         run(obj, AlgoConfig(name="gd", eta=0.05), 25, 0, x0=x0)
-        assert calls == {"value": 0, "gradient": 0, "value_and_gradient": 26}
+        assert calls == {"value": 0, "gradient": 0, "oracle": 26, "rows": 26}
 
-    def test_theory_pagdot_evaluates_y_through_the_fused_call(self):
+    def test_theory_pagdot_calls_only_the_oracle(self):
         bundle = make_problem("staircase")
         obj, calls = _counting(bundle.objective)
         steps = 30
         tr = run(obj, AlgoConfig(name="pagdot", mode="theory", **THEORY_CONSTANTS),
                  steps, 0, x0=bundle.init_point(0))
         assert tr.n_perturbations >= 1 and tr.n_nce >= 1
-        # one fused call at each incoming x and one at each y, plus the final
-        # row; value alone only at a kicked x and at NCE's two probes
-        assert calls == {"value": tr.n_perturbations + 2 * tr.n_nce, "gradient": 0,
-                         "value_and_gradient": 2 * steps + 1}
+        # one call at each incoming x and one at each y, plus the final row;
+        # one at a kicked x, and one for NCE's two probes
+        assert calls == {"value": 0, "gradient": 0,
+                         "oracle": 2 * steps + 1 + tr.n_perturbations + tr.n_nce,
+                         "rows": 2 * steps + 1 + tr.n_perturbations + 2 * tr.n_nce}
 
     @pytest.mark.parametrize("mode", ["practical", "theory"])
     @pytest.mark.parametrize("name", ["gd", "agd", "pgd", "pagd", "pgdot", "pagdot"])
-    def test_fused_and_separate_oracles_give_the_same_trace(self, name, mode):
-        bundle = make_problem("staircase")
-        fused = bundle.objective
-        separate = dataclasses.replace(fused, value_and_gradient=None)
+    def test_stacked_and_row_by_row_oracles_give_the_same_traces(self, name, mode):
+        stacked, seeds, x0s = _staircase_lanes()
+        rows = Objective(dim=stacked.dim, value=stacked.value, gradient=stacked.gradient,
+                         name=stacked.name)
         algo = AlgoConfig(name=name, mode=mode, eta=0.05, t_thres=10, g_thres=0.01,
                           r=0.3, h=0.04, t_count=200, alpha=5.0, **THEORY_CONSTANTS)
-        x0 = bundle.init_point(0)
-        a, b = (run(obj, algo, 300, 5, x0=x0) for obj in (fused, separate))
-        assert (a.ts, a.fs, a.grad_norms, a.perturbed, a.nce) == \
-            (b.ts, b.fs, b.grad_norms, b.perturbed, b.nce)
-        assert a.final_x.tobytes() == b.final_x.tobytes()
-        assert a.grad_norms[0] == float(np.linalg.norm(eval_objective(fused, x0)[1]))
+        a, b = (run_lanes(obj, algo, 300, seeds, x0s) for obj in (stacked, rows))
+        assert [_trace_record(tr) for tr in a] == [_trace_record(tr) for tr in b]
+        assert a[0].grad_norms[0] == float(np.linalg.norm(eval_objective(stacked, x0s[0])[1]))
 
 
 class TestBatcher:
@@ -842,6 +843,19 @@ class TestLanes:
         assert [_trace_record(tr) for tr in reversed_lanes[::-1]] == \
             [_trace_record(tr) for tr in lanes]
 
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    @pytest.mark.parametrize("name", ["gd", "agd", "pgd", "pagd", "pgdot", "pagdot", "adam"])
+    @pytest.mark.parametrize("problem, knobs", [
+        ("reglq", dict(eta=0.01, g_thres=0.1)),
+        ("phase_retrieval", dict(eta=0.001, g_thres=1.0, ell=50.0)),
+        ("airy_regression", dict(eta=0.1, g_thres=0.1))])
+    def test_closed_form_lanes_equal_one_lane_runs(self, problem, knobs, name, mode):
+        # these problems' oracles answer a stack of lanes row by row
+        bundle = make_problem(problem)
+        x0s = [bundle.init_point(0) + off for off in (0.0, 1e-3, -2e-3)]
+        algo = dataclasses.replace(_lane_algo(name, mode), r=0.01, **knobs)
+        _assert_lanes_match_one_lane_runs(bundle.objective, algo, 100, [3, 0, 5], x0s)
+
     @pytest.mark.parametrize("name", ["pgd", "pgdot", "pagdot"])
     def test_termination_rows_between_recorded_rows(self, name):
         obj, seeds, x0s = _staircase_lanes()
@@ -880,8 +894,8 @@ class TestLanes:
 
     @pytest.mark.parametrize("name", ["agd", "pgd", "pagd", "pgdot", "pagdot", "adam"])
     @pytest.mark.parametrize("mode", ["practical", "theory"])
-    def test_lanes_without_a_lane_oracle(self, name, mode):
-        # each row calls the objective itself
+    def test_lanes_with_a_row_by_row_oracle(self, name, mode):
+        # an Objective built from value and gradient calls them row by row
         x0s = [np.array([1e-6, 0.0]), np.array([0.3, 1e-3]), np.array([-1e-4, 2e-4])]
         _assert_lanes_match_one_lane_runs(saddle_objective(), _lane_algo(name, mode), 60,
                                           [2, 7, 2], x0s)
@@ -903,6 +917,13 @@ class TestLanes:
                         batcher=Batcher(problem, 16, derive_stream(seed, STREAM_BATCH)))
             assert _trace_record(result) == _trace_record(alone)
         assert all(tr.n_perturbations >= 2 for tr in lanes)
+
+    def test_oracle_of_the_wrong_shape_is_named(self):
+        obj, seeds, x0s = _staircase_lanes()
+        wide = dataclasses.replace(
+            obj, name="wide", oracle=lambda X: (np.zeros(len(X)), np.zeros((len(X), X.shape[1] + 1))))
+        with pytest.raises(ContractViolation, match="wide: oracle shapes"):
+            run_lanes(wide, AlgoConfig(name="gd"), 10, seeds[:2], x0s[:2])
 
     def test_contract(self):
         obj, seeds, x0s = _staircase_lanes()
@@ -966,8 +987,7 @@ class TestFixedPointRetirement:
         tr = run(obj, AlgoConfig(name=name, eta=0.1, momentum=0.5), 50, 0,
                  x0=bundle.init_point(0))
         assert tr.ts == list(range(51))
-        assert calls["value_and_gradient"] == 1
-        assert calls["gradient"] == (name == "agd")  # agd's y at step 0
+        assert calls["oracle"] == 1 + (name == "agd")  # agd's y at step 0
 
     def test_agd_lane_whose_x_holds_but_v_does_not_steps_on(self):
         # g(y) = y^2/2 + y/4 - 1 with eta = 1, momentum 1/2, from 0: x goes
@@ -987,7 +1007,10 @@ class TestFixedPointRetirement:
         obj, calls = _counting(bundle.objective)
         steps = 40
         tr = run(obj, _lane_algo(name, "practical"), steps, 0, x0=bundle.init_point(0))
-        assert calls["value_and_gradient"] == steps + 1  # one checked call per row
+        # one checked call per row, plus the gradients at kicked iterates
+        # (pgd, pgdot) or at each y (pagdot)
+        extra = {"pgd": tr.n_perturbations, "pgdot": tr.n_perturbations, "pagdot": steps}
+        assert calls["oracle"] == steps + 1 + extra.get(name, 0)
 
     def test_kicks_on_a_flat_landscape_keep_coming(self):
         # between kicks pgd's step leaves x where it is, and the next kick
@@ -1026,24 +1049,15 @@ class TestFixedPointRetirement:
             assert any(f != 0.0 for f in tr.fs[still + 1:])
 
 
-def _probe_objective(lane_oracle):
-    """The quadratic saddle, whose value() overflows once x[1] passes 1 while
-    its fused oracle does not; with lane_oracle, a stack of rows is valued
-    by value() too, so one such row fails the whole call."""
+def _probe_objective():
+    """The quadratic saddle, whose value() overflows once x[1] passes 1, so
+    a stack holding such a row fails as a whole."""
     def value(x):
         if x[1] > 1.0:
             raise OverflowError("value out of range")
         return 0.5 * (x[0] ** 2 - x[1] ** 2)
 
-    def gradient(x):
-        return np.array([x[0], -x[1]])
-
-    def lanes(X):
-        return np.array([value(x) for x in X]), np.array([gradient(x) for x in X])
-
-    return Objective(dim=2, value=value, gradient=gradient,
-                     value_and_gradient=lambda x: (0.5 * (x[0] ** 2 - x[1] ** 2), gradient(x)),
-                     lane_value_and_gradient=lanes if lane_oracle else None)
+    return Objective(dim=2, value=value, gradient=lambda x: np.array([x[0], -x[1]]))
 
 
 class TestNceOverLanes:
@@ -1069,7 +1083,7 @@ class TestNceOverLanes:
         _nce(lanes, obj, X, V, [0, 1, 2], self.S)
         assert not lanes.failed and lanes.n_nce == [1, 1, 1]
         if problem == "staircase":
-            assert calls["value"] == 0  # the lane oracle valued all four probes
+            assert calls == {"value": 0, "gradient": 0, "oracle": 1, "rows": 4}
         for k in range(3):
             x, v = nce(obj, X[k], V[k], self.S, RngStream(k + 4, 0))
             assert lanes.X[k].tobytes() == x.tobytes()
@@ -1093,9 +1107,8 @@ class TestNceOverLanes:
         assert lanes.V[:2].tobytes() == V[:2].tobytes()
         assert lanes.n_nce == [0, 0, 1]
 
-    @pytest.mark.parametrize("lane_oracle", [True, False])
-    def test_overflowing_probe_fails_only_its_lane(self, lane_oracle):
-        obj = _probe_objective(lane_oracle)
+    def test_overflowing_probe_fails_only_its_lane(self):
+        obj = _probe_objective()
         X = np.array([[0.1, 0.2], [0.0, 0.9], [0.3, -0.1]])
         V = np.array([[0.01, 0.0], [0.0, 0.1], [0.0, -0.02]])
         lanes = _Lanes(X + 1.0, [RngStream(k, 0) for k in range(3)], V=V.copy())
@@ -1140,33 +1153,32 @@ class TestDivergence:
         assert not isinstance(lanes[0], RunError) and lanes[0].final_t == 100
 
     def test_failure_in_a_step_ends_only_that_lane(self):
-        # the gradient at y overflows for lanes starting right of 1 only
+        # the gradient overflows right of 1; lane 1 comes from the left with
+        # enough momentum that its y passes 1 while its x has not
         def gradient(x):
             if x[0] > 1.0:
                 raise OverflowError("gradient out of range")
-            return np.asarray(x, dtype=np.float64)
+            return np.array([x[0] - 0.5, x[1]])
 
-        obj = Objective(dim=2, value=lambda x: 0.5 * float(x @ x), gradient=gradient,
-                        value_and_gradient=lambda x: (0.5 * float(x @ x), x.copy()))
-        x0s = [np.array([0.5, 0.1]), np.array([1.5, 0.1]), np.array([-0.5, 0.2])]
-        lanes = _assert_lanes_match_one_lane_runs(obj, AlgoConfig(name="agd", eta=0.1), 20,
-                                                  [0, 1, 2], x0s)
-        assert isinstance(lanes[1], RunError) and lanes[1].trace.ts == []
+        obj = Objective(dim=2, value=lambda x: 0.5 * float((x[0] - 0.5) ** 2 + x[1] ** 2),
+                        gradient=gradient)
+        x0s = [np.array([0.4, 0.1]), np.array([-2.0, 0.1]), np.array([0.6, 0.2])]
+        lanes = _assert_lanes_match_one_lane_runs(
+            obj, AlgoConfig(name="agd", eta=0.1, momentum=0.9), 40, [0, 1, 2], x0s)
+        assert isinstance(lanes[1], RunError) and lanes[1].trace.ts == list(range(6))
         assert "float overflow: gradient out of range" in str(lanes[1])
-        assert [lane.final_t for lane in (lanes[0], lanes[2])] == [20, 20]
+        assert lanes[1].trace.final_x[0] <= 1.0  # its x at step 6 was valued
+        assert [lane.final_t for lane in (lanes[0], lanes[2])] == [40, 40]
 
-    def test_failure_in_an_nce_probe_ends_only_that_lane(self, lane_oracle=False):
-        # theory pagdot probes on every certified step; the probes overflow
-        # once x[1] passes 1
-        obj = _probe_objective(lane_oracle)
-        x0s = [np.array([0.5, 0.1]), np.array([0.3, 1.2]), np.array([-0.5, 0.2])]
+    def test_failure_in_an_nce_probe_ends_only_that_lane(self):
+        # theory pagdot probes on every certified step; lane 1's x and y
+        # stay below 1 at step 0, but a probe passes it and overflows
+        obj = _probe_objective()
+        x0s = [np.array([0.5, 0.1]), np.array([0.3, 0.99]), np.array([-0.5, 0.2])]
+        eval_objective(obj, x0s[1])
         lanes = _assert_lanes_match_one_lane_runs(obj, _lane_algo("pagdot", "theory"), 40,
                                                   [0, 1, 2], x0s)
         assert isinstance(lanes[1], RunError) and lanes[1].trace.ts == []
         assert "float overflow: value out of range" in str(lanes[1])
         assert lanes[1].trace.n_nce == 0
         assert not isinstance(lanes[0], RunError) and lanes[0].n_nce > 0
-
-    def test_failure_in_an_nce_probe_with_a_lane_oracle(self):
-        # the lanes' probes fail as one lane-oracle call, then row by row
-        self.test_failure_in_an_nce_probe_ends_only_that_lane(lane_oracle=True)
