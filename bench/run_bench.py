@@ -72,7 +72,15 @@ compare their walk rows in alternating pairs.
 
 A step is one trace row (every run records every step), so a theory
 pgd/pgdot lane that terminates early is charged only for the steps it
-made.  Uses the standard library and numpy only, and is not part of the
+made.
+
+BLAS threads: the step.* rows (run() and run_lanes) and the harness.*
+rows (run_experiment) run inside one_blas_thread, on one BLAS thread, in
+a tree that has the guard.  The oracle.*, eval_objective.*,
+mlp.loss_and_gradient and occupation.* rows call their layer directly,
+outside it, on the thread count that the machine record names
+(blas_threads; null where the tree or numpy has no bundled OpenBLAS
+lookup).  Uses the standard library and numpy only, and is not part of the
 test suite.  Timings depend on the machine, so the output records it;
 compare two trees only with numbers from the same machine.
 """
@@ -89,7 +97,7 @@ import time
 
 import numpy as np
 
-from otgrad import optimizers
+from otgrad import core, optimizers
 from otgrad.benchmarks import make_problem
 from otgrad.core import STREAM_BATCH, RngStream, derive_stream, eval_objective
 from otgrad.harness import PRESETS, parse_config, run_experiment
@@ -259,6 +267,14 @@ def bench_walks() -> dict:
     return layers
 
 
+def blas_record() -> dict:
+    """numpy's bundled BLAS library and its thread count outside the guard."""
+    lookup = getattr(core, "bundled_blas", None)
+    blas = lookup() if lookup is not None else None
+    return {"blas_library": blas.library if blas else None,
+            "blas_threads": blas.get_threads() if blas else None}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON file to write")
@@ -266,7 +282,8 @@ def main() -> None:
     args = parser.parse_args()
     result = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
-                    "cpu_count": os.cpu_count(), "cpu": platform.processor() or platform.machine()},
+                    "cpu_count": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
+                    **blas_record()},
         "repeats": REPEATS,
         "steps": STEPS,
         "oracle_calls": ORACLE_CALLS,

@@ -5,13 +5,19 @@ two things defined here: an `Objective` bundling a smooth function with its
 analytic gradient, and `RngStream`, a counter-based random stream keyed by
 (base_seed, stream_id) so that independent components of an experiment draw
 from provably independent streams and every run is exactly reproducible.
+`one_blas_thread` keeps the products of a run on one BLAS thread, so their
+bits do not depend on the core count either.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -183,3 +189,58 @@ STREAM_ALGORITHM = 0   # perturbations, NCE directions
 STREAM_BATCH = 1       # mini-batch shuffling
 STREAM_INIT = 2        # random initial points
 STREAM_DATA = 3        # frozen problem data (instances, datasets)
+
+
+class BundledBlas(NamedTuple):
+    """The thread calls of the OpenBLAS bundled with the numpy wheel."""
+
+    library: str                        # file name of the shared library
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_blas() -> Optional[BundledBlas]:
+    """numpy's bundled OpenBLAS and its thread calls, or None when the
+    wheel's numpy.libs folder holds no OpenBLAS that exports them.  Looked
+    up once, on first use; loading the library again yields numpy's own
+    handle."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for stem in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+                if get is None or set_ is None:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return BundledBlas(path.name, get, set_)
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, and give
+    it back the caller's thread count on exit, exception or not.
+
+    Threaded gemm splits output rows, so its bits never depend on the
+    thread count, but a threaded dot product over more than about 10 000
+    entries sums in another order; on one thread every host gives the same
+    bits.  One thread also leaves no worker spinning beside a step of small
+    products.  Without a bundled OpenBLAS (bundled_blas() is None) the
+    block runs as it is.  Nests, and works as a decorator too.  The count
+    is one per process, so Python threads that enter the guard at the same
+    time may restore each other's count out of order.
+    """
+    blas = bundled_blas()
+    if blas is None:
+        yield
+        return
+    before = blas.get_threads()
+    blas.set_threads(1)
+    try:
+        yield
+    finally:
+        blas.set_threads(before)

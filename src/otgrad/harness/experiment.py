@@ -28,7 +28,7 @@ import numpy as np
 
 from ..analysis import MAX_HESSIAN_DIM, classify_point, escape_summary
 from ..benchmarks import ProblemBundle, make_problem
-from ..core import ContractViolation, STREAM_BATCH, STREAM_INIT, derive_stream
+from ..core import ContractViolation, STREAM_BATCH, STREAM_INIT, derive_stream, one_blas_thread
 from ..optimizers import Batcher, RunError, RunTrace, run_lanes
 # The benchmark's tracer rebinds experiment.run when it installs.
 from ..optimizers import run  # noqa: F401
@@ -125,8 +125,12 @@ def _classification_report(bundle: ProblemBundle, config: ExperimentConfig,
     }
 
 
+@one_blas_thread()
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the full grid and write artifacts; returns the artifact directory.
+
+    The whole grid (problem build, thresholds, runs, classification) runs
+    on one BLAS thread, so its bytes do not depend on the core count.
 
     Raises ConfigError, before anything runs or is written, when the
     occupation windows would exceed their memory budget

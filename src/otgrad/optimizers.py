@@ -71,6 +71,7 @@ from .core import (
     as_vector,
     derive_stream,
     eval_rows,
+    one_blas_thread,
 )
 # The benchmark's tracer rebinds optimizers.eval_objective when it installs.
 from .core import eval_objective  # noqa: F401
@@ -867,6 +868,7 @@ def _rule(algo: AlgoConfig, dim: int) -> _Rule:
                  t_count=algo.t_count, h=algo.h)
 
 
+@one_blas_thread()
 def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
               record_every: int = 1, batchers=None, problem_name: str = "") -> list:
     """Run one algorithm from several seeds in lockstep, one lane per seed.
@@ -878,7 +880,8 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     own stream (seed, STREAM_ALGORITHM), occupation window, gate clock,
     termination state and trace.  A lane that terminates (theory-mode
     pgd/pgdot) or fails (NumericalDomainError or float overflow in an
-    oracle call) drops out and the others go on.
+    oracle call) drops out and the others go on.  Every product, in the
+    oracle and in the step, runs on one BLAS thread (one_blas_thread).
 
     A lane whose rule is deterministic (gd or agd, either mode) on a
     shared Objective (no batchers) also retires early, when one step

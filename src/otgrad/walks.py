@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation, RngStream
+from .core import ContractViolation, RngStream, one_blas_thread
 from .occupation import WeightFn
 
 WALK_KINDS = ("repelling", "reinforced")
@@ -335,11 +335,14 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     return path
 
 
+@one_blas_thread()
 def fit_msd_exponent(msd: np.ndarray, t_lo: int, t_hi: int) -> tuple[float, float]:
     """Least-squares slope of log msd[t] vs log t over t in [t_lo, t_hi].
 
     Returns (slope, stderr) with the stderr taken from the regression
-    residuals. Entries with msd == 0 are skipped (log undefined).
+    residuals. Entries with msd == 0 are skipped (log undefined). The dot
+    products run on one BLAS thread, so a long window gives the same bits
+    on any core count.
     """
     msd = np.asarray(msd, dtype=np.float64)
     t_lo = max(1, int(t_lo))
@@ -360,7 +363,8 @@ def fit_msd_exponent(msd: np.ndarray, t_lo: int, t_hi: int) -> tuple[float, floa
     if n < 3:
         raise ContractViolation("fewer than 3 usable points in the fit window")
     # three window-sized arrays; each step runs in place but in the order
-    # of the plain formulas, so (slope, stderr) match them bit for bit
+    # of the plain formulas, so (slope, stderr) match them, evaluated on one
+    # BLAS thread, bit for bit
     np.log(lx, out=lx)
     lx_mean = lx.mean()
     lx_c = lx - lx_mean
