@@ -49,6 +49,11 @@ On the default MLP (d = 3562, synthetic blobs) and the occupation layer:
 
     mlp.loss_and_gradient      microseconds per fused loss and gradient of
                                one batch of 128 samples
+    mlp.oracle.lanes<L>        microseconds per call of the stacked
+                               batch_oracle over L parameter rows, each on
+                               its own batch of 128 (L in {1, 2, 6}; at
+                               L = 1 the same row and batch as
+                               mlp.loss_and_gradient)
     occupation.<layer>.d<d>    microseconds per call of counts_all,
                                sample_occupation_perturbation (alpha 5) and
                                sample_ball_perturbation at d in {4, 100,
@@ -76,8 +81,8 @@ made.
 
 BLAS threads: the step.* rows (run() and run_lanes) and the harness.*
 rows (run_experiment) run inside one_blas_thread, on one BLAS thread, in
-a tree that has the guard.  The oracle.*, eval_objective.*,
-mlp.loss_and_gradient and occupation.* rows call their layer directly,
+a tree that has the guard.  The oracle.*, eval_objective.*, mlp.* and
+occupation.* rows call their layer directly,
 outside it, on the thread count that the machine record names
 (blas_threads; null where the tree or numpy has no bundled OpenBLAS
 lookup).  Uses the standard library and numpy only, and is not part of the
@@ -125,6 +130,7 @@ MLP_BATCH = 128
 MLP_STEPS = 200
 MLP_KNOBS = dict(eta=0.01, t_thres=10, g_thres=0.1, r=0.5, momentum=0.9, h=1e12, t_count=50)
 MLP_ALGORITHMS = ("adam", "pgdot", "pagdot")
+MLP_ORACLE_LANES = (1, 2, 6)
 HARNESS_STEPS = 200
 HARNESS_PRESETS = {"example1": "max_steps = 2000", "example3_pr": "max_steps = 1200"}
 OCCUPATION_DIMS = (4, 100, 3562)
@@ -238,6 +244,14 @@ def bench_layers() -> dict:
     batch = RngStream(0, 1).permutation(bundle.problem.n_samples)[:MLP_BATCH]
     layers["mlp.loss_and_gradient"] = _per_call_us(
         lambda: bundle.problem.loss_and_gradient(params, batch), ORACLE_CALLS // 10)
+    batch_oracle = getattr(bundle.problem, "batch_oracle", None)
+    if batch_oracle is not None:
+        for n in MLP_ORACLE_LANES:
+            X = np.array([bundle.init_point(seed) for seed in range(n)])
+            I = np.array([RngStream(seed, 1).permutation(bundle.problem.n_samples)[:MLP_BATCH]
+                          for seed in range(n)])
+            layers[f"mlp.oracle.lanes{n}"] = _per_call_us(lambda: batch_oracle(X, I),
+                                                          ORACLE_CALLS // 10)
     weight = WeightFn(5.0)
     for d in OCCUPATION_DIMS:
         rng = RngStream(d, 0)

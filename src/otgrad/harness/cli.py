@@ -19,7 +19,13 @@ import numpy as np
 
 from ..analysis import MAX_HESSIAN_DIM, classify_point, fd_gradient, min_hessian_eig
 from ..benchmarks import PROBLEM_NAMES, make_problem
-from ..core import ContractViolation, NumericalDomainError, STREAM_INIT, derive_stream
+from ..core import (
+    STREAM_INIT,
+    ContractViolation,
+    NumericalDomainError,
+    derive_stream,
+    one_blas_thread,
+)
 from ..occupation import WeightFn
 from ..walks import (
     MSD_FIT_LO_FRAC,
@@ -124,6 +130,7 @@ def _check_points(bundle, rng) -> list:
     return points
 
 
+@one_blas_thread()  # its products, as a run's, on one BLAS thread
 def _cmd_check(args) -> int:
     bundle = make_problem(args.problem, data_seed=args.data_seed)
     obj = bundle.objective
@@ -157,6 +164,7 @@ def _load_point(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+@one_blas_thread()
 def _cmd_classify(args) -> int:
     bundle = make_problem(args.problem, data_seed=args.data_seed)
     obj = bundle.objective

@@ -25,10 +25,11 @@ would repeat that step, so it gets its remaining rows at once and
 retires.  run() is the one-lane call.  The engine evaluates the objective
 through one oracle path, _evaluate: each call (the step rows, the
 gradients of kicked lanes, certificate values, NCE probes) is one call of
-the Objective's stacked oracle over the rows of all its lanes, or one call
-per lane when each lane has its own mini-batch Objective.  Only when a
-call fails do the rows go one by one, to find the lanes that failed: a
-NumericalDomainError or a float overflow ends that lane as a RunError.
+the Objective's stacked oracle over the rows of all its lanes, or, on
+mini-batches, one call of the problem's batch_oracle with each lane's row
+on that lane's batch.  Only when a call fails do the rows go one by one,
+to find the lanes that failed: a NumericalDomainError or a float overflow
+ends that lane as a RunError.
 
 Each rule is written once, over lanes, and _step applies the rule of an
 algorithm, a _Rule that the method table _rule derives from its config.
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -284,42 +285,57 @@ class _Lanes:
         self.fired, self.nce_hits, self.failed = [], [], {}
 
 
+class _Batches(NamedTuple):
+    """A step's mini-batches: one index row per lane, and the problem's
+    stacked oracle on them.  Its `oracle` answers row r of a parameter
+    stack on index row r, so eval_rows takes it as it takes an Objective."""
+
+    batch_oracle: Callable[[np.ndarray, np.ndarray], tuple]
+    indices: np.ndarray      # (lanes x batch)
+    name: str
+
+    def oracle(self, X: np.ndarray) -> tuple:
+        return self.batch_oracle(X, self.indices)
+
+
+def _on(obj, rows):
+    """obj for the lanes in rows: a shared Objective as it is, _Batches
+    cut to those lanes' index rows."""
+    if rows is None or isinstance(obj, Objective):
+        return obj
+    return obj._replace(indices=obj.indices[rows])
+
+
 def _evaluate(lanes: _Lanes, obj, X: np.ndarray, checked: bool = False,
               rows: Optional[list] = None) -> tuple:
     """The oracle at the rows of X, the one path the engine's oracle calls take.
 
-    obj is one Objective for every lane, or a list with one per lane; rows
-    names the lane of each row of X (default: row i is lane i).  checked
-    adds eval_objective's finiteness checks (see eval_rows).  Returns
-    (F, G): F a list of floats, G a (rows x dim) array.
+    obj is one Objective for every lane, or the step's _Batches; rows
+    names the lane of each row of X (default: row i is lane i), and picks
+    those lanes' index rows from _Batches.  checked adds eval_objective's
+    finiteness checks (see eval_rows).  Returns (F, G): F a list of
+    floats, G a (rows x dim) array.
 
-    A shared Objective answers every row in one oracle call.  When that
-    call fails, and with one Objective per lane, each row makes its own
-    call, as a one-lane run would.  A row whose call raises
+    Every row goes into one oracle call.  When that call fails, each row
+    makes its own call, as a one-lane run would.  A row whose call raises
     NumericalDomainError marks its lane failed and reads NaN; a lane that
     already failed is not called.
     """
-    shared = isinstance(obj, Objective)
-    if shared and not lanes.failed:
+    if not lanes.failed:
         try:
-            return eval_rows(obj, X, checked)
+            return eval_rows(_on(obj, rows), X, checked)
         except NumericalDomainError:
             pass  # the rows below find the lanes that failed
-    k = X.shape[0]
-    F, G = [math.nan] * k, [None] * k
-    for j in range(k):
-        lane = j if rows is None else rows[j]
+    F, G = [math.nan] * X.shape[0], np.full(X.shape, math.nan)
+    for j, lane in enumerate(range(X.shape[0]) if rows is None else rows):
         if lane in lanes.failed:
             continue
         try:
-            f, G[j] = eval_rows(obj if shared else obj[lane], X[j:j + 1], checked)
-            F[j] = f[0]
+            f, g = eval_rows(_on(obj, [lane]), X[j:j + 1], checked)
+            F[j], G[j] = f[0], g[0]
         except NumericalDomainError as exc:
             lanes.fail(lane, exc)
-    if k == 1 and G[0] is not None:
-        return F, G[0]  # a one-lane call's own array, not a copy
-    return F, np.concatenate([np.full((1, X.shape[1]), math.nan) if g is None else g
-                              for g in G])
+    return F, G
 
 
 def _unchanged(A: np.ndarray, B: np.ndarray, rows) -> list:
@@ -814,11 +830,14 @@ class RunError(RuntimeError):
 
 
 class Batcher:
-    """Produces one objective per step from a dataset-backed problem.
+    """Hands out one mini-batch per step from a dataset-backed problem.
 
-    `problem` must expose dim, n_samples, and objective_for(indices).
-    Batches walk a per-epoch shuffle drawn from the given stream, so a run
-    is reproducible from (seed, batch_size) alone.
+    `problem` must expose dim, n_samples, and objective_for(indices), the
+    loss on one batch; a problem that also has batch_oracle(X, I) answers
+    row r of a parameter stack on index row r of I, every lane's batch in
+    one call (see batch_oracle).  next_indices() gives the next batch's
+    sample indices.  Batches walk a per-epoch shuffle drawn from the given
+    stream, so a run is reproducible from (seed, batch_size) alone.
     """
 
     def __init__(self, problem, batch_size: int, rng: RngStream):
@@ -834,14 +853,37 @@ class Batcher:
     def steps_per_epoch(self) -> int:
         return math.ceil(self.problem.n_samples / self.batch_size)
 
-    def next_objective(self) -> Objective:
+    def next_indices(self) -> np.ndarray:
         n = self.problem.n_samples
         if self._order is None or self._cursor >= n:
             self._order = self.rng.permutation(n)
             self._cursor = 0
         idx = self._order[self._cursor:self._cursor + self.batch_size]
         self._cursor += self.batch_size
-        return self.problem.objective_for(idx)
+        return idx
+
+    def next_objective(self) -> Objective:
+        """The loss on the next batch."""
+        return self.problem.objective_for(self.next_indices())
+
+
+def _batch_oracle(problem) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """problem's stacked oracle on mini-batches, (X, I) -> (F, G) with row
+    r of X evaluated on the batch I[r]: its own batch_oracle, or for a
+    problem with objective_for alone one that calls the Objective of each
+    row's batch on that row in turn."""
+    own = getattr(problem, "batch_oracle", None)
+    if own is not None:
+        return own
+
+    def oracle(X: np.ndarray, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        F, G = np.empty(X.shape[0]), np.empty_like(X)
+        for r, idx in enumerate(I):
+            f, g = problem.objective_for(idx).oracle(X[r:r + 1])
+            F[r], G[r] = f[0], g[0]
+        return F, G
+
+    return oracle
 
 
 def _rule(algo: AlgoConfig, dim: int) -> _Rule:
@@ -893,7 +935,10 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
 
     x0s holds one start per lane (default zeros); batchers, when given,
     one Batcher per lane, with `obj` then the full objective or the
-    dataset-backed problem (see run).
+    dataset-backed problem (see run).  The batchers must share one problem
+    and one batch size: each oracle call of a step puts every lane's row
+    on that lane's batch in one call of the problem's batch_oracle (see
+    Batcher).
     """
     if max_steps < 0:
         raise ContractViolation(f"max_steps must be >= 0, got {max_steps}")
@@ -909,6 +954,12 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
             raise ContractViolation(f"{name} has {len(per_lane)} entries for {n} seeds")
     if n == 0:
         return []
+    if batchers is not None:
+        data = batchers[0].problem
+        if any(b.problem is not data or b.batch_size != batchers[0].batch_size
+               for b in batchers):
+            raise ContractViolation("batchers must share one problem and one batch size")
+        oracle, data_name = _batch_oracle(data), getattr(data, "name", "")
     dim = obj.dim
     X = np.zeros((n, dim)) if x0s is None else np.array([as_vector(x0, dim) for x0 in x0s])
     rule = _rule(algo, dim)
@@ -930,7 +981,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     def step_objective():
         if batchers is None:
             return obj
-        return [batchers[i].next_objective() for i in live]
+        return _Batches(oracle, np.array([batchers[i].next_indices() for i in live]), data_name)
 
     def retire(done: dict, t: int) -> list:
         """Finish the lanes in done, {lane: (final_x, terminated)}, plus the
@@ -962,9 +1013,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
             keep = retire({}, t)
             if not live:
                 break
-            F, G = [F[p] for p in keep], G[keep]
-            if batchers is not None:
-                step_obj = [step_obj[p] for p in keep]
+            F, G, step_obj = [F[p] for p in keep], G[keep], _on(step_obj, keep)
         norms = [math.sqrt(float(g.dot(g))) for g in G]
         X_in, V_in = lanes.X, lanes.V
         saved = _step(rule, lanes, step_obj, F, G, norms, gate_obj)

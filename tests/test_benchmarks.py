@@ -28,7 +28,13 @@ from otgrad.benchmarks.airy import (
     airy_sample_grid,
     airy_targets,
 )
-from otgrad.benchmarks.mlp import MlpProblem, mlp_param_count
+from otgrad.benchmarks.mlp import (
+    N_INPUT,
+    N_OUTPUT,
+    MlpProblem,
+    _sigmoid_in_place,
+    mlp_param_count,
+)
 from otgrad.benchmarks.datasets import synthetic_blobs
 from otgrad.benchmarks.quadratics import (
     REGLQ_DIM,
@@ -387,18 +393,58 @@ class TestPhaseRetrieval:
             math.sqrt(1.0 / 100000.0), rel=1e-15)
 
 
-def _two_pass_loss_gradient(prob, params, indices):
-    """Backpropagation from a forward pass of its own, apart from the loss."""
+def _masked_sigmoid(z):
+    """The logistic function on each half of z, selected by a mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_forward(prob, params, xb):
+    """The MLP's forward pass on one parameter vector, with 2-D products
+    and the masked sigmoid: (a1, da1, w2, max-shifted logits, their exp,
+    log-partition)."""
+    h = prob.n_hidden
+    w1 = params[:N_INPUT * h].reshape(N_INPUT, h)
+    b1 = params[N_INPUT * h:N_INPUT * h + h]
+    w2 = params[N_INPUT * h + h:-N_OUTPUT].reshape(h, N_OUTPUT)
+    b2 = params[-N_OUTPUT:]
+    z1 = xb @ w1 + b1
+    if prob.activation == "sigmoid":
+        a1 = _masked_sigmoid(z1)
+        da1 = a1 * (1.0 - a1)
+    elif prob.activation == "tanh":
+        a1 = np.tanh(z1)
+        da1 = 1.0 - a1 * a1
+    else:
+        a1 = np.maximum(z1, 0.0)
+        da1 = (z1 > 0.0).astype(np.float64)
+    logits = a1 @ w2 + b2
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shift)
+    return a1, da1, w2, shift, exp, np.log(exp.sum(axis=1))
+
+
+def _reference_loss_and_gradient(prob, params, indices):
+    """Loss and backpropagated gradient on one batch, the gradient joined
+    from its four blocks by np.concatenate."""
     xb = prob.x[indices]
     yb = prob.y[indices]
     batch = xb.shape[0]
-    a1, da1, w2, logits, shift, exp, log_z = prob._forward(params, xb)
+    a1, da1, w2, shift, exp, log_z = _reference_forward(prob, params, xb)
+    loss = float((log_z - shift[np.arange(batch), yb]).mean())
     delta2 = exp / exp.sum(axis=1, keepdims=True)
     delta2[np.arange(batch), yb] -= 1.0
     delta2 /= batch
+    g_w2 = a1.T @ delta2
+    g_b2 = delta2.sum(axis=0)
     delta1 = (delta2 @ w2.T) * da1
-    return np.concatenate([(xb.T @ delta1).ravel(), delta1.sum(axis=0),
-                           (a1.T @ delta2).ravel(), delta2.sum(axis=0)])
+    g_w1 = xb.T @ delta1
+    g_b1 = delta1.sum(axis=0)
+    return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
 
 
 class TestMlp:
@@ -441,13 +487,13 @@ class TestMlp:
             assert ga[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
-    def test_fused_oracle_matches_two_pass_backprop(self, activation):
+    def test_fused_oracle_matches_the_reference(self, activation):
         prob = self.make(n_hidden=8, activation=activation)
         params = prob.init_params(derive_stream(3, 0), mean=-0.2, std=0.5)
         idx = derive_stream(4, 0).permutation(prob.n_samples)[:32]
         f, g = prob.loss_and_gradient(params, idx)
         assert f == prob.loss(params, idx)
-        assert np.array_equal(g, _two_pass_loss_gradient(prob, params, idx))
+        _assert_same_bits((f, g), _reference_loss_and_gradient(prob, params, idx))
         assert np.array_equal(prob.loss_gradient(params, idx), g)
         f_eval, g_eval = eval_objective(prob.objective_for(idx), params)
         assert f_eval == f and np.array_equal(g_eval, g)
@@ -470,6 +516,95 @@ class TestMlp:
         params = prob.init_params(derive_stream(0, 0), mean=-1.0, std=0.1)
         assert abs(float(np.mean(params)) + 1.0) < 0.01
         assert abs(float(np.std(params)) - 0.1) < 0.01
+
+
+# (n_samples, batch size, first index): the last batch of 100 samples in
+# batches of 32 is ragged, 4 samples long, and of 150 samples 22 long, a
+# batch size whose reciprocal is inexact
+MLP_BATCHES = ((160, 1, 0), (160, 16, 0), (160, 128, 0), (100, 32, 96), (150, 32, 128))
+PARAMETER_KINDS = ("plain", "saturated", "overflow", "nan", "signed_zero", "large")
+
+
+def _parameter_stack(prob, lanes, kind):
+    """lanes parameter rows of one kind.  Beside plain and saturated
+    draws, they drive the hidden pre-activations z to +-inf ("overflow"),
+    NaN ("nan"), signed zeros ("signed_zero", a first layer of -0.0) or
+    |z| > 745, where exp(-|z|) underflows ("large")."""
+    h = prob.n_hidden
+    first = N_INPUT * h + h
+    X = np.array([prob.init_params(derive_stream(r, 0), mean=-1.0 if kind == "saturated" else 0.0,
+                                   std=0.5) for r in range(lanes)])
+    if kind == "overflow":
+        X[::2, :N_INPUT * h:7] = 1e308
+        X[1::2, :N_INPUT * h:5] = -1e308
+    elif kind == "nan":
+        X[1::2, 3] = np.nan
+    elif kind == "signed_zero":
+        X[:, :first] = -0.0
+    elif kind == "large":
+        X[:, :first] *= 4000.0
+    return X
+
+
+class TestMlpBatchOracle:
+    """batch_oracle answers row r of a parameter stack on index row r with
+    the bytes of the masked-sigmoid, concatenating reference on that row
+    alone, and loss, loss_and_gradient and objective_for are its one-row
+    case."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n_hidden", [1, 8, 32, 100])
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+    def test_rows_equal_the_reference_bit_for_bit(self, activation, n_hidden):
+        for n_samples, batch, first in MLP_BATCHES:
+            features, labels = synthetic_blobs(0, n_samples=n_samples)
+            prob = MlpProblem(features, labels, n_hidden=n_hidden, activation=activation)
+            for lanes in range(1, 7):
+                I = np.array([derive_stream(r, 1).permutation(n_samples)[first:first + batch]
+                              for r in range(lanes)])
+                for kind in PARAMETER_KINDS:
+                    X = _parameter_stack(prob, lanes, kind)
+                    F, G = prob.batch_oracle(X, I)
+                    assert F.shape == (lanes,) and G.shape == X.shape
+                    for r in range(lanes):
+                        _assert_same_bits((F[r], G[r]),
+                                          _reference_loss_and_gradient(prob, X[r], I[r]))
+                    _assert_same_bits(prob.loss_and_gradient(X[0], I[0]), (F[0], G[0]))
+                    assert np.float64(prob.loss(X[0], I[0])).tobytes() == F[0].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_parameter_kinds_reach_their_regimes(self):
+        features, labels = synthetic_blobs(0, n_samples=160)
+        prob = MlpProblem(features, labels, n_hidden=8)
+        xb = prob.x[:16]
+
+        def z(X):
+            h = prob.n_hidden
+            w1 = X[:, :N_INPUT * h].reshape(-1, N_INPUT, h)
+            return xb @ w1 + X[:, N_INPUT * h:N_INPUT * h + h][:, None, :]
+
+        assert np.isinf(z(_parameter_stack(prob, 2, "overflow"))).any()
+        assert np.isnan(z(_parameter_stack(prob, 2, "nan"))[1]).any()
+        assert (z(_parameter_stack(prob, 2, "signed_zero")) == 0.0).all()
+        large = np.abs(z(_parameter_stack(prob, 2, "large")))
+        assert (large > 745).any() and np.isfinite(large).all()
+
+    def test_mask_free_sigmoid_equals_the_masked_one(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.5, -745.5, 746.0,
+                      -746.0, 1e4, -1e4, 5e-324, -5e-324, 0.5, -0.5, 36.0, -36.0] * 5)
+        ref = _masked_sigmoid(z)
+        a, da = _sigmoid_in_place(z.copy())
+        assert a.tobytes() == ref.tobytes()
+        assert da.tobytes() == (ref * (1.0 - ref)).tobytes()
+
+    def test_objective_for_puts_its_batch_on_every_row(self):
+        features, labels = synthetic_blobs(0, n_samples=100)
+        prob = MlpProblem(features, labels, n_hidden=8)
+        idx = derive_stream(4, 0).permutation(100)[:32]
+        X = _parameter_stack(prob, 3, "plain")
+        F, G = prob.objective_for(idx).oracle(X)
+        for r in range(3):
+            _assert_same_bits((F[r], G[r]), _reference_loss_and_gradient(prob, X[r], idx))
 
 
 class TestMakeProblem:

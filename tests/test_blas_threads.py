@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from otgrad import core
-from otgrad.benchmarks import make_problem, staircase_objective
+from otgrad.benchmarks import MlpProblem, make_problem, staircase_objective
 from otgrad.core import STREAM_BATCH, STREAM_INIT, Objective, derive_stream, one_blas_thread
-from otgrad.harness import OUTPUT_ENV_VAR, parse_config, run_experiment
+from otgrad.harness import OUTPUT_ENV_VAR, cli, parse_config, run_experiment
 from otgrad.occupation import WeightFn
 from otgrad.optimizers import AlgoConfig, Batcher, run
 from otgrad.walks import fit_msd_exponent, msd_curve
@@ -112,6 +112,46 @@ class TestGuard:
         obj = Objective(dim=4, oracle=oracle)
         run(obj, AlgoConfig(name="pgdot", mode="practical", t_thres=0, g_thres=10.0),
             5, seed=0, x0=np.ones(4))
+        assert counts and set(counts) == {1}
+        assert blas.get_threads() == 2
+
+    def test_mlp_loss_runs_on_one_thread(self, blas, monkeypatch):
+        blas.set_threads(2)
+        counts = []
+        evaluate = MlpProblem._evaluate
+
+        def spy(self, X, I, gradient):
+            counts.append(blas.get_threads())
+            return evaluate(self, X, I, gradient)
+
+        monkeypatch.setattr(MlpProblem, "_evaluate", spy)
+        problem = make_problem("mlp", data_seed=0, dataset="synthetic_blobs",
+                               n_samples=64, n_hidden=4).problem
+        full = problem.full_objective()
+        full.value(problem.init_params(derive_stream(0, STREAM_INIT)))
+        assert counts == [1]
+        assert blas.get_threads() == 2
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_check_and_classify_commands_run_on_one_thread(self, blas, monkeypatch, tmp_path,
+                                                          capsys, command):
+        blas.set_threads(2)
+        counts = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                counts.append(blas.get_threads())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "fd_gradient", spy(cli.fd_gradient))
+        monkeypatch.setattr(cli, "classify_point", spy(cli.classify_point))
+        point = tmp_path / "point.txt"
+        point.write_text("0.5 -0.25\n")
+        argv = ["check", "reglq"] if command == "check" else \
+            ["classify", "reglq", str(point), "0.1", "1.0"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
         assert counts and set(counts) == {1}
         assert blas.get_threads() == 2
 

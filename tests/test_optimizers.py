@@ -781,6 +781,91 @@ class TestBatcher:
             Batcher(bundle.problem, 0, derive_stream(0, 1))
 
 
+def _mlp_lanes(activation="sigmoid", mean=-1.0, std=0.1):
+    """A small synthetic-blob MLP and a start drawn at the given mean."""
+    problem = make_problem("mlp", data_seed=0, dataset="synthetic_blobs", n_samples=64,
+                           n_hidden=4, activation=activation).problem
+    return problem, problem.init_params(derive_stream(0, STREAM_INIT), mean=mean, std=std)
+
+
+def _batchers(problem, seeds, batch_size=16):
+    return [Batcher(problem, batch_size, derive_stream(s, STREAM_BATCH)) for s in seeds]
+
+
+class TestMiniBatchLanes:
+    """Mini-batch lanes answer every lane's batch in one stacked call of
+    the problem's batch_oracle, and each lane still equals its run() alone."""
+
+    def _run_alone(self, problem, algo, steps, seed, x0):
+        try:
+            return run(problem, algo, steps, seed, x0=x0, batcher=_batchers(problem, [seed])[0])
+        except RunError as exc:
+            return exc
+
+    @pytest.mark.parametrize("name", ["adam", "pgd", "pgdot", "pagdot"])
+    def test_one_oracle_call_per_step(self, name, monkeypatch):
+        problem, x0 = _mlp_lanes()
+        own, calls = problem.batch_oracle, []
+
+        def spy(X, I):
+            assert I.shape == (X.shape[0], 16)
+            calls.append(X.shape[0])
+            return own(X, I)
+
+        monkeypatch.setattr(problem, "batch_oracle", spy)
+        seeds, steps = [0, 1, 2], 30
+        x0s = [x0, x0 + 0.01, x0 - 0.01]
+        # gradient norms here read 0.1-0.3, so each kick takes some lanes
+        algo = AlgoConfig(name=name, eta=0.01, t_thres=1, g_thres=0.2, r=0.5, momentum=0.9,
+                          h=1e12, t_count=10)
+        lanes = run_lanes(problem, algo, steps, seeds, x0s, batchers=_batchers(problem, seeds))
+        # one call per step and one for the final row; a step that kicks
+        # adds one for the kicked lanes (pgd, pgdot), and pagdot one at y
+        kicks = [sum(tr.perturbed[t] for tr in lanes) for t in range(steps)]
+        expected = [3] * (steps + 1)
+        if name in ("pgd", "pgdot"):
+            expected += [k for k in kicks if k]
+        if name == "pagdot":
+            expected += [3] * steps
+        assert sorted(calls) == sorted(expected)
+        assert (name == "adam") == (sum(kicks) == 0)
+        assert name == "adam" or {1, 2} <= set(kicks)
+        monkeypatch.undo()
+        for seed, start, result in zip(seeds, x0s, lanes):
+            alone = self._run_alone(problem, algo, steps, seed, start)
+            assert _trace_record(result) == _trace_record(alone)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["gd", "pgdot", "pagdot"])
+    def test_lane_that_turns_non_finite_ends_alone(self, name):
+        # relu lets a first layer at 1e154 through: one step grows the
+        # readout to match, and the next step's logits overflow
+        problem, x0 = _mlp_lanes(activation="relu", mean=0.0, std=0.5)
+        blown = x0.copy()
+        blown[:101 * problem.n_hidden] *= 1e154
+        seeds, steps = [1, 2, 3], 40
+        x0s = [x0, blown, x0 + 0.01]
+        algo = AlgoConfig(name=name, eta=0.5, t_thres=2, g_thres=0.1, r=0.5, momentum=0.9,
+                          h=1e12, t_count=10)
+        lanes = run_lanes(problem, algo, steps, seeds, x0s, batchers=_batchers(problem, seeds))
+        for seed, start, result in zip(seeds, x0s, lanes):
+            alone = self._run_alone(problem, algo, steps, seed, start)
+            assert _trace_record(result) == _trace_record(alone)
+        assert isinstance(lanes[1], RunError) and lanes[1].trace.ts == [0]
+        assert "mlp: non-finite value or gradient" in str(lanes[1])
+        assert [isinstance(lane, RunError) for lane in (lanes[0], lanes[2])] == [False, False]
+        assert [lane.final_t for lane in (lanes[0], lanes[2])] == [steps, steps]
+
+    def test_batchers_share_one_problem_and_batch_size(self):
+        problem, x0 = _mlp_lanes()
+        other = _mlp_lanes()[0]
+        algo = AlgoConfig(name="adam")
+        for batchers in ([_batchers(problem, [0])[0], _batchers(other, [1])[0]],
+                         [_batchers(problem, [0])[0], _batchers(problem, [1], 32)[0]]):
+            with pytest.raises(ContractViolation, match="share one problem"):
+                run_lanes(problem, algo, 5, [0, 1], [x0, x0], batchers=batchers)
+
+
 def _trace_record(result):
     """Everything a run reports, RunError message included, for comparison."""
     error = None
