@@ -33,7 +33,6 @@ from .optimizers import (
     BASELINE_ALGORITHMS,
     Batcher,
     BaselineHyper,
-    OptimizerState,
     PERTURBED_ALGORITHMS,
     PagdotParams,
     PgdotParams,
@@ -43,11 +42,7 @@ from .optimizers import (
     derive_pagdot_params,
     derive_pgdot_params,
     gd_step,
-    make_pagdot_state,
-    make_pgdot_state,
     nce,
-    pagdot_step,
-    pgdot_step,
     run,
     run_lanes,
 )
@@ -84,7 +79,6 @@ __all__ = [
     "NumericalDomainError",
     "Objective",
     "OccupationWindow",
-    "OptimizerState",
     "PERTURBED_ALGORITHMS",
     "PROBLEM_NAMES",
     "PagdotParams",
@@ -115,17 +109,13 @@ __all__ = [
     "gd_step",
     "jacobi_eigenvalues",
     "localization_metric",
-    "make_pagdot_state",
-    "make_pgdot_state",
     "make_problem",
     "min_hessian_eig",
     "monotone_after",
     "msd_curve",
     "msd_exponent",
     "nce",
-    "pagdot_step",
     "path_range",
-    "pgdot_step",
     "run",
     "run_lanes",
     "sample_ball_perturbation",

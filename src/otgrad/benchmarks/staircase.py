@@ -44,12 +44,6 @@ def staircase_profile(r: float, n_plateaus: int = 4, length: float = 1.0) -> flo
     return _profile_and_slope(r, n_plateaus, length)[0]
 
 
-def staircase_slope(r: float, n_plateaus: int = 4, length: float = 1.0) -> float:
-    if r < 0:
-        raise ContractViolation(f"squared-radius mean must be >= 0, got {r}")
-    return _profile_and_slope(r, n_plateaus, length)[1]
-
-
 def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) -> Objective:
     """f(x) = f~(mean(x_i^2)); gradient_i = f~'(r) * 2 x_i / dim.
 

@@ -3,10 +3,10 @@
 Two families are implemented, each in two modes.
 
 Theory mode reproduces the analyzed algorithms verbatim: perturbed gradient
-descent (pgdot_step) with its improve-or-terminate rule, and the perturbed
-accelerated method (pagdot_step) with negative-curvature exploitation (nce).
-All constants are derived from the smoothness inputs by derive_pgdot_params /
-derive_pagdot_params.
+descent (pgd, pgdot) with its improve-or-terminate rule, and the perturbed
+accelerated method (pagd, pagdot) with negative-curvature exploitation
+(NCE).  All constants are derived from the smoothness inputs by
+derive_pgdot_params / derive_pagdot_params.
 
 Practical mode is the configuration used by the experiment presets: the same
 perturbation gate driven by explicit (eta, t_thres, g_thres, r) knobs, a
@@ -22,7 +22,8 @@ state and trace.  A lane that terminates or fails drops out; the others go
 on, and each lane's trace equals its run alone bit for bit.  So does a
 gd/agd lane that one step leaves exactly where it was: every later step
 would repeat that step, so it gets its remaining rows at once and
-retires.  run() is the one-lane call.  The engine evaluates the objective
+retires.  run() is the one-lane call; there is no other way to step an
+optimizer.  The engine evaluates the objective
 through one oracle path, _evaluate: each call (the step rows, the
 gradients of kicked lanes, certificate values, NCE probes) is one call of
 the Objective's stacked oracle over the rows of all its lanes, or, on
@@ -42,9 +43,8 @@ fire at t = 0.  _terminations is the improve-or-terminate rule, _descend
 the gradient step, and _accelerate the Nesterov update with the curvature
 certificate, which hands every certified lane to _nce,
 negative-curvature exploitation, whose probes of all those lanes are one
-oracle call.  The single-state API (pgdot_step, pagdot_step,
-make_*_state) and nce run these rules as one-lane calls, and
-baseline_step takes a stack of lanes as it takes one iterate.
+oracle call.  baseline_step takes a stack of lanes as it takes one
+iterate.
 
 Swapping the occupation sampler for a uniform ball sampler turns the adapted
 methods into the classical perturbed baselines (pgd, pagd) step for step.
@@ -171,47 +171,6 @@ def derive_pagdot_params(d: int, ell: float, rho: float, eps: float,
 # ---------------------------------------------------------------------------
 # Step operations
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OptimizerState:
-    """Mutable loop state shared by the step operations.
-
-    perturbed_last, nce_last and the two counters are the event record:
-    a driver reads them the same way after a step of any algorithm (they
-    stay False and 0 where an event cannot happen).  `window` is None for
-    methods that never read occupation counts.
-    """
-
-    x: np.ndarray
-    rng: RngStream
-    window: Optional[OccupationWindow] = None
-    t: int = 0
-    v: Optional[np.ndarray] = None
-    t_noise: int = 0
-    x_tilde: Optional[np.ndarray] = None
-    f_tilde: Optional[float] = None
-    perturbed_last: bool = False
-    nce_last: bool = False
-    n_perturbations: int = 0
-    n_nce: int = 0
-
-
-def make_pgdot_state(x0, params: PgdotParams, rng: RngStream,
-                     t_count: Optional[int] = None, h: float = math.inf) -> OptimizerState:
-    x = as_vector(x0)
-    window = OccupationWindow(x.shape[0], t_count=t_count, h=h)
-    # t_noise starts one cooldown back so a perturbation may fire at t=0
-    return OptimizerState(x=x.copy(), rng=rng, window=window,
-                          t_noise=-(params.t_thres + 1))
-
-
-def make_pagdot_state(x0, params: PagdotParams, rng: RngStream,
-                      t_count: Optional[int] = None, h: float = math.inf) -> OptimizerState:
-    x = as_vector(x0)
-    window = OccupationWindow(x.shape[0], t_count=t_count, h=h)
-    return OptimizerState(x=x.copy(), rng=rng, window=window,
-                          v=np.zeros_like(x), t_noise=-params.script_t)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -470,9 +429,10 @@ def _accelerate(rule: _Rule, lanes: _Lanes, obj, F: list, fired: list) -> None:
     `certify` (theory pagd/pagdot), each lane whose segment certifies
     negative curvature,
         f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2,
-    with x its (possibly kicked) iterate, replaces (x', v') by nce(x, v, s);
-    _nce does so for all certified lanes together.  A zero velocity makes
-    the certificate 0 <= 0, which counts as certified.
+    with x its (possibly kicked) iterate, replaces (x', v') by
+    negative-curvature exploitation from (x, v) at distance s, which _nce
+    runs for all certified lanes together.  A zero velocity makes the
+    certificate 0 <= 0, which counts as certified.
     """
     X, V = lanes.X, lanes.V
     if fired and rule.reset_velocity:
@@ -500,7 +460,7 @@ def _accelerate(rule: _Rule, lanes: _Lanes, obj, F: list, fired: list) -> None:
 
 def _nce(lanes: _Lanes, obj, X: np.ndarray, V: np.ndarray, hits: list, s: float) -> None:
     """Negative-curvature exploitation on the lanes in `hits`, from their
-    iterates X and velocities V (one row per lane); see nce.
+    iterates X and velocities V (one row per lane); nce states the rule.
 
     Each lane's new iterate goes into lanes.X and a zero velocity into
     lanes.V, and n_nce counts it.  The probes of every lane are valued in
@@ -564,63 +524,7 @@ def _step(rule: _Rule, lanes: _Lanes, obj, F: list, G: np.ndarray, norms: list,
     return saved
 
 
-# ---------------------------------------------------------------------------
-# Single-state step operations: one-lane calls of the rules above
-# ---------------------------------------------------------------------------
-
-
-def _step_state(rule: _Rule, obj: Objective, state: OptimizerState, fg) -> Optional[np.ndarray]:
-    """One step of `rule` on `state`, as a one-lane _step; fg as in pgdot_step."""
-    lanes = _Lanes(np.asarray(state.x, dtype=np.float64)[None, :], [state.rng],
-                   [state.window], [state.t_noise],
-                   None if state.v is None else np.asarray(state.v, dtype=np.float64)[None, :])
-    lanes.t = state.t
-    lanes.x_tilde = [state.x_tilde]
-    lanes.f_tilde = [state.f_tilde]
-    lanes.n_perturbations = [state.n_perturbations]
-    lanes.n_nce = [state.n_nce]
-    if fg is None:
-        F, G = _evaluate(lanes, obj, lanes.X, checked=True)
-        lanes.raise_failure()
-        fg = (F[0], G[0], _norm(G[0]))
-    f_t, g_t, g_norm = fg
-    saved = _step(rule, lanes, obj, [f_t], np.asarray(g_t, dtype=np.float64)[None, :], [g_norm])
-    lanes.raise_failure()
-    state.t_noise = lanes.t_noise[0]
-    state.x_tilde = lanes.x_tilde[0]
-    state.f_tilde = lanes.f_tilde[0]
-    state.n_perturbations = lanes.n_perturbations[0]
-    state.n_nce = lanes.n_nce[0]
-    state.perturbed_last = bool(lanes.fired)
-    state.nce_last = bool(lanes.nce_hits)
-    if saved:
-        return saved[0]
-    state.x = lanes.X[0]
-    if lanes.V is not None:
-        state.v = lanes.V[0]
-    state.t += 1
-    return None
-
-
-def pgdot_step(obj: Objective, state: OptimizerState, params: PgdotParams,
-               sampler: str = "occupation", weight: Optional[WeightFn] = None,
-               fg: Optional[tuple[float, np.ndarray, float]] = None) -> Optional[np.ndarray]:
-    """One step of the perturbed gradient method.
-
-    fg, when given, is (f, grad f, ||grad f||) at state.x, already computed.
-
-    Order of events at step t: the perturbation gate at the incoming iterate
-    (cooldown t_thres + 1, see _gate), the improve-or-terminate check
-    t_thres steps after a perturbation, then the gradient step from the
-    (possibly perturbed) iterate.
-
-    Returns the saved pre-perturbation point when the run terminates
-    (insufficient decrease t_thres steps after a perturbation), else None;
-    a terminating step leaves state.x and state.t as they were.
-    """
-    return _step_state(_pgdot_rule(params, sampler, weight or WeightFn()), obj, state, fg)
-
-
+# The benchmark's tracer rebinds optimizers.nce when it installs.
 def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Negative-curvature exploitation.
 
@@ -629,9 +533,9 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
     and keeps the better endpoint; a zero velocity probes s along a
     uniformly random unit direction instead.  Ties keep x + delta.
     The returned velocity is always zero.  A float overflow in a probe
-    raises NumericalDomainError.  This is _nce on one lane, the rule that
-    theory pagd/pagdot apply to all their certified lanes at once: the two
-    probes are valued by one oracle call.
+    raises NumericalDomainError.  This is _nce on one lane; run_lanes
+    calls _nce for theory pagd/pagdot, on all certified lanes at once.
+    The two probes are valued by one oracle call.
     """
     X = as_vector(x, obj.dim)[None, :]
     V = as_vector(v, obj.dim)[None, :]
@@ -639,26 +543,6 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
     _nce(lanes, obj, X, V, [0], s)
     lanes.raise_failure()
     return lanes.X[0], lanes.V[0]
-
-
-def pagdot_step(obj: Objective, state: OptimizerState, params: PagdotParams,
-                sampler: str = "occupation", weight: Optional[WeightFn] = None,
-                reset_velocity: bool = False,
-                fg: Optional[tuple[float, np.ndarray, float]] = None) -> None:
-    """One step of the perturbed accelerated method.
-
-    Gate: perturb when the gradient norm is at most eps and at least
-    script_t steps have passed since the last perturbation (see _gate; the
-    velocity is kept unless reset_velocity is set).  Then the accelerated
-    update y = x + (1-theta) v, x' = y - eta * grad f(y), v' = x' - x,
-    followed by the negative-curvature certificate
-        f(x) <= f(y) + <grad f(y), x - y> - (gamma/2) ||x - y||^2
-    which, when it holds, replaces (x', v') with nce(x, v, s).  A zero
-    velocity makes the certificate 0 <= 0, which counts as triggered.
-    fg is as in pgdot_step.
-    """
-    _step_state(_pagdot_rule(params, sampler, weight or WeightFn(), reset_velocity),
-                obj, state, fg)
 
 
 # ---------------------------------------------------------------------------
@@ -832,12 +716,13 @@ class RunError(RuntimeError):
 class Batcher:
     """Hands out one mini-batch per step from a dataset-backed problem.
 
-    `problem` must expose dim, n_samples, and objective_for(indices), the
-    loss on one batch; a problem that also has batch_oracle(X, I) answers
-    row r of a parameter stack on index row r of I, every lane's batch in
-    one call (see batch_oracle).  next_indices() gives the next batch's
-    sample indices.  Batches walk a per-epoch shuffle drawn from the given
-    stream, so a run is reproducible from (seed, batch_size) alone.
+    `problem` must expose dim, n_samples, and batch_oracle(X, I), which
+    answers row r of a parameter stack on index row r of I: run_lanes
+    puts every lane's batch in one such call.  next_indices() gives the
+    next batch's sample indices.  Batches walk a per-epoch shuffle drawn
+    from the given stream, so a run is reproducible from (seed,
+    batch_size) alone.  next_objective() also needs objective_for(indices),
+    the loss on one batch.
     """
 
     def __init__(self, problem, batch_size: int, rng: RngStream):
@@ -862,28 +747,10 @@ class Batcher:
         self._cursor += self.batch_size
         return idx
 
+    # The benchmark's tracer rebinds Batcher.next_objective when it installs.
     def next_objective(self) -> Objective:
         """The loss on the next batch."""
         return self.problem.objective_for(self.next_indices())
-
-
-def _batch_oracle(problem) -> Callable[[np.ndarray, np.ndarray], tuple]:
-    """problem's stacked oracle on mini-batches, (X, I) -> (F, G) with row
-    r of X evaluated on the batch I[r]: its own batch_oracle, or for a
-    problem with objective_for alone one that calls the Objective of each
-    row's batch on that row in turn."""
-    own = getattr(problem, "batch_oracle", None)
-    if own is not None:
-        return own
-
-    def oracle(X: np.ndarray, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        F, G = np.empty(X.shape[0]), np.empty_like(X)
-        for r, idx in enumerate(I):
-            f, g = problem.objective_for(idx).oracle(X[r:r + 1])
-            F[r], G[r] = f[0], g[0]
-        return F, G
-
-    return oracle
 
 
 def _rule(algo: AlgoConfig, dim: int) -> _Rule:
@@ -936,9 +803,9 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     x0s holds one start per lane (default zeros); batchers, when given,
     one Batcher per lane, with `obj` then the full objective or the
     dataset-backed problem (see run).  The batchers must share one problem
-    and one batch size: each oracle call of a step puts every lane's row
-    on that lane's batch in one call of the problem's batch_oracle (see
-    Batcher).
+    and one batch size, and the problem must have batch_oracle(X, I):
+    each oracle call of a step puts every lane's row on that lane's batch
+    in one call of it (see Batcher).
     """
     if max_steps < 0:
         raise ContractViolation(f"max_steps must be >= 0, got {max_steps}")
@@ -959,7 +826,11 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
         if any(b.problem is not data or b.batch_size != batchers[0].batch_size
                for b in batchers):
             raise ContractViolation("batchers must share one problem and one batch size")
-        oracle, data_name = _batch_oracle(data), getattr(data, "name", "")
+        oracle, data_name = getattr(data, "batch_oracle", None), getattr(data, "name", "")
+        if not callable(oracle):
+            raise ContractViolation(
+                "mini-batch runs need the problem's batch_oracle(X, I); "
+                f"{type(data).__name__} has none")
     dim = obj.dim
     X = np.zeros((n, dim)) if x0s is None else np.array([as_vector(x0, dim) for x0 in x0s])
     rule = _rule(algo, dim)

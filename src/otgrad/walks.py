@@ -52,7 +52,6 @@ uniforms, so the paths are the same bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from itertools import repeat
@@ -509,23 +508,3 @@ def localization_metric(path: Sequence[int]) -> float:
 def path_range(path: Sequence[int]) -> int:
     path = np.asarray(path, dtype=np.int64)
     return int(path.max() - path.min())
-
-
-def write_paths_csv(file_path: str, seeds: Sequence[int],
-                    paths: Sequence[np.ndarray]) -> None:
-    """Write walk paths as rows (seed, t, Z), seeds in the given order."""
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "t", "Z"])
-        for seed, path in zip(seeds, paths):
-            for t, z in enumerate(path):
-                writer.writerow([seed, t, int(z)])
-
-
-def write_msd_csv(file_path: str, msd: np.ndarray) -> None:
-    """Write an ensemble mean-squared-displacement curve as rows (t, msd)."""
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "msd"])
-        for t, value in enumerate(msd):
-            writer.writerow([t, repr(float(value))])

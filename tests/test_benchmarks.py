@@ -43,10 +43,10 @@ from otgrad.benchmarks.quadratics import (
     reglq_objective,
 )
 from otgrad.benchmarks.staircase import (
+    _profile_and_slope,
     staircase_objective,
     staircase_profile,
     staircase_saddle_init,
-    staircase_slope,
 )
 from otgrad.optimizers import AlgoConfig, run
 
@@ -147,7 +147,8 @@ class TestStaircase:
             assert lower == upper
             assert 3.0 * (r - n) ** 2 == 3.0 * (r - (n + 1)) ** 2
             assert staircase_profile(r) == pytest.approx(lower, abs=1e-15)
-            assert staircase_slope(r) == pytest.approx(3.0 * (r - n) ** 2, abs=1e-15)
+            assert _profile_and_slope(r, 4, 1.0)[1] == pytest.approx(3.0 * (r - n) ** 2,
+                                                          abs=1e-15)
 
     def test_branch_clamps_past_last_plateau(self):
         assert staircase_profile(10.0, n_plateaus=4) == pytest.approx(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otgrad
 from otgrad.benchmarks import make_problem
 from otgrad.core import (
     STREAM_ALGORITHM,
@@ -35,16 +36,13 @@ from otgrad.optimizers import (
     _nce,
     _norm,
     _pagdot_rule,
+    _pgdot_rule,
     _step,
     baseline_step,
     derive_pagdot_params,
     derive_pgdot_params,
     gd_step,
-    make_pagdot_state,
-    make_pgdot_state,
     nce,
-    pagdot_step,
-    pgdot_step,
     run,
     run_lanes,
 )
@@ -66,6 +64,67 @@ def convex_objective(dim=2):
         gradient=lambda x: np.asarray(x, dtype=np.float64),
         name="half_sq",
     )
+
+
+class _OneLane:
+    """One lane of the step engine driven by hand, for the step-rule tests.
+
+    step(obj) values the incoming iterate with eval_objective and applies
+    one _step of `rule`.  It returns the saved point when an
+    improve-or-terminate check stops the lane (x and t then stay as they
+    were), else None with t advanced.  The attributes read through to the
+    lane; x and v are its rows, so a test may write them in place.
+    """
+
+    def __init__(self, rule, x0, rng):
+        X = np.array(x0, dtype=np.float64)[None, :]
+        self.rule = rule
+        self.lanes = _Lanes(X, [rng], [OccupationWindow(X.shape[1], t_count=rule.t_count,
+                                                        h=rule.h)],
+                            [-rule.cooldown], np.zeros_like(X) if rule.accelerated else None)
+
+    def step(self, obj):
+        lanes = self.lanes
+        f, g = eval_objective(obj, lanes.X[0])
+        saved = _step(self.rule, lanes, obj, [f], g[None, :], [_norm(g)])
+        lanes.raise_failure()
+        if saved:
+            return saved[0]
+        lanes.t += 1
+        return None
+
+    x = property(lambda self: self.lanes.X[0])
+    v = property(lambda self: self.lanes.V[0])
+    t = property(lambda self: self.lanes.t)
+    window = property(lambda self: self.lanes.windows[0])
+    perturbed_last = property(lambda self: bool(self.lanes.fired))
+    nce_last = property(lambda self: bool(self.lanes.nce_hits))
+    n_perturbations = property(lambda self: self.lanes.n_perturbations[0])
+    n_nce = property(lambda self: self.lanes.n_nce[0])
+
+
+def _pgdot_lane(x0, params, rng, sampler="occupation", weight=WeightFn()):
+    return _OneLane(_pgdot_rule(params, sampler, weight), x0, rng)
+
+
+def _pagdot_lane(x0, params, rng, sampler="occupation", weight=WeightFn(),
+                 reset_velocity=False):
+    return _OneLane(_pagdot_rule(params, sampler, weight, reset_velocity), x0, rng)
+
+
+class TestPublicSurface:
+    RETIRED = ("OptimizerState", "make_pgdot_state", "make_pagdot_state",
+               "pgdot_step", "pagdot_step")
+
+    def test_all_names_exist_once(self):
+        assert [name for name in otgrad.__all__ if not hasattr(otgrad, name)] == []
+        assert len(otgrad.__all__) == len(set(otgrad.__all__))
+
+    def test_single_state_step_api_is_gone(self):
+        # run / run_lanes are the one way to step an optimizer
+        for name in self.RETIRED:
+            assert name not in otgrad.__all__
+            assert not hasattr(otgrad, name)
 
 
 class TestParameterDerivations:
@@ -173,9 +232,8 @@ class TestPgdotStep:
 
     def test_large_gradient_blocks_perturbation(self):
         obj = saddle_objective()
-        params = self.params()
-        state = make_pgdot_state(np.array([1.0, 0.0]), params, RngStream(0, 0))
-        out = pgdot_step(obj, state, params)
+        state = _pgdot_lane(np.array([1.0, 0.0]), self.params(), RngStream(0, 0))
+        out = state.step(obj)
         assert out is None
         assert not state.perturbed_last
         assert np.array_equal(state.x, np.array([0.9, 0.0]))
@@ -184,22 +242,20 @@ class TestPgdotStep:
 
     def test_small_gradient_perturbs_and_records_pre_perturbation_point(self):
         obj = saddle_objective()
-        params = self.params()
         x0 = np.array([1e-9, 0.0])
-        state = make_pgdot_state(x0, params, RngStream(0, 0))
-        pgdot_step(obj, state, params)
+        state = _pgdot_lane(x0, self.params(), RngStream(0, 0))
+        state.step(obj)
         assert state.perturbed_last and state.n_perturbations == 1
         # The window holds the incoming iterate, not the perturbed one.
         assert np.array_equal(state.window.samples()[0], x0)
 
     def test_cooldown_blocks_back_to_back_perturbations(self):
         obj = saddle_objective()
-        params = self.params()
-        state = make_pgdot_state(np.array([1e-9, 0.0]), params, RngStream(0, 0))
-        pgdot_step(obj, state, params)
+        state = _pgdot_lane(np.array([1e-9, 0.0]), self.params(), RngStream(0, 0))
+        state.step(obj)
         assert state.perturbed_last
-        state.x = np.array([1e-9, 0.0])
-        pgdot_step(obj, state, params)
+        state.x[:] = [1e-9, 0.0]
+        state.step(obj)
         assert not state.perturbed_last
         assert state.n_perturbations == 1
 
@@ -208,10 +264,10 @@ class TestPgdotStep:
         # f_thres, so the run must hand back the pre-perturbation point.
         obj = convex_objective()
         params = self.params()
-        state = make_pgdot_state(np.zeros(2), params, RngStream(3, 0))
+        state = _pgdot_lane(np.zeros(2), params, RngStream(3, 0))
         result = None
         for t in range(50):
-            result = pgdot_step(obj, state, params)
+            result = state.step(obj)
             if result is not None:
                 break
         assert result is not None
@@ -224,8 +280,8 @@ class TestPgdotStep:
         obj = saddle_objective()
         params = self.params()
         x0 = np.array([1e-9, 0.0])
-        state = make_pgdot_state(x0, params, RngStream(21, 0))
-        pgdot_step(obj, state, params)
+        state = _pgdot_lane(x0, params, RngStream(21, 0))
+        state.step(obj)
 
         replay = RngStream(21, 0)
         expected = x0.copy()
@@ -245,12 +301,12 @@ class TestPgdotStep:
         obj = saddle_objective()
         params = self.params()
         x0 = np.array([1e-9, 0.0])
-        state = make_pgdot_state(x0, params, RngStream(6, 0))
-        recorded = make_pgdot_state(x0, params, RngStream(6, 0))
+        state = _pgdot_lane(x0, params, RngStream(6, 0), sampler="ball")
+        recorded = _pgdot_lane(x0, params, RngStream(6, 0), sampler="ball")
         for _ in range(40):
-            x_in = recorded.x
-            out = pgdot_step(obj, state, params, sampler="ball")
-            out_recorded = pgdot_step(obj, recorded, params, sampler="ball")
+            x_in = recorded.x.copy()
+            out = state.step(obj)
+            out_recorded = recorded.step(obj)
             recorded.window.record(x_in)
             assert (out is None) == (out_recorded is None)
             assert np.array_equal(state.x, recorded.x)
@@ -260,15 +316,11 @@ class TestPgdotStep:
         assert len(state.window) == 0 and len(recorded.window) > 0
 
     def test_unknown_sampler_rejected_while_gate_is_shut(self):
-        # A gradient far above g_thres keeps the gate shut, so the sampler
-        # name must be checked on entry, not when a kick is first drawn.
-        obj = saddle_objective()
-        params = self.params()
-        state = make_pgdot_state(np.array([1.0, 0.0]), params, RngStream(0, 0))
+        # A gradient far above g_thres would keep the gate shut, so the
+        # sampler name must be checked on entry, when the rule is built,
+        # not when a kick is first drawn.
         with pytest.raises(ContractViolation, match="sampler"):
-            pgdot_step(obj, state, params, sampler="bal")
-        assert state.t == 0 and len(state.window) == 0
-        assert np.array_equal(state.x, np.array([1.0, 0.0]))
+            _pgdot_lane(np.array([1.0, 0.0]), self.params(), RngStream(0, 0), sampler="bal")
 
 
 class TestNce:
@@ -307,8 +359,8 @@ class TestPagdotStep:
         obj = saddle_objective()
         params = self.params()
         x0 = np.array([0.1, 0.1])  # gradient norm 0.141 > eps, no perturbation
-        state = make_pagdot_state(x0, params, RngStream(2, 0))
-        pagdot_step(obj, state, params)
+        state = _pagdot_lane(x0, params, RngStream(2, 0))
+        state.step(obj)
         assert not state.perturbed_last
         assert state.nce_last and state.n_nce == 1
         assert float(np.linalg.norm(state.x - x0)) == pytest.approx(params.s, rel=1e-12)
@@ -317,9 +369,9 @@ class TestPagdotStep:
     def test_certificate_fails_with_velocity_on_convex_bowl(self):
         obj = convex_objective()
         params = self.params()
-        state = make_pagdot_state(np.array([1.0, 0.0]), params, RngStream(2, 0))
-        state.v = np.array([-0.1, 0.0])
-        pagdot_step(obj, state, params)
+        state = _pagdot_lane(np.array([1.0, 0.0]), params, RngStream(2, 0))
+        state.v[:] = [-0.1, 0.0]
+        state.step(obj)
         assert not state.nce_last
         y = 1.0 + (1.0 - params.theta) * (-0.1)
         x_next = y - params.eta * y
@@ -328,19 +380,18 @@ class TestPagdotStep:
 
     def test_gate_perturbs_and_keeps_velocity(self):
         obj = saddle_objective()
-        params = self.params()
-        state = make_pagdot_state(np.array([1e-9, 0.0]), params, RngStream(5, 0))
-        state.v = np.array([0.0, 0.001])
-        pagdot_step(obj, state, params)
+        state = _pagdot_lane(np.array([1e-9, 0.0]), self.params(), RngStream(5, 0))
+        state.v[:] = [0.0, 0.001]
+        state.step(obj)
         assert state.perturbed_last
         assert np.array_equal(state.window.samples()[0], np.array([1e-9, 0.0]))
 
     def test_reset_velocity_flag(self):
         obj = saddle_objective()
-        params = self.params()
-        state = make_pagdot_state(np.array([1e-9, 0.0]), params, RngStream(5, 0))
-        state.v = np.array([0.0, 0.001])
-        pagdot_step(obj, state, params, reset_velocity=True)
+        state = _pagdot_lane(np.array([1e-9, 0.0]), self.params(), RngStream(5, 0),
+                             reset_velocity=True)
+        state.v[:] = [0.0, 0.001]
+        state.step(obj)
         assert state.perturbed_last
         # nce() zeroes the velocity anyway; the flag zeroes it before the
         # accelerated update, so the probe starts from a dead stop.
@@ -350,12 +401,12 @@ class TestPagdotStep:
         obj = saddle_objective()
         params = self.params()
         x0 = np.array([1e-9, 0.0])
-        state = make_pagdot_state(x0, params, RngStream(6, 0))
-        recorded = make_pagdot_state(x0, params, RngStream(6, 0))
+        state = _pagdot_lane(x0, params, RngStream(6, 0), sampler="ball")
+        recorded = _pagdot_lane(x0, params, RngStream(6, 0), sampler="ball")
         for _ in range(40):
-            x_in = recorded.x
-            pagdot_step(obj, state, params, sampler="ball")
-            pagdot_step(obj, recorded, params, sampler="ball")
+            x_in = recorded.x.copy()
+            state.step(obj)
+            recorded.step(obj)
             recorded.window.record(x_in)
             assert np.array_equal(state.x, recorded.x)
             assert np.array_equal(state.v, recorded.v)
@@ -363,12 +414,8 @@ class TestPagdotStep:
         assert len(state.window) == 0 and len(recorded.window) == 40
 
     def test_unknown_sampler_rejected_while_gate_is_shut(self):
-        obj = saddle_objective()
-        params = self.params()
-        state = make_pagdot_state(np.array([1.0, 0.0]), params, RngStream(0, 0))
         with pytest.raises(ContractViolation, match="sampler"):
-            pagdot_step(obj, state, params, sampler="bal")
-        assert state.t == 0 and len(state.window) == 0 and state.n_nce == 0
+            _pagdot_lane(np.array([1.0, 0.0]), self.params(), RngStream(0, 0), sampler="bal")
 
 
 class TestBaselines:
@@ -638,22 +685,14 @@ class TestTheoryRunWiring:
         weight = WeightFn(1.0)
         args = (2, *THEORY_CONSTANTS.values())
         if name in ("pgd", "pgdot"):
-            params = derive_pgdot_params(*args)
-            state = make_pgdot_state(x0, params, rng)
-
-            def step():
-                return pgdot_step(obj, state, params, sampler=sampler, weight=weight)
+            state = _pgdot_lane(x0, derive_pgdot_params(*args), rng, sampler, weight)
         else:
-            params = derive_pagdot_params(*args)
-            state = make_pagdot_state(x0, params, rng)
-
-            def step():
-                return pagdot_step(obj, state, params, sampler=sampler, weight=weight)
+            state = _pagdot_lane(x0, derive_pagdot_params(*args), rng, sampler, weight)
 
         terminated_x = None
         for t in range(steps):
             f, g = eval_objective(obj, state.x)
-            terminated_x = step()
+            terminated_x = state.step(obj)
             row = (t, f, float(np.linalg.norm(g)), int(state.perturbed_last),
                    int(state.nce_last))
             if terminated_x is not None:
@@ -865,6 +904,20 @@ class TestMiniBatchLanes:
             with pytest.raises(ContractViolation, match="share one problem"):
                 run_lanes(problem, algo, 5, [0, 1], [x0, x0], batchers=batchers)
 
+    def test_problem_without_batch_oracle_is_rejected_before_a_step(self):
+        class Problem:
+            dim, n_samples, calls = 2, 4, 0
+
+            def objective_for(self, idx):
+                Problem.calls += 1
+                return convex_objective()
+
+        problem = Problem()
+        with pytest.raises(ContractViolation, match=r"batch_oracle\(X, I\)"):
+            run_lanes(problem, AlgoConfig(name="gd"), 5, [0, 1],
+                      batchers=_batchers(problem, [0, 1], batch_size=2))
+        assert Problem.calls == 0
+
 
 def _trace_record(result):
     """Everything a run reports, RunError message included, for comparison."""
@@ -962,8 +1015,8 @@ class TestLanes:
         vs = np.array([[0.0, 0.0], [-0.1, 0.0], [0.0, 0.0]])
         states = []
         for k in range(3):
-            state = make_pagdot_state(xs[k], params, RngStream(k + 4, 0))
-            state.v = vs[k].copy()
+            state = _pagdot_lane(xs[k], params, RngStream(k + 4, 0))
+            state.v[:] = vs[k]
             states.append(state)
         F, G = zip(*(eval_objective(obj, x) for x in xs))
         lanes = _Lanes(xs.copy(), [RngStream(k + 4, 0) for k in range(3)],
@@ -972,7 +1025,7 @@ class TestLanes:
         _step(_pagdot_rule(params, "occupation", WeightFn(), False), lanes, obj,
               list(F), np.array(G), [_norm(g) for g in G])
         for k, state in enumerate(states):
-            pagdot_step(obj, state, params)
+            state.step(obj)
             assert state.x.tobytes() == lanes.X[k].tobytes()
             assert state.v.tobytes() == lanes.V[k].tobytes()
         assert lanes.nce_hits == [0, 2] and lanes.n_nce == [1, 0, 1]
@@ -1116,6 +1169,10 @@ class TestFixedPointRetirement:
                 if list(idx) == [0]:
                     return Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
                 return convex_objective()
+
+            def batch_oracle(self, X, I):
+                F, G = zip(*(self.objective_for(idx).oracle(x[None, :]) for x, idx in zip(X, I)))
+                return np.concatenate(F), np.concatenate(G)
 
         problem = Problem()
         seeds, steps, x0 = [0, 1], 12, np.array([1.0, -0.5])

@@ -1,6 +1,5 @@
 """Self-interacting walk simulator: dynamics, MSD fitting, localization."""
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -22,8 +21,6 @@ from otgrad.walks import (
     msd_exponent,
     path_range,
     simulate,
-    write_msd_csv,
-    write_paths_csv,
 )
 
 
@@ -666,25 +663,3 @@ class TestPathStatistics:
     def test_path_range(self):
         assert path_range([0, 1, 2, 1, 0, -1]) == 3
         assert path_range([0]) == 0
-
-
-class TestCsvOutput:
-    def test_paths_roundtrip(self, tmp_path):
-        out = tmp_path / "paths.csv"
-        paths = [simulate("repelling", WeightFn(), 50, s) for s in (3, 4)]
-        write_paths_csv(str(out), [3, 4], paths)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["seed", "t", "Z"]
-        assert len(rows) == 1 + 2 * 51
-        assert rows[1] == ["3", "0", "0"]
-
-    def test_msd_roundtrip(self, tmp_path):
-        out = tmp_path / "msd.csv"
-        msd = msd_curve("reinforced", WeightFn(), 100, 10, 0)
-        write_msd_csv(str(out), msd)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "msd"]
-        values = np.array([float(r[1]) for r in rows[1:]])
-        assert np.array_equal(values, msd)
