@@ -52,7 +52,6 @@ from .analysis import (
     escape_summary,
     fd_gradient,
     fd_hessian,
-    jacobi_eigenvalues,
     min_hessian_eig,
     monotone_after,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "fd_hessian",
     "fit_msd_exponent",
     "gd_step",
-    "jacobi_eigenvalues",
     "localization_metric",
     "make_problem",
     "min_hessian_eig",

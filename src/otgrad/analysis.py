@@ -1,9 +1,9 @@
 """Numerical verification tools.
 
-Finite-difference derivative checks, a dense symmetric eigenvalue sweep
-for the minimum Hessian eigenvalue, stationarity classification of a
-point at tolerances (eps, rho), and small trace analytics used by the
-experiment harness.
+Finite-difference derivative checks, the minimum eigenvalue of the dense
+finite-difference Hessian (LAPACK's symmetric solver, np.linalg.eigvalsh),
+stationarity classification of a point at tolerances (eps, rho), and
+small trace analytics used by the experiment harness.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .optimizers import RunTrace
 MAX_HESSIAN_DIM = 64
 DEFAULT_H_GRAD = 1e-6
 DEFAULT_H_HESS = 1e-4
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 LABELS = ("eps_second_order", "eps_first_order", "neither")
 
@@ -74,56 +72,9 @@ def fd_hessian(obj: Objective, x, h_fd: float = DEFAULT_H_HESS) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def jacobi_eigenvalues(A: np.ndarray, tol: float = _JACOBI_TOL,
-                       max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps over all upper-triangle pairs, zeroing each in turn, until the
-    off-diagonal Frobenius norm drops below tol. Returns the eigenvalues
-    in ascending order.
-    """
-    A = np.array(A, dtype=np.float64, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ContractViolation(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-10, rtol=0.0):
-        raise ContractViolation("jacobi_eigenvalues expects a symmetric matrix")
-    if n == 1:
-        return A.diagonal().copy()
-
-    def off_norm(M):
-        off = M.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.sqrt(np.sum(off ** 2)))
-
-    for _ in range(max_sweeps):
-        if off_norm(A) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < tol / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                A[p, q] = A[q, p] = 0.0
-    else:
-        raise NumericalDomainError("eigenvalue sweep failed to converge")
-    return np.sort(A.diagonal())
-
-
 def min_hessian_eig(obj: Objective, x, h_fd: float = DEFAULT_H_HESS) -> float:
     """Minimum eigenvalue of the finite-difference Hessian at x."""
-    H = fd_hessian(obj, x, h_fd=h_fd)
-    return float(jacobi_eigenvalues(H)[0])
+    return float(np.linalg.eigvalsh(fd_hessian(obj, x, h_fd=h_fd))[0])
 
 
 def classify_point(obj: Objective, x, eps: float, rho: float,

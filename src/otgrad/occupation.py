@@ -8,6 +8,10 @@ occupation counts, the polynomial weight function, and the two perturbation
 samplers (occupation-adapted per-coordinate noise, and uniform ball noise
 used by the non-adapted baselines).
 
+WeightFn owns the weight rule w(n) = 1 + n**alpha, its overflow and the
+error that refuses it, for the sampler and both walk engines in
+otgrad.walks, so they agree on every weight and on where the rule stops.
+
 Conventions, all load-bearing:
   * counts at position xi look at stored samples only; a sample exactly equal
     to xi is a tie and counts LEFT,
@@ -20,6 +24,7 @@ Conventions, all load-bearing:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,10 +35,19 @@ from .core import ContractViolation, RngStream, as_vector
 # Half-widths at or above this sentinel disable distance windowing.
 UNWINDOWED_H = 1e12
 
+# Largest weight for which w(L) + w(R) is still a finite float.
+_MAX_WEIGHT = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class WeightFn:
-    """Polynomial occupation weight w(n) = 1 + n**alpha, alpha >= 0."""
+    """Polynomial occupation weight w(n) = 1 + n**alpha, alpha >= 0.
+
+    Each weight is the scalar 1.0 + float(n) ** alpha: array np.power
+    rounds some counts differently (alpha 1.5 at count 7, 2.5 at 10, 5 at
+    1553 on numpy 2.4). A weight too large for w(L) + w(R) to stay
+    finite, or NaN, is inf, and check() refuses the counts that reach one.
+    """
 
     alpha: float = 5.0
 
@@ -41,14 +55,53 @@ class WeightFn:
         if self.alpha < 0:
             raise ContractViolation(f"weight exponent must be >= 0, got {self.alpha}")
 
-    def __call__(self, n) -> float:
-        if np.any(np.asarray(n) < 0):
+    def __call__(self, n: int) -> float:
+        """w(n) of one count n >= 0, or inf where it overflows."""
+        if n < 0:
             raise ContractViolation("occupation count must be >= 0")
-        return self.unchecked(n)
+        try:
+            w = 1.0 + float(n) ** self.alpha
+        except OverflowError:
+            return math.inf
+        return w if w <= _MAX_WEIGHT else math.inf  # NaN too
 
-    def unchecked(self, n) -> float:
-        """w(n) for a count n already known to be >= 0."""
-        return 1.0 + np.float64(n) ** self.alpha
+    def weights(self, counts: np.ndarray) -> np.ndarray:
+        """w of every entry of an integer array of counts, in its shape.
+
+        Each entry equals the scalar w(n) bit for bit: the distinct counts
+        are weighted one scalar call each and the weights gathered from
+        that table.
+        """
+        try:
+            occupied = np.bincount(counts.reshape(-1))
+        except ValueError:  # a negative count
+            raise ContractViolation("occupation count must be >= 0") from None
+        table = np.empty(occupied.shape[0], dtype=np.float64)
+        distinct = np.flatnonzero(occupied)
+        table[distinct] = [self(n) for n in distinct.tolist()]
+        return table[counts]
+
+    def check(self, cmax: int) -> None:
+        """Raise ContractViolation if a count in [0, cmax] has an inf weight.
+
+        w grows with n, so the two ends decide whether one does, and
+        bisection finds the smallest, which the error names: past it the
+        move and kick probabilities are not defined.
+        """
+        if self(0) == math.inf:
+            c = 0
+        elif self(cmax) == math.inf:
+            ok, c = 0, cmax  # w(ok) is finite, w(c) is not
+            while c - ok > 1:
+                mid = (ok + c) // 2
+                if self(mid) == math.inf:
+                    c = mid
+                else:
+                    ok = mid
+        else:
+            return
+        raise ContractViolation(
+            f"weight 1 + c**alpha overflows at alpha={self.alpha}, visit count c={c}")
 
 
 class OccupationWindow:
@@ -126,23 +179,14 @@ def _left_probabilities(w: WeightFn, left: np.ndarray, right: np.ndarray) -> np.
 
     More recent occupation on the right makes a left kick more likely, so
     the noise pushes the iterate away from where it has been. Each entry
-    equals the scalar expression with WeightFn's weights bit for bit:
-    array `np.power` may round differently from the scalar power inside
-    WeightFn, so each distinct count is weighted by one scalar
-    WeightFn.unchecked call (counts are never negative) and the weights
-    are gathered from that table.
+    equals the scalar expression with WeightFn's weights bit for bit.
+    Counts whose weights would overflow w(L) + w(R) raise
+    ContractViolation (WeightFn.check) before any division.
     """
-    occupied = np.bincount(np.concatenate((left, right)))
-    table = np.empty(occupied.shape[0], dtype=np.float64)
-    for n in np.flatnonzero(occupied):
-        table[n] = w.unchecked(n)
-    wl = table[left]
-    wr = table[right]
-    p_left = wr / (wl + wr)
-    if not np.all((p_left >= 0.0) & (p_left <= 1.0)):
-        raise ContractViolation(
-            f"left probability outside [0, 1] (weight exponent {w.alpha} overflows)")
-    return p_left
+    counts = np.concatenate((left, right)).reshape(2, -1)
+    w.check(int(counts.max()))
+    wl, wr = w.weights(counts)
+    return wr / (wl + wr)
 
 
 def sample_occupation_perturbation(
@@ -159,8 +203,8 @@ def sample_occupation_perturbation(
 
     Each p_i equals w(R_i) / (w(L_i) + w(R_i)) with WeightFn's scalar
     weights bit for bit, never an array power (_left_probabilities).  A
-    p_i that is NaN or outside [0, 1] (weight overflow at large alpha)
-    raises ContractViolation.
+    count whose weight would overflow w(L) + w(R) raises
+    ContractViolation naming alpha and the smallest such count.
     """
     v = as_vector(x, window.dim)
     if r < 0:

@@ -17,11 +17,12 @@ Two functions apply this rule. simulate runs one path in a scalar loop
 over Python lists, which takes two-site bounces in windows (see below).
 msd_curve advances many paths at once as numpy arrays. Both
 draw one uniform per step, move left when it is below the left-move
-probability, and evaluate each weight as the scalar 1 + c**alpha that
-WeightFn computes, so with the same stream they give identical paths,
-and the same paths as the one-step reference walker in the tests. Path
-i of seed s uses the stream RngStream(s + i, 0), and both raise
-ContractViolation once a visit count reaches a weight too large for
+probability, and take each weight from WeightFn, as the occupation
+sampler does (simulate's per-step line spells out its formula). So with
+the same stream they give identical paths, and the same paths as the
+one-step reference walker in the tests. Path i of seed s uses the
+stream RngStream(s + i, 0), and both raise WeightFn.check's
+ContractViolation once a visit count's weight is too large for
 w(L) + w(R) to be a finite float.
 
 With strong reinforcement the walk soon spends almost every step
@@ -53,8 +54,6 @@ uniforms, so the paths are the same bit for bit.
 from __future__ import annotations
 
 import math
-import sys
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -65,9 +64,6 @@ from .occupation import WeightFn
 WALK_KINDS = ("repelling", "reinforced")
 MSD_FIT_LO_FRAC = 0.1  # msd_exponent fits t in [MSD_FIT_LO_FRAC * T, T]
 
-
-# Largest weight for which w(L) + w(R) is still a finite float.
-_MAX_WEIGHT = sys.float_info.max / 2
 
 # uniforms drawn at a time by the single-path loop, and the steps of a
 # constant-weight block
@@ -84,55 +80,6 @@ _P_FLOOR = 2.0 ** -1064
 _LOCKSTEP_CHUNK = 64  # lockstep steps per block of uniforms
 _LATTICE_PAD = 256    # columns added past the needed range when the lattice grows
 _DRAW_CHUNK = 4 * _LOCKSTEP_CHUNK  # uniforms each lattice path draws per call
-
-
-def _walk_weight(alpha: float, c: int) -> float:
-    """w(c) = 1 + c**alpha as the scalar expression 1.0 + float(c) ** alpha.
-
-    This equals WeightFn(alpha)(c) bit for bit; array np.power rounds
-    some counts differently. A weight too large for w(L) + w(R) to stay
-    finite comes back as inf.
-    """
-    try:
-        w = 1.0 + float(c) ** alpha
-    except OverflowError:
-        return math.inf
-    return w if w <= _MAX_WEIGHT else math.inf
-
-
-def _weight_table(alpha: float, n: int) -> np.ndarray:
-    """[w(0), ..., w(n - 1)], each entry equal to _walk_weight's.
-
-    Each weight is one scalar float pow, as in _walk_weight: array
-    np.power would round some entries differently (alpha 1.5 at count 7,
-    2.5 at 10, 5 at 1553 on numpy 2.4).
-    """
-    try:
-        table = np.fromiter(map(pow, map(float, range(n)), repeat(alpha)), np.float64, n)
-        table += 1.0
-    except OverflowError:
-        table = np.array([_walk_weight(alpha, c) for c in range(n)])
-    table[~(table <= _MAX_WEIGHT)] = math.inf  # NaN too, as in _walk_weight
-    return table
-
-
-def _check_weights(alpha: float, cmax: int) -> None:
-    """Raise ContractViolation if a count in [0, cmax] has no finite weight.
-
-    w grows with c, so testing the two ends suffices. The error names the
-    smallest such count, which does not depend on how far a walk ran past
-    it. Past that count the move probabilities are not defined.
-    """
-    if _walk_weight(alpha, 0) == math.inf:
-        c = 0
-    elif _walk_weight(alpha, cmax) == math.inf:
-        c = cmax
-        while _walk_weight(alpha, c - 1) == math.inf:
-            c -= 1
-    else:
-        return
-    raise ContractViolation(
-        f"walk weight 1 + c**alpha overflows at alpha={alpha}, visit count c={c}")
 
 
 def _simple_walk(rngs: Sequence[RngStream], z: np.ndarray, left: np.ndarray,
@@ -186,7 +133,7 @@ def _first_unsure(u: np.ndarray, w_first: float, w_last: float, o: float,
 
 
 def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
-                s: int, alpha: float, segment: np.ndarray) -> tuple[int, int]:
+                s: int, weight: WeightFn, segment: np.ndarray) -> tuple[int, int]:
     """Step simulate's bounce between sites i and j = i +- 1 in windows.
 
     The walker sits at i and has just come from j. While it bounces, only
@@ -194,7 +141,7 @@ def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
     of the two outer sites stay fixed. So within a window of uniforms
     us[q:], doubling from _BOUNCE_CHECK steps, the probability of each
     step from i moves monotonically between its values at the window's
-    first and last step from i, and likewise from j. Two _walk_weight
+    first and last step from i, and likewise from j. Two weight(c)
     calls per site give those end values and the weight after the
     window, and _first_unsure finds how many steps surely stay in the
     bounce. A window whose uniforms all do is accepted whole. Otherwise
@@ -220,8 +167,8 @@ def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
         ci, cj = counts[i], counts[j]
         # the inner neighbour's weight at the last step from i (from j),
         # and the weight j (i) has after the window
-        wj_last, wj_end = _walk_weight(alpha, cj + hi - 1), _walk_weight(alpha, cj + hi)
-        wi_last, wi_end = _walk_weight(alpha, ci + hj - 1), _walk_weight(alpha, ci + hj)
+        wj_last, wj_end = weight(cj + hi - 1), weight(cj + hi)
+        wi_last, wi_end = weight(ci + hj - 1), weight(ci + hj)
         if wj_end == math.inf or wi_end == math.inf:
             break
         # a step from i stays when it moves toward j: left when d < 0; the
@@ -230,8 +177,7 @@ def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
                 2 * _first_unsure(us[q + 1:q + m:2], ws[i], wi_last, ws[j + d], s == -d,
                                   d > 0) + 1)
         if n < m:
-            wj_end, wi_end = (_walk_weight(alpha, cj + (n + 1) // 2),
-                              _walk_weight(alpha, ci + n // 2))
+            wj_end, wi_end = weight(cj + (n + 1) // 2), weight(ci + n // 2)
         counts[j], ws[j] = cj + (n + 1) // 2, wj_end
         counts[i], ws[i] = ci + n // 2, wi_end
         segment[q:q + n:2] = j
@@ -245,7 +191,7 @@ def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
             if (us[q] < wn / (wn + ws[i - s])) != (d < 0):
                 break
             counts[j] += 1
-            ws[j] = _walk_weight(alpha, counts[j])
+            ws[j] = weight(counts[j])
             segment[q] = j
             i, j, d = j, i, -d
             q += 1
@@ -278,11 +224,11 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     s = 1 if kind == "repelling" else -1
     # counts[i] and ws[i] are the visit count and weight of site i - off;
     # both lists span the range visited so far plus one block of steps
-    w0 = _walk_weight(alpha, 0)
+    w0 = weight(0)
     counts = [0] * (2 * _LOOP_CHUNK + 3)
     ws = [w0] * len(counts)
     off = i = _LOOP_CHUNK + 1
-    counts[i], ws[i] = 1, _walk_weight(alpha, 1)
+    counts[i], ws[i] = 1, weight(1)
     cmax = 1  # the largest visit count so far
     h = _BOUNCE_CHECK
     half = h // 2
@@ -312,7 +258,11 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
                         i += 1
                     c = counts[i] + 1
                     counts[i] = c
-                    ws[i] = 1.0 + c ** alpha  # int ** float is float(c) ** alpha
+                    # WeightFn's formula, inline because a call per step
+                    # would slow the loop (int ** float is float(c) **
+                    # alpha); the check at the block's end applies
+                    # WeightFn's overflow rule
+                    ws[i] = 1.0 + c ** alpha
                     append(i)
                 q += h
                 # the last h steps bounce when they alternate between i and
@@ -322,13 +272,13 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
                     j = chunk[-2]
                     segment[q - len(chunk):q] = chunk
                     chunk.clear()
-                    q, i = _bounce_run(us, q, i, j, counts, ws, s, alpha, segment)
+                    q, i = _bounce_run(us, q, i, j, counts, ws, s, weight, segment)
         except OverflowError:
-            _check_weights(alpha, c)  # raises: w(c) is not a finite float
+            weight.check(c)  # raises: w(c) is not a finite float
         segment[k - len(chunk):] = chunk
         # only sites the block visited changed their counts
         cmax = max(cmax, max(counts[segment.min():segment.max() + 1]))
-        _check_weights(alpha, cmax)
+        weight.check(cmax)
         segment -= off
         t += k
     return path
@@ -444,7 +394,7 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
         if cmax + k > np.iinfo(counts.dtype).max:
             counts = counts.astype(np.int64)
         if weights.shape[0] <= cmax + k:
-            weights = _weight_table(weight.alpha, max(2 * weights.shape[0], cmax + k + 1))
+            weights = weight.weights(np.arange(max(2 * weights.shape[0], cmax + k + 1)))
         if t == drawn_to:  # one call per path draws the next _DRAW_CHUNK uniforms
             m = min(drawn.shape[0], T - t)
             for i, rng in enumerate(rngs):
@@ -459,7 +409,7 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
         G = np.empty((k + 1, 2, n_paths), dtype=np.int64)
         np.add(base, z, out=G[0, 0])
         np.add(G[0, 0], 2, out=G[0, 1])
-        with np.errstate(invalid="ignore"):  # inf weights: _check_weights raises below
+        with np.errstate(invalid="ignore"):  # inf weights: weight.check raises below
             for j in range(k):
                 g = G[j]
                 wl, wr = weights.take(flat.take(g))
@@ -467,7 +417,7 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
                 g = np.add(g, moves.take(u[j] < p), out=G[j + 1])
                 centre[g[0]] += 1
         cmax = int(counts.max())
-        _check_weights(weight.alpha, cmax)
+        weight.check(cmax)
         Z = G[1:, 0]
         Z -= base
         z = Z[-1].copy()

@@ -1,4 +1,4 @@
-"""Finite differences, eigenvalue sweep, stationarity labels, trace analytics."""
+"""Finite differences, minimum Hessian eigenvalue, stationarity labels, trace analytics."""
 
 import math
 
@@ -12,13 +12,19 @@ from otgrad.analysis import (
     escape_summary,
     fd_gradient,
     fd_hessian,
-    jacobi_eigenvalues,
     min_hessian_eig,
     monotone_after,
 )
 from otgrad.benchmarks import make_problem
 from otgrad.core import ContractViolation, NumericalDomainError, Objective
 from otgrad.optimizers import RunTrace
+
+
+def quadratic_form(A):
+    """0.5 * x @ A @ x for a symmetric A, whose Hessian is A."""
+    return Objective(dim=A.shape[0],
+                     value=lambda x: 0.5 * float(x @ A @ x),
+                     gradient=lambda x: A @ np.asarray(x, dtype=np.float64))
 
 
 def quad(dim=2, scale=None):
@@ -84,37 +90,6 @@ class TestFdHessian:
             fd_hessian(big, np.zeros(MAX_HESSIAN_DIM + 1))
 
 
-class TestJacobi:
-    def test_matches_lapack_on_random_symmetric(self):
-        rng = np.random.default_rng(5)
-        for n in (1, 2, 3, 5, 8, 13, 16):
-            A = rng.normal(size=(n, n))
-            A = 0.5 * (A + A.T)
-            mine = jacobi_eigenvalues(A)
-            ref = np.linalg.eigvalsh(A)
-            assert np.allclose(mine, ref, atol=1e-9)
-
-    def test_two_by_two_exact_spectrum(self):
-        vals = jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert vals == pytest.approx([1.0, 3.0], abs=1e-12)
-
-    def test_diagonal_input_passthrough(self):
-        vals = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.array_equal(vals, np.array([-1.0, 2.0, 3.0]))
-
-    def test_ascending_order(self):
-        rng = np.random.default_rng(8)
-        A = rng.normal(size=(6, 6))
-        vals = jacobi_eigenvalues(0.5 * (A + A.T))
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_rejects_asymmetric_and_nonsquare(self):
-        with pytest.raises(ContractViolation):
-            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ContractViolation):
-            jacobi_eigenvalues(np.zeros((2, 3)))
-
-
 class TestMinHessianEig:
     def test_saddle_curvature(self):
         assert min_hessian_eig(saddle(), np.zeros(2)) == pytest.approx(-1.0, abs=1e-6)
@@ -125,6 +100,25 @@ class TestMinHessianEig:
     def test_regularized_quadratic_soft_direction(self):
         obj = make_problem("reglq", data_seed=0).objective
         assert min_hessian_eig(obj, np.zeros(2)) == pytest.approx(-0.1, abs=1e-4)
+
+    # known spectra, as the Hessians of quadratics 0.5 * x @ A @ x: their
+    # gradients are linear, so the finite-difference Hessian is A up to
+    # rounding
+
+    def test_matches_lapack_on_random_symmetric(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 5, 8, 13, 16):
+            A = rng.normal(size=(n, n))
+            A = 0.5 * (A + A.T)
+            lam = min_hessian_eig(quadratic_form(A), np.zeros(n))
+            assert lam == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-9)
+
+    def test_two_by_two_exact_spectrum(self):
+        lam = min_hessian_eig(quadratic_form(np.array([[2.0, 1.0], [1.0, 2.0]])), np.zeros(2))
+        assert lam == pytest.approx(1.0, abs=1e-12)
+
+    def test_diagonal_input_passthrough(self):
+        assert min_hessian_eig(quad(3, scale=[3.0, -1.0, 2.0]), np.zeros(3)) == -1.0
 
 
 class TestClassifyPoint:

@@ -1,6 +1,8 @@
 """Occupation counts, polynomial weights, and the two perturbation samplers."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +96,16 @@ def filled_window(dim, windowed):
     return win, x
 
 
+class _CountingWeight(WeightFn):
+    """WeightFn that counts its scalar calls."""
+
+    calls = 0
+
+    def __call__(self, n):
+        _CountingWeight.calls += 1
+        return super().__call__(n)
+
+
 class TestWeightFn:
     def test_zero_count_weight_is_one(self):
         assert WeightFn()(0) == 1.0
@@ -109,6 +121,8 @@ class TestWeightFn:
     def test_negative_count_rejected(self):
         with pytest.raises(ContractViolation):
             WeightFn()(-1)
+        with pytest.raises(ContractViolation):
+            WeightFn().weights(np.array([3, -1]))
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ContractViolation):
@@ -123,6 +137,40 @@ class TestWeightFn:
         w = WeightFn(alpha=alpha)
         lo, hi = sorted((n1, n2))
         assert w(lo) <= w(hi)
+
+    @given(
+        st.floats(min_value=0.0, max_value=1000.0),
+        st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=40),
+    )
+    def test_array_weights_are_the_scalar_weights(self, alpha, counts):
+        w = WeightFn(alpha=alpha)
+        ws = w.weights(np.array(counts)).tolist()
+        assert ws == [w(c) for c in counts]
+        assert all(x <= sys.float_info.max / 2 or x == math.inf for x in ws)
+
+    @given(st.floats(min_value=0.0, max_value=1000.0), st.integers(min_value=0, max_value=2000))
+    def test_check_names_the_first_overflow(self, alpha, cmax):
+        w = WeightFn(alpha=alpha)
+        first = next((c for c in range(cmax + 1) if w(c) == math.inf), None)
+        if first is None:
+            w.check(cmax)
+        else:
+            with pytest.raises(ContractViolation,
+                               match=re.escape(f"alpha={alpha}, visit count c={first}") + "$"):
+                w.check(cmax)
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_check_bisects_large_counts(self, cmax):
+        # at alpha 1000, w(2) = 1 + 2**1000 is finite and 3**1000 is not;
+        # bisection finds count 3 in about log2(cmax) weights
+        w = _CountingWeight(alpha=1000.0)
+        _CountingWeight.calls = 0
+        if cmax < 3:
+            w.check(cmax)
+        else:
+            with pytest.raises(ContractViolation, match=r"alpha=1000.0, visit count c=3$"):
+                w.check(cmax)
+        assert _CountingWeight.calls <= 2 + cmax.bit_length()
 
 
 class TestLeftProbability:
@@ -251,12 +299,14 @@ class TestOccupationSampler:
         expected = reference_occupation_perturbation(x, win, 0.3, w, RngStream(11, 0))
         assert np.array_equal(out, expected)
 
+    @pytest.mark.filterwarnings("error")
     def test_weight_overflow_raises(self):
-        # w(50) and w(60) are both inf at alpha 200, so p_left = inf/inf.
+        # w(50) and w(60) are both inf at alpha 200; WeightFn catches the
+        # OverflowError itself, so the sampler raises with numpy silent.
         win = OccupationWindow(dim=1)
         for v in [-1.0] * 50 + [1.0] * 60:
             win.record([v])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=r"alpha=200.0, visit count c=35$"):
             sample_occupation_perturbation([0.0], win, 0.1, WeightFn(alpha=200.0),
                                            RngStream(0, 0))
 

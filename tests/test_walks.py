@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from otgrad import walks
 from otgrad.core import ContractViolation, RngStream
-from otgrad.occupation import WeightFn
+from otgrad.occupation import OccupationWindow, WeightFn, sample_occupation_perturbation
 from otgrad.walks import (
     WALK_KINDS,
     fit_msd_exponent,
@@ -211,9 +211,16 @@ class TestSimulate:
     @pytest.mark.parametrize("alpha, count", [(200.0, 35), (140.0, 159)])
     def test_weight_overflow_names_alpha_and_count(self, alpha, count):
         # 35**200 overflows outright; 159**140 is finite but w(L) + w(R)
-        # would not be. Both engines stop at the same first bad count.
+        # would not be. Both engines stop at the same first bad count, and
+        # so does the occupation sampler with `count` samples on each side
+        # of its one coordinate, where w(L) = w(R) and p_left would be 1/2.
+        window = OccupationWindow(dim=1)
+        for v in [-1.0] * count + [1.0] * count:
+            window.record([v])
         for run in (lambda: simulate("reinforced", WeightFn(alpha), 2000, 0),
-                    lambda: msd_curve("reinforced", WeightFn(alpha), 2000, 3, 0)):
+                    lambda: msd_curve("reinforced", WeightFn(alpha), 2000, 3, 0),
+                    lambda: sample_occupation_perturbation([0.0], window, 0.1, WeightFn(alpha),
+                                                           RngStream(0, 0))):
             with pytest.raises(ContractViolation, match=rf"alpha={alpha}, visit count c={count}$"):
                 run()
 
@@ -225,16 +232,17 @@ class TestSimulate:
             simulate("repelling", WeightFn(645.8), 20, 1)
 
     def test_weight_table_is_the_scalar_weight(self):
-        # counts 7, 10 and 1553 are where array np.power rounds differently
+        # msd_curve's table [w(0), ..., w(n - 1)] is WeightFn.weights of
+        # arange(n); counts 7, 10 and 1553 are where array np.power rounds
+        # differently
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.5, 5.0):
-            table = walks._weight_table(alpha, 2000)
-            assert table.tolist() == [float(WeightFn(alpha)(c)) for c in range(2000)]
+            table = WeightFn(alpha).weights(np.arange(2000))
+            assert table.tolist() == [WeightFn(alpha)(c) for c in range(2000)]
         # large counts, and tables past an overflow (159**140 is finite, 35**200 is not)
         for alpha, start, n in ((5.0, 2000, 60000), (140.0, 150, 170), (200.0, 0, 40),
                                 (200.0, 30, 41)):
-            table = walks._weight_table(alpha, n)
-            assert table[start:].tolist() == [walks._walk_weight(alpha, c)
-                                              for c in range(start, n)]
+            table = WeightFn(alpha).weights(np.arange(n))
+            assert table[start:].tolist() == [WeightFn(alpha)(c) for c in range(start, n)]
 
     def test_weight_overflow_only_when_reached(self):
         # alpha=200 is fine while no site is visited 35 times
@@ -495,12 +503,13 @@ class TestBounceRuns:
             d = 1 if seed % 2 else -1
             counts = [0] * 21
             counts[10], counts[10 + d], counts[10 - d], counts[10 + 2 * d] = ci + 1, cj, co_i, co_j
-            ws = [walks._walk_weight(alpha, c) for c in counts]
+            ws = [WeightFn(alpha)(c) for c in counts]
             us = rng.uniforms(1000)
             ref_counts, ref_ws, ref_segment = list(counts), list(ws), np.zeros(1000, dtype=np.int64)
             ref = self._scalar_bounce(us, 0, 10, 10 + d, ref_counts, ref_ws, s, alpha, ref_segment)
             segment = np.zeros(1000, dtype=np.int64)
-            assert walks._bounce_run(us, 0, 10, 10 + d, counts, ws, s, alpha, segment) == ref
+            assert walks._bounce_run(us, 0, 10, 10 + d, counts, ws, s, WeightFn(alpha),
+                                     segment) == ref
             assert counts == ref_counts and ws == ref_ws
             assert np.array_equal(segment, ref_segment)
             exits.add(ref[0] % 2 if ref[0] < 1000 else None)
@@ -522,10 +531,10 @@ class TestBounceRuns:
         i, j = 10, 10 + d
         start = {i: cij[0], j: cij[1], i - d: outer[0], j + d: outer[1]}
         counts = [start.get(site, 0) for site in range(21)]
-        ws = [walks._walk_weight(alpha, c) for c in counts]
+        ws = [WeightFn(alpha)(c) for c in counts]
         segment = np.zeros(us.shape[0], dtype=np.int64)
         s = 1 if kind == "repelling" else -1
-        q, site = walks._bounce_run(us, 0, i, j, counts, ws, s, alpha, segment)
+        q, site = walks._bounce_run(us, 0, i, j, counts, ws, s, WeightFn(alpha), segment)
 
         state = WalkState(position=i, counts=start, t=0, kind=kind, weight=WeightFn(alpha),
                           rng=_ListStream(us))
@@ -542,7 +551,7 @@ class TestBounceRuns:
         assert (q, site) == (len(sites), state.position)
         assert segment[:q].tolist() == sites
         assert counts == [state.counts.get(c, 0) for c in range(21)]
-        assert ws == [walks._walk_weight(alpha, c) for c in counts]
+        assert ws == [WeightFn(alpha)(c) for c in counts]
         return q, sites
 
     @staticmethod
@@ -554,8 +563,7 @@ class TestBounceRuns:
         toward = d  # the direction of the step's target
         for t in range(m):
             n_left, n_right = (c_near, outer[t % 2]) if toward < 0 else (outer[t % 2], c_near)
-            with np.errstate(over="ignore", invalid="ignore"):  # past an overflow
-                ps.append(float(left_move_probability(kind, WeightFn(alpha), n_left, n_right)))
+            ps.append(left_move_probability(kind, WeightFn(alpha), n_left, n_right))
             # the step stays when it moves toward the other site
             us[t] = 0.0 if toward < 0 else np.nextafter(1.0, 0.0)
             c_near, c_far = c_far, c_near + 1
@@ -605,15 +613,16 @@ class TestBounceRuns:
         # stay. It is not stepped: the scalar loop reaches count 159 and
         # raises (test_overflow_reached_inside_a_run)
         alpha, cij, outer = 140.0, (100, 100), (0, 0)
-        assert walks._walk_weight(alpha, 158) < math.inf == walks._walk_weight(alpha, 159)
+        assert WeightFn(alpha)(158) < math.inf == WeightFn(alpha)(159)
         us, _ = self._staying("reinforced", alpha, 1, cij, outer, 1000)
         q, sites = self._crafted("reinforced", alpha, 1, cij, outer, us[:64])
         assert q == 64
         counts = [0] * 21
         counts[10], counts[11] = cij
-        ws = [walks._walk_weight(alpha, c) for c in counts]
+        ws = [WeightFn(alpha)(c) for c in counts]
         segment = np.zeros(1000, dtype=np.int64)
-        assert walks._bounce_run(us, 0, 10, 11, counts, ws, -1, alpha, segment) == (64, 10)
+        assert walks._bounce_run(us, 0, 10, 11, counts, ws, -1, WeightFn(alpha),
+                                 segment) == (64, 10)
         assert counts[10:12] == [132, 132] and segment[:64].tolist() == sites
 
     @pytest.mark.parametrize("alpha", [5.0, 30.0])
