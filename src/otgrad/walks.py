@@ -40,6 +40,22 @@ uniform that the ends cannot decide gets the scalar loop's own step;
 the step that leaves the bounce goes back to the scalar loop. So the
 paths stay bit-identical, and a run stops short of any weight that is
 not a finite float, so the scalar loop reaches that count and raises.
+A run still on at the end of a 4096-step block goes on from the next
+block's first uniform, with a first window as long as that block, so a
+settled bounce takes no scalar steps.
+
+For alpha > 0, msd_curve keeps every path's visit counts in one
+(paths x sites) lattice and takes two moves per pass. A pass gathers the
+counts of the five sites z - 2 .. z + 2 around each walker with one
+fancy index and weighs them with one take, which gives the left-move
+probabilities from z - 1, z and z + 1 at once. The first uniform picks
+the move from z, and the second move takes the probability from the
+site the first one entered. That needs no correction: the first move
+changes only the count of the site it enters, and the second move reads
+the counts of that site's two neighbours, never its own. One fancy
+increment then counts both sites entered, before the next pass gathers.
+So a pass makes the comparisons of two one-move steps, with the same
+uniforms and weights, and the curves are the same bit for bit.
 
 At alpha = 0 every weight is 1 + c**0 = 2, so every left-move
 probability is 2 / (2 + 2) = 0.5 exactly, for both kinds: the walk is the
@@ -72,13 +88,14 @@ _LOOP_CHUNK = 4096
 # path-step (a bool and an int64), 576 KiB whatever n_paths is
 _SIMPLE_PATHS = 16
 # scalar steps between simulate's bounce checks, and a bounce run's first
-# window; windows double from there up to the end of the block
+# window (one carried into a new block starts with the whole block);
+# windows double from there up to the end of the block
 _BOUNCE_CHECK = 64
 # relative and absolute widening of a bounce window's probability bounds
 _P_MARGIN = 2.0 ** -44
 _P_FLOOR = 2.0 ** -1064
-_LOCKSTEP_CHUNK = 64  # lockstep steps per block of uniforms
-_LATTICE_PAD = 256    # columns added past the needed range when the lattice grows
+_LOCKSTEP_CHUNK = 128  # lockstep steps per block of the lattice engine
+_LATTICE_PAD = 256     # columns added past the needed range when the lattice grows
 _DRAW_CHUNK = 4 * _LOCKSTEP_CHUNK  # uniforms each lattice path draws per call
 
 
@@ -99,6 +116,17 @@ def _simple_walk(rngs: Sequence[RngStream], z: np.ndarray, left: np.ndarray,
     Z += 1
     np.cumsum(Z, axis=1, out=Z)
     Z += z[:, None]
+
+
+def _reach(k: int) -> int:
+    """How many sites past a walker's start a k-step block of msd_curve reads.
+
+    The block's passes gather sites z - 2 .. z + 2 at its steps 0, 2, 4, ...,
+    and a walker is at most j sites from its start after step j, so the
+    last pass, at step 2 * ((k - 1) // 2), reads k sites out when k is even
+    and k + 1 when it is odd. No step enters a site further out.
+    """
+    return k + k % 2
 
 
 def _check_walk_args(kind: str, T: int) -> None:
@@ -133,18 +161,19 @@ def _first_unsure(u: np.ndarray, w_first: float, w_last: float, o: float,
 
 
 def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
-                s: int, weight: WeightFn, segment: np.ndarray) -> tuple[int, int]:
+                s: int, weight: WeightFn, segment: np.ndarray,
+                m: int = _BOUNCE_CHECK) -> tuple[int, int]:
     """Step simulate's bounce between sites i and j = i +- 1 in windows.
 
     The walker sits at i and has just come from j. While it bounces, only
     the counts of i and j change, each by one per visit, and the weights
     of the two outer sites stay fixed. So within a window of uniforms
-    us[q:], doubling from _BOUNCE_CHECK steps, the probability of each
-    step from i moves monotonically between its values at the window's
-    first and last step from i, and likewise from j. Two weight(c)
-    calls per site give those end values and the weight after the
-    window, and _first_unsure finds how many steps surely stay in the
-    bounce. A window whose uniforms all do is accepted whole. Otherwise
+    us[q:], the first m long and each next one twice as long, the
+    probability of each step from i moves monotonically between its
+    values at the window's first and last step from i, and likewise from
+    j. Two weight(c) calls per site give those end values and the weight
+    after the window, and _first_unsure finds how many steps surely stay
+    in the bounce. A window whose uniforms all do is accepted whole. Otherwise
     the steps before the first unsure uniform are accepted and that step
     is decided with the scalar loop's own arithmetic: if it stays in the
     bounce it is taken and the windows go on; if it leaves, it and the
@@ -160,7 +189,6 @@ def _bounce_run(us: np.ndarray, q: int, i: int, j: int, counts: list, ws: list,
     """
     k = us.shape[0]
     d = j - i
-    m = _BOUNCE_CHECK
     while q < k - 1:  # a window steps at least once from each site
         m = min(m, k - q)
         hi, hj = (m + 1) // 2, m // 2  # steps taken from i, from j
@@ -205,7 +233,8 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     Step t compares the t-th uniform of RngStream(seed, 0) with the
     left-move probability. The steps go through a scalar loop, except
     that once _BOUNCE_CHECK of them in a row bounce between two sites,
-    the bounce is taken in windows (_bounce_run) until it ends.
+    the bounce is taken in windows (_bounce_run) until it ends, across
+    the ends of the blocks of uniforms.
     """
     _check_walk_args(kind, T)
     rng = RngStream(seed, 0)
@@ -232,6 +261,7 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
     cmax = 1  # the largest visit count so far
     h = _BOUNCE_CHECK
     half = h // 2
+    d = 0  # j - i when a bounce run between i and j reached the block's end
     t = 0
     while t < T:
         k = min(_LOOP_CHUNK, T - t)
@@ -248,6 +278,8 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
         chunk = []  # the scalar loop's sites since segment[q - len(chunk)]
         append = chunk.append
         q = 0
+        if d:  # the bounce is still on: go on with it from the first uniform
+            q, i = _bounce_run(us, 0, i, i + d, counts, ws, s, weight, segment, k)
         try:
             while q < k:
                 for u in us[q:q + h].tolist():
@@ -276,6 +308,9 @@ def simulate(kind: str, weight: WeightFn, T: int, seed: int) -> np.ndarray:
         except OverflowError:
             weight.check(c)  # raises: w(c) is not a finite float
         segment[k - len(chunk):] = chunk
+        # no scalar step since the last run: it took the block's last steps,
+        # and the bounce goes on into the next block
+        d = int(segment[-2]) - i if not chunk else 0
         # only sites the block visited changed their counts
         cmax = max(cmax, max(counts[segment.min():segment.max() + 1]))
         weight.check(cmax)
@@ -337,11 +372,15 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     RngStream(seed + i, 0), which yields the same numbers as one long
     draw. At alpha = 0 the paths are simple random walks (_simple_walk),
     stepped _SIMPLE_PATHS at a time; otherwise all paths advance in
-    lockstep and the visit counts live in a (paths x sites) lattice that
-    grows with the ensemble's range, not with T. Each step's sum of Z_t^2
-    is exact, int64 sums added as floats, so the curve equals the float
-    average of the per-path squares bit for bit: every partial sum is an
-    integer below 2**53.
+    lockstep, two moves per pass from one gather of the five sites around
+    each walker, with no correction because a move never reads the count
+    of its own site (see the module docstring), in blocks of
+    _LOCKSTEP_CHUNK steps. The visit counts live in a (paths x sites)
+    lattice that grows with the ensemble's range, not with T: before each
+    block it reaches _reach(k) sites past every walker. Each step's sum of
+    Z_t^2 is exact, int64 sums added as floats, so the curve equals the
+    float average of the per-path squares bit for bit: every partial sum
+    is an integer below 2**53.
     """
     _check_walk_args(kind, T)
     if n_paths < 1:
@@ -369,30 +408,48 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     rngs = [RngStream(seed + i, 0) for i in range(n_paths)]
     repelling = kind == "repelling"
     weights = np.empty(0)  # weights[c] = w(c), grown geometrically
-    # counts[i, j] is path i's visit count of site j - off; uint16 until a
-    # count could pass 2**16 - 1, which long reinforced walks reach
-    width = 2 * (_LOCKSTEP_CHUNK + 1 + _LATTICE_PAD) + 1
+    # lattice[2 + i * width + j] is path i's visit count of site j - off, so
+    # two spare zeros lead the (paths x sites) counts; uint16 until a count
+    # could pass 2**16 - 1, which long reinforced walks reach
+    width = 2 * (_reach(_LOCKSTEP_CHUNK) + _LATTICE_PAD) + 1
     off = width // 2
-    counts = np.zeros((n_paths, width), dtype=np.uint16)
-    counts[:, off] = 1
+    lattice = np.zeros(2 + n_paths * width, dtype=np.uint16)
+    lattice[2 + off::width] = 1
     cmax = 1
     moves = np.array([1, -1], dtype=np.int64)  # indexed by "moved left"
     z = np.zeros(n_paths, dtype=np.int64)
     drawn = np.empty((min(_DRAW_CHUNK, T), n_paths))
+    # Z = sites[:k + 1], and Z[j] holds each path's index into lattice[2:] of
+    # its site z after step j of a block. A pass writes W, the weights of
+    # sites z - 2 .. z + 2, P the left-move probabilities from z - 1, z and
+    # z + 1 (P[i] is W[i + 2] or W[i], by kind, over W[i] + W[i + 2]) and
+    # its two moves
+    sites = np.empty((min(_LOCKSTEP_CHUNK, T) + 1, n_paths), dtype=np.int64)
+    W = np.empty((5, n_paths))
+    P = np.empty((3, n_paths))
+    left = np.empty((2, n_paths), dtype=bool)
+    step = np.empty((2, n_paths), dtype=np.int64)
+    wl, wr = W[:3], W[2:]
+    numerator = wr if repelling else wl
+    p_from_left, p_here, p_from_right = P
+    left_first, left_second = left
+    step_first, step_second = step
     t = drawn_to = 0
     while t < T:
         k = min(_LOCKSTEP_CHUNK, T - t)
-        # k steps reach at most k sites further and raise a count by at most k
-        short_left = k + 1 - int(z.min()) - off
-        short_right = int(z.max()) + k + 1 + off - (width - 1)
+        reach = _reach(k)
+        short_left = reach - int(z.min()) - off
+        short_right = int(z.max()) + reach + off - (width - 1)
         if short_left > 0 or short_right > 0:
             add_left = short_left + _LATTICE_PAD if short_left > 0 else 0
             add_right = short_right + _LATTICE_PAD if short_right > 0 else 0
-            grown = np.zeros((n_paths, width + add_left + add_right), dtype=counts.dtype)
-            grown[:, add_left:add_left + width] = counts
-            counts, width, off = grown, grown.shape[1], off + add_left
-        if cmax + k > np.iinfo(counts.dtype).max:
-            counts = counts.astype(np.int64)
+            grown_width = width + add_left + add_right
+            grown = np.zeros(2 + n_paths * grown_width, dtype=lattice.dtype)
+            grown[2:].reshape(n_paths, grown_width)[:, add_left:add_left + width] = \
+                lattice[2:].reshape(n_paths, width)
+            lattice, width, off = grown, grown_width, off + add_left
+        if cmax + k > np.iinfo(lattice.dtype).max:  # k steps raise a count by at most k
+            lattice = lattice.astype(np.int64)
         if weights.shape[0] <= cmax + k:
             weights = weight.weights(np.arange(max(2 * weights.shape[0], cmax + k + 1)))
         if t == drawn_to:  # one call per path draws the next _DRAW_CHUNK uniforms
@@ -401,24 +458,46 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
                 drawn[:m, i] = rng.uniforms(m)
             drawn_from, drawn_to = t, t + m
         u = drawn[t - drawn_from:t - drawn_from + k]  # u[j, i]: path i, step t + j
-        # G[j] holds each path's flat lattice index of its left (row 0) and
-        # right (row 1) neighbour site before step j
-        flat = counts.reshape(-1)
-        centre = flat[1:]
-        base = np.arange(n_paths, dtype=np.int64) * width + (off - 1)
-        G = np.empty((k + 1, 2, n_paths), dtype=np.int64)
-        np.add(base, z, out=G[0, 0])
-        np.add(G[0, 0], 2, out=G[0, 1])
+        # fives[i] packs lattice[i:i + 5], the counts of the sites from two
+        # left to two right of flat[i], into one item, so one fancy index
+        # gathers every walker's five sites
+        flat = lattice[2:]
+        fives = np.ndarray((lattice.shape[0] - 4,), strides=lattice.strides, buffer=lattice,
+                           dtype=np.dtype((np.void, 5 * lattice.itemsize)))
+        base = np.arange(n_paths, dtype=np.int64) * width + off
+        Z = sites[:k + 1]
+        np.add(base, z, out=Z[0])
         with np.errstate(invalid="ignore"):  # inf weights: weight.check raises below
-            for j in range(k):
-                g = G[j]
-                wl, wr = weights.take(flat.take(g))
-                p = np.divide(wr if repelling else wl, wl + wr)
-                g = np.add(g, moves.take(u[j] < p), out=G[j + 1])
-                centre[g[0]] += 1
-        cmax = int(counts.max())
+            z0 = Z[0]
+            for j in range(0, k, 2):
+                # every count is inside the table, so mode="clip" changes no
+                # weight; it lets take write into W without a buffer
+                near = fives[z0].view(lattice.dtype).reshape(n_paths, 5).T
+                weights.take(near, out=W, mode="clip")
+                np.add(wl, wr, out=P)
+                np.divide(numerator, P, out=P)
+                np.less(u[j], p_here, out=left_first)
+                if j + 1 == k:  # a trailing odd step takes one move
+                    np.add(z0, moves.take(left_first), out=Z[k])
+                    flat[Z[k]] += 1
+                    break
+                # the first move changed only the count of the site it
+                # entered, where the second move starts, and a move reads
+                # its neighbours' counts, not its own site's: so P, from
+                # the counts before the pass, holds the second move's
+                # probability as well
+                np.less(u[j + 1], np.where(left_first, p_from_left, p_from_right),
+                        out=left_second)
+                moves.take(left, out=step, mode="clip")
+                z1, z2 = Z[j + 1], Z[j + 2]
+                np.add(z0, step_first, out=z1)
+                np.add(z1, step_second, out=z2)
+                flat[Z[j + 1:j + 3]] += 1
+                z0 = z2
+        # only the sites the block entered changed their counts
+        cmax = max(cmax, int(flat.take(Z[1:]).max()))
         weight.check(cmax)
-        Z = G[1:, 0]
+        Z = Z[1:]
         Z -= base
         z = Z[-1].copy()
         Z *= Z
@@ -428,18 +507,21 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     return acc
 
 
-def check_msd_ensemble(T: int, n_paths: int) -> None:
-    """Reject an ensemble too small for a stable MSD exponent fit."""
+def check_msd_ensemble(T: int, n_paths: int, fit_lo_frac: float = MSD_FIT_LO_FRAC) -> None:
+    """Reject an ensemble too small for a stable MSD exponent fit, or a fit
+    window that does not start at a share of T in [0, 1)."""
     if T < 1000:
         raise ContractViolation(f"T must be >= 1000 for a stable fit, got {T}")
     if n_paths < 100:
         raise ContractViolation(f"n_paths must be >= 100, got {n_paths}")
+    if not 0.0 <= fit_lo_frac < 1.0:  # NaN fails both comparisons
+        raise ContractViolation(f"fit_lo_frac must lie in [0, 1), got {fit_lo_frac}")
 
 
 def msd_exponent(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int,
                  fit_lo_frac: float = MSD_FIT_LO_FRAC) -> tuple[float, float]:
     """Mean-squared-displacement scaling exponent with its regression stderr."""
-    check_msd_ensemble(T, n_paths)
+    check_msd_ensemble(T, n_paths, fit_lo_frac)
     msd = msd_curve(kind, weight, T, n_paths, seed)
     return fit_msd_exponent(msd, int(fit_lo_frac * T), T)
 

@@ -327,6 +327,22 @@ class TestMsd:
         with pytest.raises(ContractViolation):
             msd_exponent("repelling", WeightFn(), 1000, 99, 0)
 
+    def test_fit_start_checked_before_drawing(self, monkeypatch):
+        # a fit start outside [0, 1) of T, NaN included, is refused before
+        # any path is drawn; 0 fits from t = 1
+        def no_curve(*args):
+            raise AssertionError("simulated before validating")
+
+        monkeypatch.setattr(walks, "msd_curve", no_curve)
+        for frac in (float("nan"), 1.5, 1.0, -0.5, -1e-300, float("inf"), float("-inf")):
+            with pytest.raises(ContractViolation, match="fit_lo_frac"):
+                msd_exponent("repelling", WeightFn(1.0), 20000, 100, 0, fit_lo_frac=frac)
+        curve = np.arange(1001, dtype=np.float64) ** 1.5
+        monkeypatch.setattr(walks, "msd_curve", lambda *args: curve)
+        for frac, t_lo in ((0.0, 1), (0.5, 500), (0.99, 990)):
+            assert msd_exponent("repelling", WeightFn(1.0), 1000, 100, 0, fit_lo_frac=frac) == \
+                fit_msd_exponent(curve, t_lo, 1000)
+
 
 class TestEnsemble:
     @pytest.mark.parametrize("kind", WALK_KINDS)
@@ -335,12 +351,43 @@ class TestEnsemble:
         msd = msd_curve(kind, WeightFn(alpha), 1500, 6, 2)
         assert np.array_equal(msd, _msd_reference(kind, WeightFn(alpha), 1500, 6, 2))
 
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("n_paths", [1, 7])
+    def test_pair_passes_equal_the_reference(self, kind, alpha, n_paths):
+        # a pass takes two moves; T covers blocks shorter than a pair, a
+        # trailing odd step, and the block length (128) and its neighbours
+        expected = _msd_reference(kind, WeightFn(alpha), 1501, n_paths, 11)
+        for T in (1, 2, 3, 127, 128, 129, 257, 1501):
+            msd = msd_curve(kind, WeightFn(alpha), T, n_paths, 11)
+            assert np.array_equal(msd, expected[:T + 1]), T
+
+    @pytest.mark.parametrize("chunk", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_exact_lattice_margin(self, chunk, n, monkeypatch):
+        # with no pad the lattice grows to exactly the sites a block can
+        # read, and in blocks this short a walker often runs to that edge.
+        # A margin one site short would count a site in another path's row,
+        # or read one there (a site no path has visited reads 0, as the
+        # true count would); reading past the last row raises, and with one
+        # path every right-hand edge is the last row's
+        monkeypatch.setattr(walks, "_LATTICE_PAD", 0)
+        monkeypatch.setattr(walks, "_LOCKSTEP_CHUNK", chunk)
+        monkeypatch.setattr(walks, "_DRAW_CHUNK", 4 * chunk)
+        T, seed, reach = 600, 1, walks._reach(chunk)
+        for kind, alpha in (("repelling", 5.0), ("repelling", 1.0), ("reinforced", 0.2)):
+            paths = [simulate(kind, WeightFn(alpha), T, seed + i) for i in range(n)]
+            # the ensemble outgrows its first lattice on both sides
+            assert min(p.min() for p in paths) < -reach and max(p.max() for p in paths) > reach
+            assert np.array_equal(msd_curve(kind, WeightFn(alpha), T, n, seed),
+                                  _msd_reference(kind, WeightFn(alpha), T, n, seed))
+
     def test_lattice_grows_several_times(self):
         T, n, seed = 20000, 4, 7
         paths = [simulate("repelling", WeightFn(2.5), T, seed + i) for i in range(n)]
         # the lattice starts with `step` sites left of 0, and each growth
         # adds at most `step` more there, so this forces three growths
-        step = walks._LOCKSTEP_CHUNK + 1 + walks._LATTICE_PAD
+        step = walks._reach(walks._LOCKSTEP_CHUNK) + walks._LATTICE_PAD
         assert min(p.min() for p in paths) < -4 * step
         assert np.array_equal(msd_curve("repelling", WeightFn(2.5), T, n, seed),
                               _msd_reference("repelling", WeightFn(2.5), T, n, seed))
@@ -627,16 +674,17 @@ class TestBounceRuns:
 
     @pytest.mark.parametrize("alpha", [5.0, 30.0])
     def test_runs_across_block_ends(self, alpha, monkeypatch):
-        # once the bounce is settled, each 4096-uniform block has 64 scalar
-        # steps and one run to its end, whose last window is cut at the
-        # block's end; the paths over three block ends are walk_step's
+        # once the bounce is settled, a run that reaches the end of its
+        # 4096-uniform block goes on from the first uniform of the next,
+        # with no scalar steps, and its last window is cut at the block's
+        # end; the paths over three block ends are walk_step's
         runs = self._spy_runs(monkeypatch)
         T = 3 * 4096 + 100
         for seed in range(2):
             runs.clear()
             path = simulate("reinforced", WeightFn(alpha), T, seed)
             assert np.array_equal(path, _stepped_paths("reinforced", alpha, T, 1, seed)[0])
-            assert runs[-3:] == [(64, 4096, 4096)] * 2 + [(64, 100, 100)]
+            assert runs[-3:] == [(0, 4096, 4096)] * 2 + [(0, 100, 100)]
         # a crafted run that starts 200 uniforms before the end of its block
         us, _ = self._staying("reinforced", alpha, 1, (3000, 3000), (1, 1), 200)
         assert self._crafted("reinforced", alpha, 1, (3000, 3000), (1, 1), us)[0] == 200
