@@ -40,6 +40,10 @@ On two presets, cut to HARNESS_STEPS steps:
                                seeds) and example3_pr (phase retrieval),
                                writing its artifacts to a temporary
                                directory (unless $OTGRAD_OUT is set)
+    harness.<preset>.peak_heap_kb
+                               tracemalloc's peak over one more
+                               run_experiment of that config, after the
+                               timed ones, in kB (1000 bytes)
 
 On every closed-form problem, at its default size and starting point:
 
@@ -99,6 +103,7 @@ import platform
 import statistics
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -221,6 +226,12 @@ def bench_harness() -> dict:
             cell_steps = len(config.algorithms) * len(config.seeds) * HARNESS_STEPS
             layers[f"harness.{preset}"] = _median_us(
                 lambda: run_experiment(config), lambda _: cell_steps)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                layers[f"harness.{preset}.peak_heap_kb"] = tracemalloc.get_traced_memory()[1] / 1e3
+            finally:
+                tracemalloc.stop()
     return layers
 
 
@@ -303,9 +314,10 @@ def main() -> None:
         "oracle_calls": ORACLE_CALLS,
         "walk_t": WALK_T,
         "walk_paths": WALK_PATHS,
-        "unit": "microseconds per cell-step (step.*, harness.*), per row (oracle.*) "
+        "unit": "microseconds per cell-step (step.*, harness.<preset>), per row (oracle.*) "
                 "or per call (eval_objective.*, mlp.*, occupation.*); "
-                "nanoseconds per path-step (walk.*); median",
+                "nanoseconds per path-step (walk.*); median; "
+                "kB for harness.<preset>.peak_heap_kb, one run",
         "layers": bench_walks() if args.walks else bench(),
     }
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"

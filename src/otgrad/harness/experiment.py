@@ -9,6 +9,9 @@ writes, into <output>/<hash12>/:
 
 All seeds of an algorithm run as one group of lanes (optimizers.run_lanes),
 and each cell's trace equals the one its seed gives alone, bit for bit.
+A group's trace files and summary rows are made as soon as it finishes and
+its traces are dropped before the next group runs, so a grid holds one
+group's traces at a time, however many algorithms it has.
 
 Everything is deterministic: reruns of the same config produce the same
 bytes, and the artifact contents do not depend on the order in which the
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from pathlib import Path
 from typing import Optional
 
@@ -71,11 +75,9 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def trace_csv_text(trace: RunTrace) -> str:
-    lines = [TRACE_HEADER]
-    for t, f, g, p, n in zip(trace.ts, trace.fs, trace.grad_norms,
-                             trace.perturbed, trace.nce):
-        lines.append(f"{t},{repr(f)},{repr(g)},{p},{n}")
-    return "\n".join(lines) + "\n"
+    return TRACE_HEADER + "\n" + "".join([
+        f"{t},{f!r},{g!r},{p},{n}\n"
+        for t, f, g, p, n in zip(trace.ts, trace.fs, trace.grad_norms, trace.perturbed, trace.nce)])
 
 
 def write_trace_csv(path: Path, trace: RunTrace) -> None:
@@ -83,20 +85,22 @@ def write_trace_csv(path: Path, trace: RunTrace) -> None:
 
 
 def read_trace_csv(path: Path) -> dict:
-    """Load a trace file back into column arrays (inverse of write_trace_csv)."""
+    """Load a trace file back into column arrays (inverse of write_trace_csv):
+    int64 t, perturbed and nce, float64 f and grad_norm."""
+    ts, fs, gs, ps, ns = array("q"), array("d"), array("d"), array("q"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ContractViolation(f"unexpected trace header {header!r}")
-        cols = {"t": [], "f": [], "grad_norm": [], "perturbed": [], "nce": []}
         for line in fh:
             t, f, g, p, n = line.strip().split(",")
-            cols["t"].append(int(t))
-            cols["f"].append(float(f))
-            cols["grad_norm"].append(float(g))
-            cols["perturbed"].append(int(p))
-            cols["nce"].append(int(n))
-    return {k: np.asarray(v) for k, v in cols.items()}
+            ts.append(int(t))
+            fs.append(float(f))
+            gs.append(float(g))
+            ps.append(int(p))
+            ns.append(int(n))
+    return {"t": np.asarray(ts), "f": np.asarray(fs), "grad_norm": np.asarray(gs),
+            "perturbed": np.asarray(ps), "nce": np.asarray(ns)}
 
 
 def _resolve_max_steps(config: ExperimentConfig, bundle: ProblemBundle) -> int:
@@ -123,6 +127,27 @@ def _classification_report(bundle: ProblemBundle, config: ExperimentConfig,
         "grad_threshold": report.grad_threshold,
         "curv_threshold": report.curv_threshold,
     }
+
+
+def _finish_group(bundle: ProblemBundle, config: ExperimentConfig, algorithm: str,
+                  out_dir: Path, thresholds: dict, results: list,
+                  rows: list, entries: list) -> None:
+    """Write one lane group's trace files; append an index entry per cell to
+    `entries` and a summary row per ok cell to `rows`."""
+    for seed, result in zip(config.seeds, results):
+        if isinstance(result, RunError):
+            trace = result.trace
+            status = f"failed: {result}"
+        else:
+            trace = result
+            status = "ok"
+            row, = escape_summary([trace], thresholds[seed])
+            row["final_classification"] = _classification_report(bundle, config, trace)
+            rows.append(row)
+        fname = f"trace_{algorithm}_seed{seed}.csv"
+        write_trace_csv(out_dir / fname, trace)
+        entries.append({"file": fname, "kind": "trace", "algorithm": algorithm,
+                        "seed": seed, "status": status})
 
 
 @one_blas_thread()
@@ -156,41 +181,21 @@ def run_experiment(config: ExperimentConfig) -> Path:
         else:
             thresholds[seed] = 0.5 * float(full_obj.value(x0))
 
-    completed = []
+    rows = []
     entries = []
     for algo in config.algorithms:
         batchers = None if bundle.problem is None else [
             Batcher(bundle.problem, config.batch_size, derive_stream(seed, STREAM_BATCH))
             for seed in config.seeds]
-        results = run_lanes(full_obj, algo, max_steps, config.seeds,
-                            [inits[seed] for seed in config.seeds],
-                            record_every=config.record_every, batchers=batchers,
-                            problem_name=config.problem_name)
-        for seed, result in zip(config.seeds, results):
-            if isinstance(result, RunError):
-                trace = result.trace
-                status = f"failed: {result}"
-            else:
-                trace = result
-                status = "ok"
-                completed.append(trace)
-            fname = f"trace_{algo.name}_seed{seed}.csv"
-            write_trace_csv(out_dir / fname, trace)
-            entries.append({"file": fname, "kind": "trace", "algorithm": algo.name,
-                            "seed": seed, "status": status})
-
-    rows = []
-    by_seed = {}
-    for trace in completed:
-        by_seed.setdefault(trace.seed, []).append(trace)
-    for seed in sorted(by_seed):
-        rows.extend(escape_summary(by_seed[seed], thresholds[seed]))
+        # the group's traces live only inside _finish_group, so the grid
+        # holds one group's traces at a time
+        _finish_group(bundle, config, algo.name, out_dir, thresholds,
+                      run_lanes(full_obj, algo, max_steps, config.seeds,
+                                [inits[seed] for seed in config.seeds],
+                                record_every=config.record_every, batchers=batchers,
+                                problem_name=config.problem_name),
+                      rows, entries)
     rows.sort(key=lambda row: (row["algorithm"], row["seed"]))
-
-    trace_by_cell = {(tr.algorithm, tr.seed): tr for tr in completed}
-    for row in rows:
-        trace = trace_by_cell[(row["algorithm"], row["seed"])]
-        row["final_classification"] = _classification_report(bundle, config, trace)
 
     summary = {
         "config_hash": config.config_hash,

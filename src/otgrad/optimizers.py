@@ -586,16 +586,22 @@ def baseline_step(hyper: BaselineHyper, x, grad) -> np.ndarray:
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != xv.shape:
         raise ContractViolation(f"gradient shape {g.shape} != iterate shape {xv.shape}")
+    # Each accumulator is updated in place, one operation of its formula at
+    # a time in the formula's order, so the bits equal the plain formulas'.
     if hyper.kind == "sgd_momentum":
         if hyper.v is None:
             hyper.v = np.zeros_like(xv)
-        hyper.v = hyper.momentum * hyper.v - hyper.lr * g
-        return xv + hyper.v
+        v = hyper.v
+        v *= hyper.momentum
+        v -= hyper.lr * g
+        return xv + v
     if hyper.kind == "rmsprop":
         if hyper.v is None:
             hyper.v = np.zeros_like(xv)
-        hyper.v = hyper.rms_decay * hyper.v + (1.0 - hyper.rms_decay) * g * g
-        return xv - hyper.lr * g / (np.sqrt(hyper.v) + hyper.eps_num)
+        v = hyper.v
+        v *= hyper.rms_decay
+        v += (1.0 - hyper.rms_decay) * g * g
+        return xv - hyper.lr * g / (np.sqrt(v) + hyper.eps_num)
     # adam / amsgrad
     if hyper.m is None:
         hyper.m = np.zeros_like(xv)
@@ -603,13 +609,15 @@ def baseline_step(hyper: BaselineHyper, x, grad) -> np.ndarray:
         hyper.v_max = np.zeros_like(xv)
     hyper.step_count += 1
     t = hyper.step_count
-    hyper.m = hyper.beta1 * hyper.m + (1.0 - hyper.beta1) * g
-    hyper.v = hyper.beta2 * hyper.v + (1.0 - hyper.beta2) * g * g
-    m_hat = hyper.m / (1.0 - hyper.beta1 ** t)
-    v_hat = hyper.v / (1.0 - hyper.beta2 ** t)
+    m, v = hyper.m, hyper.v
+    m *= hyper.beta1
+    m += (1.0 - hyper.beta1) * g
+    v *= hyper.beta2
+    v += (1.0 - hyper.beta2) * g * g
+    m_hat = m / (1.0 - hyper.beta1 ** t)
+    v_hat = v / (1.0 - hyper.beta2 ** t)
     if hyper.kind == "amsgrad":
-        hyper.v_max = np.maximum(hyper.v_max, v_hat)
-        v_hat = hyper.v_max
+        v_hat = np.maximum(hyper.v_max, v_hat, out=hyper.v_max)
     return xv - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps_num)
 
 

@@ -509,13 +509,19 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
 
 def check_msd_ensemble(T: int, n_paths: int, fit_lo_frac: float = MSD_FIT_LO_FRAC) -> None:
     """Reject an ensemble too small for a stable MSD exponent fit, or a fit
-    window that does not start at a share of T in [0, 1)."""
+    window that does not start at a share of T in [0, 1) or holds fewer than
+    3 points."""
     if T < 1000:
         raise ContractViolation(f"T must be >= 1000 for a stable fit, got {T}")
     if n_paths < 100:
         raise ContractViolation(f"n_paths must be >= 100, got {n_paths}")
     if not 0.0 <= fit_lo_frac < 1.0:  # NaN fails both comparisons
         raise ContractViolation(f"fit_lo_frac must lie in [0, 1), got {fit_lo_frac}")
+    t_lo = max(1, int(fit_lo_frac * T))  # fit_msd_exponent's window start
+    if T - t_lo < 2:
+        raise ContractViolation(
+            f"fit window [{t_lo}, {T}] holds fewer than 3 points "
+            f"(fit_lo_frac {fit_lo_frac}, T {T})")
 
 
 def msd_exponent(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int,

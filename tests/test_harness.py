@@ -1,8 +1,10 @@
 """Config grammar, artifact layout, reproducibility, and the CLI."""
 
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from otgrad.harness import (
     PRESETS,
     TRACE_HEADER,
     ConfigError,
+    experiment,
     parse_config,
     read_trace_csv,
     resolve_output_dir,
@@ -21,8 +24,8 @@ from otgrad.harness import (
 )
 from otgrad.harness.cli import main
 from otgrad.harness.config import check_window_budget
-from otgrad.harness.experiment import initial_point, trace_csv_text
-from otgrad.optimizers import Batcher, RunError, run
+from otgrad.harness.experiment import initial_point, trace_csv_text, write_trace_csv
+from otgrad.optimizers import Batcher, RunError, RunTrace, run
 
 SMALL_CONFIG = """
 [problem]
@@ -469,6 +472,72 @@ eta = 100.0
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "elsewhere"))
         cfg = parse_config(SMALL_CONFIG)
         assert resolve_output_dir(cfg).parent == tmp_path / "elsewhere"
+
+    @pytest.mark.parametrize("eta", ["0.1", "5.0"])
+    def test_group_traces_gone_before_next_group_runs(self, tmp_path, monkeypatch, eta):
+        # At eta 5 seed 0 overflows. A failed cell's RunError keeps its
+        # cause's traceback, whose frames form a cycle with run_lanes'
+        # results, so those traces go only when the cyclic collector runs.
+        text = SMALL_CONFIG.replace("dim = 2\nn_plateaus = 2\ndata_seed = 0",
+                                    "dim = 4\ndata_seed = 0\ninit = gaussian 2.0 0.3")
+        text = text.replace("eta = 0.1", f"eta = {eta}") + "[algorithm pagdot]\n"
+        groups, failed = [], []
+        run_lanes = experiment.run_lanes
+
+        def assert_all_gone():
+            if eta == "5.0":
+                gc.collect()
+            for k, refs in enumerate(groups):
+                assert all(ref() is None for ref in refs), f"group {k} alive"
+
+        def spy(*args, **kwargs):
+            assert_all_gone()
+            results = run_lanes(*args, **kwargs)
+            failed.extend(isinstance(r, RunError) for r in results)
+            groups.append([weakref.ref(r.trace if isinstance(r, RunError) else r)
+                           for r in results])
+            return results
+
+        monkeypatch.setattr(experiment, "run_lanes", spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.run_small(tmp_path, monkeypatch, text)
+        assert len(groups) == 3 and all(len(refs) == 2 for refs in groups)
+        assert any(failed) == (eta == "5.0")
+        assert_all_gone()
+
+    EDGE_FLOATS = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.1 + 0.2,
+                   1e16, 1e22, 1.5e-7, 123456789.125, 2.0 ** 53 + 2)
+
+    def edge_trace(self):
+        trace = RunTrace(algorithm="gd", problem="staircase", seed=0, mode="practical")
+        for i, (f, g) in enumerate(zip(self.EDGE_FLOATS, self.EDGE_FLOATS[::-1])):
+            trace.add_row(10 ** 6 * i, f, g, i % 2, (i // 2) % 2)
+        trace.add_rows(range(10 ** 12, 10 ** 12 + 3), -0.0, math.nan)
+        return trace
+
+    def test_trace_csv_text_equals_per_row_fstring(self):
+        trace = self.edge_trace()
+        lines = [TRACE_HEADER]
+        for t, f, g, p, n in zip(trace.ts, trace.fs, trace.grad_norms,
+                                 trace.perturbed, trace.nce):
+            lines.append(f"{t},{repr(f)},{repr(g)},{p},{n}")
+        assert trace_csv_text(trace) == "\n".join(lines) + "\n"
+        empty = RunTrace(algorithm="gd", problem="staircase", seed=0, mode="practical")
+        assert trace_csv_text(empty) == TRACE_HEADER + "\n"
+
+    def test_read_trace_round_trips_edge_values(self, tmp_path):
+        trace = self.edge_trace()
+        path = tmp_path / "edge.csv"
+        write_trace_csv(path, trace)
+        cols = read_trace_csv(path)
+        expected = {"t": np.array(trace.ts), "f": np.array(trace.fs),
+                    "grad_norm": np.array(trace.grad_norms),
+                    "perturbed": np.array(trace.perturbed), "nce": np.array(trace.nce)}
+        assert list(cols) == list(expected)
+        for name, col in cols.items():
+            assert col.dtype == expected[name].dtype == \
+                (np.float64 if name in ("f", "grad_norm") else np.int64), name
+            assert col.tobytes() == expected[name].tobytes(), name
 
     def test_read_trace_rejects_foreign_header(self, tmp_path):
         bad = tmp_path / "x.csv"

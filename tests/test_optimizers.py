@@ -478,6 +478,43 @@ class TestBaselines:
         with pytest.raises(ContractViolation):
             BaselineHyper(kind="newton")
 
+    @staticmethod
+    def _out_of_place_step(kind, acc, x, g, t, lr=0.01, momentum=0.9, beta1=0.9,
+                           beta2=0.999, eps_num=1e-8, rms_decay=0.9):
+        """The update as plain formulas, a fresh array per term."""
+        if kind == "sgd_momentum":
+            acc["v"] = momentum * acc["v"] - lr * g
+            return x + acc["v"]
+        if kind == "rmsprop":
+            acc["v"] = rms_decay * acc["v"] + (1.0 - rms_decay) * g * g
+            return x - lr * g / (np.sqrt(acc["v"]) + eps_num)
+        acc["m"] = beta1 * acc["m"] + (1.0 - beta1) * g
+        acc["v"] = beta2 * acc["v"] + (1.0 - beta2) * g * g
+        m_hat = acc["m"] / (1.0 - beta1 ** t)
+        v_hat = acc["v"] / (1.0 - beta2 ** t)
+        if kind == "amsgrad":
+            acc["v_max"] = np.maximum(acc["v_max"], v_hat)
+            v_hat = acc["v_max"]
+        return x - lr * m_hat / (np.sqrt(v_hat) + eps_num)
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam", "amsgrad", "rmsprop"])
+    @pytest.mark.parametrize("shape", [(7,), (2, 7)])
+    def test_in_place_update_matches_out_of_place_formulas_bit_for_bit(self, kind, shape):
+        rng = np.random.default_rng(20)
+        hyper = BaselineHyper(kind=kind, lr=0.01)
+        x = xe = rng.standard_normal(shape)
+        acc = {name: np.zeros(shape) for name in ("m", "v", "v_max")}
+        for t in range(1, 13):
+            # gradients shrink then grow, so amsgrad's running max both holds and moves
+            g = rng.standard_normal(shape) * 10.0 ** (abs(t - 6) - 3)
+            x = baseline_step(hyper, x, g)
+            xe = self._out_of_place_step(kind, acc, xe, g, t)
+            assert x.tobytes() == xe.tobytes()
+            for name in ("m", "v", "v_max"):
+                got = getattr(hyper, name)
+                if got is not None:
+                    assert got.tobytes() == acc[name].tobytes()
+
 
 class TestAlgoConfig:
     def test_unknown_name_rejected(self):

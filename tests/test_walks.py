@@ -343,6 +343,21 @@ class TestMsd:
             assert msd_exponent("repelling", WeightFn(1.0), 1000, 100, 0, fit_lo_frac=frac) == \
                 fit_msd_exponent(curve, t_lo, 1000)
 
+    def test_short_fit_window_refused_before_drawing(self, monkeypatch):
+        # a window [max(1, int(frac * T)), T] of fewer than 3 points is
+        # refused before any path is drawn; 3 points are enough
+        def no_curve(*args):
+            raise AssertionError("simulated before validating")
+
+        monkeypatch.setattr(walks, "msd_curve", no_curve)
+        for T, frac in ((1000, 0.999), (1000, 0.9999), (20000, 0.99995), (20000, 0.99999)):
+            with pytest.raises(ContractViolation, match="fewer than 3 points"):
+                msd_exponent("repelling", WeightFn(1.0), T, 100, 0, fit_lo_frac=frac)
+        curve = np.arange(1001, dtype=np.float64) ** 1.5
+        monkeypatch.setattr(walks, "msd_curve", lambda *args: curve)
+        assert msd_exponent("repelling", WeightFn(1.0), 1000, 100, 0, fit_lo_frac=0.998) == \
+            fit_msd_exponent(curve, 998, 1000)
+
 
 class TestEnsemble:
     @pytest.mark.parametrize("kind", WALK_KINDS)
