@@ -1,122 +1,150 @@
 """Benchmark problem registry.
 
-make_problem() turns a problem name plus options into a ProblemBundle: a
-deterministic Objective (or a dataset-backed MlpProblem for "mlp") together
-with the problem's canonical initial point.
+PROBLEMS declares each problem once: a builder and its options, each with
+a type, a default and a rule.  make_problem() and the config parser both
+read it, so a new problem, or a new option, is one entry here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from ..core import STREAM_INIT, ContractViolation, Objective, RngStream, derive_stream
 from .airy import AIRY_DIM, airy_ai, airy_regression_objective
-from .datasets import load_dataset
-from .mlp import MlpProblem, mlp_param_count
+from .datasets import DATASET_KINDS, load_dataset
+from .mlp import ACTIVATIONS, MlpProblem, mlp_param_count
 from .quadratics import (
     PR_DIM,
     PR_N_MEASUREMENTS,
     REGLQ_DIM,
+    REGLQ_N_TERMS,
     phase_retrieval_init_std,
     phase_retrieval_objective,
     reglq_objective,
 )
 from .staircase import staircase_objective, staircase_profile, staircase_saddle_init
 
-PROBLEM_NAMES = ("staircase", "airy_regression", "reglq", "phase_retrieval", "mlp")
-
 __all__ = [
-    "PROBLEM_NAMES",
-    "ProblemBundle",
-    "make_problem",
-    "airy_ai",
-    "airy_regression_objective",
-    "load_dataset",
-    "MlpProblem",
-    "mlp_param_count",
-    "phase_retrieval_objective",
-    "reglq_objective",
-    "staircase_objective",
-    "staircase_profile",
+    "PROBLEMS", "PROBLEM_NAMES", "ProblemBundle", "make_problem",
+    "airy_ai", "airy_regression_objective", "load_dataset", "MlpProblem", "mlp_param_count",
+    "phase_retrieval_objective", "reglq_objective", "staircase_objective", "staircase_profile",
 ]
+
+# (label, test) rules a value must pass; the label completes "must be ..."
+ANY = ("", lambda v: True)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+POSITIVE = ("positive", lambda v: v > 0)
+
+
+def one_of(choices: tuple) -> tuple:
+    return (f"one of {choices}", lambda v: v in choices)
+
+
+class Option(NamedTuple):
+    kind: type              # int, float or str
+    rule: tuple             # (label, test), as the config parser's key tables hold
+    default: object
 
 
 @dataclass
 class ProblemBundle:
     name: str
-    dim: int
-    objective: Optional[Objective]          # None for dataset-backed problems
-    problem: Optional[MlpProblem]           # set only for "mlp"
+    objective: Objective                    # the full-data objective
     default_init: Callable[[RngStream], np.ndarray]
+    problem: Optional[MlpProblem] = None    # the dataset behind it, set only for "mlp"
+
+    @property
+    def dim(self) -> int:
+        return self.objective.dim
 
     def init_point(self, data_seed: int) -> np.ndarray:
         """Canonical x0, derived deterministically from the data seed."""
         return self.default_init(derive_stream(data_seed, STREAM_INIT))
 
 
+@dataclass(frozen=True)
+class Problem:
+    """build(data_seed, **every option) returns the ProblemBundle fields
+    after its name; check(every option) names a bad combination, or None."""
+
+    build: Callable[..., tuple]
+    options: dict
+    check: Optional[Callable[[dict], Optional[str]]] = None
+
+    def resolve(self, name: str, options: dict) -> dict:
+        """The given options coerced to their types, the others (or None) at
+        their defaults."""
+        unknown = set(options) - set(self.options)
+        if unknown:
+            raise ContractViolation(f"unknown options for {name}: {sorted(unknown)}")
+        return {key: opt.default if options.get(key) is None else opt.kind(options[key])
+                for key, opt in self.options.items()}
+
+
+def _staircase(data_seed, dim, n_plateaus, length):
+    return (staircase_objective(dim=dim, n_plateaus=n_plateaus, length=length),
+            lambda rng: staircase_saddle_init(dim, n_plateaus, length))
+
+
+def _airy_regression(data_seed):
+    return airy_regression_objective(), lambda rng: np.zeros(AIRY_DIM)
+
+
+def _reglq(data_seed, n_terms):
+    return reglq_objective(data_seed, n_terms=n_terms), lambda rng: np.zeros(REGLQ_DIM)
+
+
+def _phase_retrieval(data_seed, dim, n_measurements):
+    obj = phase_retrieval_objective(data_seed, n_measurements=n_measurements, dim=dim)
+    std = phase_retrieval_init_std(dim)
+    return obj, lambda rng: std * rng.normal(dim)
+
+
+def _mlp(data_seed, n_hidden, dataset, data_path, n_samples, activation, init_mean, init_std):
+    features, labels = load_dataset(dataset, path=data_path, seed=data_seed,
+                                    n_samples=n_samples)
+    problem = MlpProblem(features, labels, n_hidden=n_hidden, activation=activation)
+    return (problem.full_objective(),
+            lambda rng: problem.init_params(rng, mean=init_mean, std=init_std), problem)
+
+
+def _mlp_check(options: dict) -> Optional[str]:
+    if options["dataset"] != "synthetic_blobs" and not options["data_path"]:
+        return f"dataset {options['dataset']} needs data_path"
+
+
+PROBLEMS = {
+    "staircase": Problem(_staircase, {
+        "dim": Option(int, AT_LEAST_1, 4),
+        "n_plateaus": Option(int, AT_LEAST_1, 4),
+        "length": Option(float, POSITIVE, 1.0),
+    }),
+    "airy_regression": Problem(_airy_regression, {}),
+    "reglq": Problem(_reglq, {"n_terms": Option(int, AT_LEAST_1, REGLQ_N_TERMS)}),
+    "phase_retrieval": Problem(_phase_retrieval, {
+        "dim": Option(int, AT_LEAST_1, PR_DIM),
+        "n_measurements": Option(int, AT_LEAST_1, PR_N_MEASUREMENTS),
+    }),
+    "mlp": Problem(_mlp, {
+        "n_hidden": Option(int, AT_LEAST_1, 32),
+        "dataset": Option(str, one_of(DATASET_KINDS), "synthetic_blobs"),
+        "data_path": Option(str, ANY, None),
+        "n_samples": Option(int, AT_LEAST_1, 1280),
+        "activation": Option(str, one_of(ACTIVATIONS), "sigmoid"),
+        "init_mean": Option(float, ANY, 0.0),
+        "init_std": Option(float, POSITIVE, 0.1),
+    }, check=_mlp_check),
+}
+
+PROBLEM_NAMES = tuple(PROBLEMS)
+
+
 def make_problem(name: str, data_seed: int = 0, **options) -> ProblemBundle:
     """Build a benchmark instance; unknown option keys are rejected."""
-
-    def take(key, default):
-        return options.pop(key, default)
-
-    if name == "staircase":
-        dim = int(take("dim", 4))
-        n_plateaus = int(take("n_plateaus", 4))
-        length = float(take("length", 1.0))
-        _reject_leftovers(name, options)
-        obj = staircase_objective(dim=dim, n_plateaus=n_plateaus, length=length)
-        return ProblemBundle(
-            name=name, dim=dim, objective=obj, problem=None,
-            default_init=lambda rng: staircase_saddle_init(dim, n_plateaus, length))
-
-    if name == "airy_regression":
-        _reject_leftovers(name, options)
-        obj = airy_regression_objective()
-        return ProblemBundle(
-            name=name, dim=AIRY_DIM, objective=obj, problem=None,
-            default_init=lambda rng: np.zeros(AIRY_DIM))
-
-    if name == "reglq":
-        n_terms = int(take("n_terms", 10))
-        _reject_leftovers(name, options)
-        obj = reglq_objective(data_seed, n_terms=n_terms)
-        return ProblemBundle(
-            name=name, dim=REGLQ_DIM, objective=obj, problem=None,
-            default_init=lambda rng: np.zeros(REGLQ_DIM))
-
-    if name == "phase_retrieval":
-        dim = int(take("dim", PR_DIM))
-        n_measurements = int(take("n_measurements", PR_N_MEASUREMENTS))
-        _reject_leftovers(name, options)
-        obj = phase_retrieval_objective(data_seed, n_measurements=n_measurements, dim=dim)
-        std = phase_retrieval_init_std(dim)
-        return ProblemBundle(
-            name=name, dim=dim, objective=obj, problem=None,
-            default_init=lambda rng: std * rng.normal(dim))
-
-    if name == "mlp":
-        n_hidden = int(take("n_hidden", 32))
-        dataset = str(take("dataset", "synthetic_blobs"))
-        data_path = take("data_path", None)
-        n_samples = int(take("n_samples", 1280))
-        activation = str(take("activation", "sigmoid"))
-        init_mean = float(take("init_mean", 0.0))
-        init_std = float(take("init_std", 0.1))
-        _reject_leftovers(name, options)
-        features, labels = load_dataset(dataset, path=data_path, seed=data_seed,
-                                        n_samples=n_samples)
-        problem = MlpProblem(features, labels, n_hidden=n_hidden, activation=activation)
-        return ProblemBundle(
-            name=name, dim=problem.dim, objective=None, problem=problem,
-            default_init=lambda rng: problem.init_params(rng, mean=init_mean, std=init_std))
-
-    raise ContractViolation(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
-
-
-def _reject_leftovers(name: str, options: dict) -> None:
-    if options:
-        raise ContractViolation(f"unknown options for {name}: {sorted(options)}")
+    entry = PROBLEMS.get(name)
+    if entry is None:
+        raise ContractViolation(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
+    return ProblemBundle(name, *entry.build(data_seed, **entry.resolve(name, options)))

@@ -45,8 +45,9 @@ class Objective:
     from `value` and `gradient` alone gets an oracle that calls them row by
     row, and one built from `oracle` alone gets them as its one-row case.
 
-    Smoothness constants are optional metadata; they are required only by
-    the theory-mode parameter derivations.
+    `lipschitz_grad` and `lipschitz_hess` are optional metadata that no
+    code reads: theory mode takes its smoothness constants from the
+    config's `ell` and `rho`.
     """
 
     dim: int

@@ -134,8 +134,6 @@ def _check_points(bundle, rng) -> list:
 def _cmd_check(args) -> int:
     bundle = make_problem(args.problem, data_seed=args.data_seed)
     obj = bundle.objective
-    if obj is None:
-        obj = bundle.problem.full_objective()
     tol = CHECK_TOL_MLP if args.problem == "mlp" else CHECK_TOL
     rng = derive_stream(args.data_seed, STREAM_INIT)
     worst = 0.0
@@ -146,7 +144,7 @@ def _cmd_check(args) -> int:
         worst = max(worst, rel)
     print(f"{args.problem}: max relative gradient error {worst:.3e} over "
           f"{CHECK_POINTS} points")
-    if bundle.dim <= MAX_HESSIAN_DIM and bundle.objective is not None:
+    if bundle.dim <= MAX_HESSIAN_DIM:
         lam = min_hessian_eig(obj, bundle.init_point(args.data_seed))
         print(f"{args.problem}: min Hessian eigenvalue at the canonical start {lam:.6f}")
     if worst < tol:
@@ -167,11 +165,8 @@ def _load_point(path: str) -> np.ndarray:
 @one_blas_thread()
 def _cmd_classify(args) -> int:
     bundle = make_problem(args.problem, data_seed=args.data_seed)
-    obj = bundle.objective
-    if obj is None:
-        obj = bundle.problem.full_objective()
     x = _load_point(args.point_file)
-    report = classify_point(obj, x, args.eps, args.rho)
+    report = classify_point(bundle.objective, x, args.eps, args.rho)
     print(f"grad_norm   = {report.grad_norm:.6e} (threshold {report.grad_threshold:g})")
     print(f"lambda_min  = {report.lambda_min:.6e} (threshold {report.curv_threshold:.6e})")
     print(f"label       = {report.label}")

@@ -2,7 +2,8 @@
 
 Config files are keyed, sectioned plain text (INI style, '#' comments):
 
-    # [problem] names the benchmark and its structural fields.
+    # [problem] names the benchmark and sets the options that its entry in
+    # benchmarks.PROBLEMS lists.
     [problem]
     name = staircase        # staircase | airy_regression | reglq |
                             # phase_retrieval | mlp
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from ..benchmarks import PROBLEM_NAMES
+from ..benchmarks import ANY, AT_LEAST_1, POSITIVE, PROBLEM_NAMES, PROBLEMS
 from ..optimizers import ALGORITHMS, AlgoConfig
 
 INIT_STYLES = ("default", "zeros", "constant", "gaussian", "explicit")
@@ -81,71 +82,47 @@ class ExperimentConfig:
     config_hash: str = ""
 
 
-# key -> (type, constraint, description); constraint is checked after typing
-_POSITIVE = ("positive", lambda v: v > 0)
+# key -> (type, (label, test)), the test applied after typing; see also benchmarks.PROBLEMS
 _NONNEG = ("nonnegative", lambda v: v >= 0)
-_GE1 = (">= 1", lambda v: v >= 1)
-_ANY = ("", lambda v: True)
 _UNIT = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
 _FRACTION = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 _PROBLEM_KEYS = {
-    "name": (str, _ANY),
+    "name": (str, ANY),
     "data_seed": (int, _NONNEG),
-    "init": (str, _ANY),
-    "dim": (int, _GE1),
-    "n_plateaus": (int, _GE1),
-    "length": (float, _POSITIVE),
-    "n_terms": (int, _GE1),
-    "n_measurements": (int, _GE1),
-    "n_hidden": (int, _GE1),
-    "dataset": (str, _ANY),
-    "data_path": (str, _ANY),
-    "n_samples": (int, _GE1),
-    "activation": (str, _ANY),
-    "init_mean": (float, _ANY),
-    "init_std": (float, _POSITIVE),
-}
-
-_PROBLEM_SPECIFIC = {
-    "staircase": {"dim", "n_plateaus", "length"},
-    "airy_regression": set(),
-    "reglq": {"n_terms"},
-    "phase_retrieval": {"dim", "n_measurements"},
-    "mlp": {"n_hidden", "dataset", "data_path", "n_samples", "activation",
-            "init_mean", "init_std"},
+    "init": (str, ANY),
 }
 
 _RUN_KEYS = {
     "seeds": ("ints", _NONNEG),
-    "max_steps": (int, _GE1),
-    "epochs": (int, _GE1),
-    "batch_size": (int, _GE1),
-    "record_every": (int, _GE1),
-    "output": (str, _ANY),
-    "threshold": (float, _ANY),
-    "classify_eps": (float, _POSITIVE),
-    "classify_rho": (float, _POSITIVE),
+    "max_steps": (int, AT_LEAST_1),
+    "epochs": (int, AT_LEAST_1),
+    "batch_size": (int, AT_LEAST_1),
+    "record_every": (int, AT_LEAST_1),
+    "output": (str, ANY),
+    "threshold": (float, ANY),
+    "classify_eps": (float, POSITIVE),
+    "classify_rho": (float, POSITIVE),
 }
 
 _ALGO_KEYS = {
-    "mode": (str, _ANY),
-    "eta": (float, _POSITIVE),
-    "t_thres": (int, _GE1),
-    "g_thres": (float, _POSITIVE),
-    "r": (float, _POSITIVE),
+    "mode": (str, ANY),
+    "eta": (float, POSITIVE),
+    "t_thres": (int, AT_LEAST_1),
+    "g_thres": (float, POSITIVE),
+    "r": (float, POSITIVE),
     "momentum": (float, _UNIT),
-    "h": (float, _POSITIVE),
-    "t_count": (int, _GE1),
+    "h": (float, POSITIVE),
+    "t_count": (int, AT_LEAST_1),
     "alpha": (float, _NONNEG),
-    "ell": (float, _POSITIVE),
-    "rho": (float, _POSITIVE),
-    "eps": (float, _POSITIVE),
-    "c": (float, _POSITIVE),
+    "ell": (float, POSITIVE),
+    "rho": (float, POSITIVE),
+    "eps": (float, POSITIVE),
+    "c": (float, POSITIVE),
     "delta": (float, _FRACTION),
-    "delta_f": (float, _POSITIVE),
-    "reset_velocity_on_perturb": (bool, _ANY),
-    "full_grad_gate": (bool, _ANY),
+    "delta_f": (float, POSITIVE),
+    "reset_velocity_on_perturb": (bool, ANY),
+    "full_grad_gate": (bool, ANY),
 }
 
 # the float keys that may be infinite: h = inf means "unwindowed"
@@ -191,7 +168,7 @@ def _read_section(parser, section: str, keytable: dict, errors: list) -> dict:
         if key not in keytable:
             errors.append(f"[{section}] unknown key {key!r}")
             continue
-        kind, (label, check) = keytable[key]
+        kind, (label, check), *_ = keytable[key]   # a problem's Option ends with its default
         value = _convert(section, key, raw, kind, errors)
         if value is None:
             continue
@@ -261,7 +238,9 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             errors.append(f"unknown section [{section}]")
 
-    problem = _read_section(parser, "problem", _PROBLEM_KEYS, errors)
+    entry = PROBLEMS.get(parser.get("problem", "name", fallback="").strip())
+    problem = _read_section(parser, "problem",
+                            {**_PROBLEM_KEYS, **(entry.options if entry else {})}, errors)
     run_block = _read_section(parser, "run", _RUN_KEYS, errors)
     shared = _read_section(parser, "optimizer", _ALGO_KEYS, errors)
 
@@ -272,10 +251,11 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"[problem] unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
     data_seed = problem.pop("data_seed", 0)
     init = _parse_init(problem.pop("init", "default"), errors)
-    if name in _PROBLEM_SPECIFIC:
-        stray = set(problem) - _PROBLEM_SPECIFIC[name]
-        if stray:
-            errors.append(f"[problem] keys not valid for {name}: {sorted(stray)}")
+    if entry is not None and entry.check is not None:
+        # the options that passed their own rules, the others at their defaults
+        message = entry.check(entry.resolve(name, problem))
+        if message:
+            errors.append(f"[problem] {message}")
 
     if "mode" in shared and shared["mode"] not in ("practical", "theory"):
         errors.append(f"[optimizer] mode: expected 'practical' or 'theory', got {shared['mode']!r}")

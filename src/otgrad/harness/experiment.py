@@ -112,9 +112,7 @@ def _resolve_max_steps(config: ExperimentConfig, bundle: ProblemBundle) -> int:
 
 def _classification_report(bundle: ProblemBundle, config: ExperimentConfig,
                            trace: RunTrace) -> Optional[dict]:
-    if bundle.objective is None or bundle.dim > MAX_HESSIAN_DIM:
-        return None
-    if trace.final_x is None:
+    if bundle.dim > MAX_HESSIAN_DIM or trace.final_x is None:
         return None
     report = classify_point(bundle.objective, trace.final_x,
                             config.classify_eps, config.classify_rho)
@@ -159,27 +157,19 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     Raises ConfigError, before anything runs or is written, when the
     occupation windows would exceed their memory budget
-    (check_window_budget).
+    (check_window_budget); a bad explicit init, too, leaves nothing on
+    disk.
     """
     bundle = make_problem(config.problem_name, data_seed=config.data_seed,
                           **config.problem_options)
     max_steps = _resolve_max_steps(config, bundle)
     check_window_budget(config, bundle.dim, max_steps)
+
+    inits = {seed: initial_point(bundle, config, seed) for seed in config.seeds}
+    thresholds = {seed: float(config.threshold) if config.threshold is not None
+                  else 0.5 * float(bundle.objective.value(x0)) for seed, x0 in inits.items()}
     out_dir = resolve_output_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    full_obj = bundle.objective if bundle.objective is not None \
-        else bundle.problem.full_objective()
-
-    thresholds = {}
-    inits = {}
-    for seed in config.seeds:
-        x0 = initial_point(bundle, config, seed)
-        inits[seed] = x0
-        if config.threshold is not None:
-            thresholds[seed] = float(config.threshold)
-        else:
-            thresholds[seed] = 0.5 * float(full_obj.value(x0))
 
     rows = []
     entries = []
@@ -190,10 +180,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
         # the group's traces live only inside _finish_group, so the grid
         # holds one group's traces at a time
         _finish_group(bundle, config, algo.name, out_dir, thresholds,
-                      run_lanes(full_obj, algo, max_steps, config.seeds,
+                      run_lanes(bundle.objective, algo, max_steps, config.seeds,
                                 [inits[seed] for seed in config.seeds],
-                                record_every=config.record_every, batchers=batchers,
-                                problem_name=config.problem_name),
+                                record_every=config.record_every, batchers=batchers),
                       rows, entries)
     rows.sort(key=lambda row: (row["algorithm"], row["seed"]))
 

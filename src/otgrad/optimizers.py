@@ -787,7 +787,7 @@ def _rule(algo: AlgoConfig, dim: int) -> _Rule:
 
 @one_blas_thread()
 def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
-              record_every: int = 1, batchers=None, problem_name: str = "") -> list:
+              record_every: int = 1, batchers=None) -> list:
     """Run one algorithm from several seeds in lockstep, one lane per seed.
 
     Returns, in seed order, one RunTrace per lane, or a RunError holding
@@ -852,9 +852,8 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
         BaselineHyper(kind=rule.baseline, lr=algo.eta, momentum=algo.momentum))
     gate_obj = full_obj if algo.full_grad_gate and batchers is not None else None
     settles = rule.deterministic and batchers is None
-    problem = problem_name or getattr(obj, "name", "")
-    results = [RunTrace(algorithm=algo.name, problem=problem, seed=seed, mode=algo.mode)
-               for seed in seeds]
+    results = [RunTrace(algorithm=algo.name, problem=getattr(obj, "name", ""), seed=seed,
+                        mode=algo.mode) for seed in seeds]
     live = list(range(n))      # the seed index of each lane
 
     def step_objective():
@@ -878,6 +877,11 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
                 exc = lanes.failed[p][0]
                 results[i] = RunError(f"run aborted at step {len(trace.ts)}: {exc}", trace)
                 results[i].__cause__ = exc
+                while exc is not None:
+                    # the chain's tracebacks reach this frame, which holds
+                    # every trace of the group: a cycle that gc alone breaks
+                    exc.__traceback__ = None
+                    exc = exc.__cause__ or exc.__context__
         keep = [p for p in range(len(live)) if p not in done]
         lanes.keep(keep)
         live[:] = [live[p] for p in keep]
@@ -927,8 +931,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
 
 
 def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
-        x0=None, record_every: int = 1, batcher: Optional[Batcher] = None,
-        problem_name: str = "") -> RunTrace:
+        x0=None, record_every: int = 1, batcher: Optional[Batcher] = None) -> RunTrace:
     """Run one algorithm for max_steps (or until theory-mode termination).
 
     `obj` is an Objective, or a dataset-backed problem when `batcher` is
@@ -937,8 +940,7 @@ def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
     is run_lanes with one lane; a failed run raises its RunError.
     """
     result = run_lanes(obj, algo, max_steps, [seed], None if x0 is None else [x0],
-                       record_every, None if batcher is None else [batcher],
-                       problem_name)[0]
+                       record_every, None if batcher is None else [batcher])[0]
     if isinstance(result, RunError):
         raise result
     return result

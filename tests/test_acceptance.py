@@ -120,8 +120,6 @@ def test_criterion_01_gradient_correctness():
     for name, options, tol in families:
         bundle = make_problem(name, data_seed=0, **options)
         obj = bundle.objective
-        if obj is None:
-            obj = bundle.problem.full_objective()
         worst[name] = 0.0
         for _ in range(20):
             x = bundle.default_init(rng) + 0.5 * rng.normal(bundle.dim)

@@ -19,7 +19,7 @@ from otgrad.core import (
     eval_objective,
 )
 from otgrad.analysis import fd_gradient
-from otgrad.benchmarks import PROBLEM_NAMES, make_problem
+from otgrad.benchmarks import PROBLEM_NAMES, PROBLEMS, make_problem
 from otgrad.benchmarks.airy import (
     AIRY_DIM,
     N_SAMPLES,
@@ -622,6 +622,23 @@ class TestMakeProblem:
         with pytest.raises(ContractViolation):
             make_problem("rosenbrock")
 
+    def test_registry_defaults_pass_their_rules(self):
+        assert PROBLEM_NAMES == tuple(PROBLEMS)
+        for name, entry in PROBLEMS.items():
+            for key, opt in entry.options.items():
+                if opt.default is not None:
+                    assert type(opt.default) is opt.kind and opt.rule[1](opt.default), (name, key)
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_defaults_written_out_build_the_same_problem(self, name):
+        written = {key: opt.default for key, opt in PROBLEMS[name].options.items()
+                   if opt.default is not None}
+        a, b = make_problem(name, data_seed=1), make_problem(name, data_seed=1, **written)
+        x = a.init_point(0)
+        assert a.name == b.name == name and a.dim == b.dim
+        assert np.array_equal(x, b.init_point(0))
+        assert a.objective.value(x) == b.objective.value(x)
+
     def test_leftover_options_rejected(self):
         with pytest.raises(ContractViolation):
             make_problem("staircase", dim=4, wings=2)
@@ -639,8 +656,10 @@ class TestMakeProblem:
         assert np.array_equal(b.init_point(11), b.init_point(11))
         assert not np.array_equal(b.init_point(11), b.init_point(12))
 
-    def test_mlp_bundle_has_problem_not_objective(self):
-        bundle = make_problem("mlp", data_seed=0, n_samples=100, n_hidden=4)
-        assert bundle.objective is None
+    def test_mlp_bundle_objective_is_full_data_loss(self):
+        bundle = make_problem("mlp", data_seed=0, n_samples=100, n_hidden=4, data_path=None)
         assert bundle.problem is not None
         assert bundle.problem.n_samples == 100
+        assert bundle.objective.name == "mlp" and bundle.dim == bundle.problem.dim
+        x = bundle.init_point(0)
+        assert bundle.objective.value(x) == bundle.problem.full_objective().value(x)

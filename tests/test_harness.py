@@ -1,6 +1,5 @@
 """Config grammar, artifact layout, reproducibility, and the CLI."""
 
-import gc
 import hashlib
 import json
 import math
@@ -221,6 +220,30 @@ class TestConfigErrors:
             parse_config(SMALL_CONFIG.replace("seeds = 0 1", f"seeds = {seeds}"))
         assert info.value.errors == [message]
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_hidden = 32", "n_hidden = 32\nactivation = foo",
+         "[problem] activation: must be one of ('sigmoid', 'relu', 'tanh'), got 'foo'"),
+        ("dataset = mnist_idx", "dataset = bar",
+         "[problem] dataset: must be one of ('mnist_idx', 'cifar10_binary', "
+         "'synthetic_blobs'), got 'bar'"),
+        ("data_path = data/mnist\n", "", "[problem] dataset mnist_idx needs data_path"),
+        ("dataset = mnist_idx\ndata_path = data/mnist\n", "dataset = cifar10_binary\n",
+         "[problem] dataset cifar10_binary needs data_path"),
+    ])
+    def test_bad_mlp_options_rejected(self, old, new, message):
+        # each used to pass here and fail only when the grid built its problem
+        text = PRESETS["example4_mnist"]
+        assert old in text
+        with pytest.raises(ConfigError) as info:
+            parse_config(text.replace(old, new))
+        assert info.value.errors == [message]
+
+    @pytest.mark.parametrize("key", ["n_terms = 3", "wings = 2"])
+    def test_key_of_another_problem_rejected(self, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config(SMALL_CONFIG.replace("data_seed = 0", f"data_seed = 0\n{key}"))
+        assert info.value.errors == [f"[problem] unknown key {key.split()[0]!r}"]
+
     def test_inline_comments_allowed(self):
         cfg = parse_config(SMALL_CONFIG.replace("eta = 0.1", "eta = 0.1  # step size"))
         assert cfg.algorithms[0].eta == 0.1
@@ -247,6 +270,19 @@ class TestConfigHash:
         # validation rules do not enter the hash: a valid config keeps its
         # artifact directory
         assert parse_config(SMALL_CONFIG).config_hash[:12] == "3e490f0b40b5"
+
+    def test_preset_hashes_pinned(self):
+        # problem_options hold only the keys a config sets, so registry
+        # defaults never enter the hash
+        assert {name: parse_config(text).config_hash[:12]
+                for name, text in PRESETS.items()} == {
+            "example1": "d25a7e56e06b",
+            "example2": "7a7501dca019",
+            "example3_lq": "5cef056e9056",
+            "example3_pr": "eabcf02a087c",
+            "example4_mnist": "650b975f3fca",
+            "example4_cifar": "73c0896c201c",
+        }
 
     def test_hash_shape(self):
         h = parse_config(SMALL_CONFIG).config_hash
@@ -321,17 +357,15 @@ class TestRunExperiment:
         """Every cell's trace file is the trace of run() on that cell alone."""
         bundle = make_problem(cfg.problem_name, data_seed=cfg.data_seed,
                               **cfg.problem_options)
-        full_obj = bundle.objective or bundle.problem.full_objective()
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
                 batcher = None if bundle.problem is None else Batcher(
                     bundle.problem, cfg.batch_size, derive_stream(seed, STREAM_BATCH))
                 with np.errstate(over="ignore", invalid="ignore"):
                     try:
-                        alone = run(full_obj, algo, cfg.max_steps, seed,
+                        alone = run(bundle.objective, algo, cfg.max_steps, seed,
                                     x0=initial_point(bundle, cfg, seed),
-                                    record_every=cfg.record_every, batcher=batcher,
-                                    problem_name=cfg.problem_name)
+                                    record_every=cfg.record_every, batcher=batcher)
                     except RunError as exc:
                         alone = exc.trace
                 assert (out / f"trace_{algo.name}_seed{seed}.csv").read_text() == \
@@ -434,6 +468,7 @@ delta_f = 1
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
         with pytest.raises(ContractViolation):
             run_experiment(parse_config(text))
+        assert list(tmp_path.iterdir()) == []  # no empty artifact directory
 
     def test_init_styles_run(self, tmp_path, monkeypatch):
         for init in ("zeros", "constant 1.5", "gaussian 0 0.1", "explicit 1 1"):
@@ -475,9 +510,8 @@ eta = 100.0
 
     @pytest.mark.parametrize("eta", ["0.1", "5.0"])
     def test_group_traces_gone_before_next_group_runs(self, tmp_path, monkeypatch, eta):
-        # At eta 5 seed 0 overflows. A failed cell's RunError keeps its
-        # cause's traceback, whose frames form a cycle with run_lanes'
-        # results, so those traces go only when the cyclic collector runs.
+        # At eta 5 seed 0 overflows; its RunError's cause keeps no
+        # traceback, so the failed group goes as soon as it is written too
         text = SMALL_CONFIG.replace("dim = 2\nn_plateaus = 2\ndata_seed = 0",
                                     "dim = 4\ndata_seed = 0\ninit = gaussian 2.0 0.3")
         text = text.replace("eta = 0.1", f"eta = {eta}") + "[algorithm pagdot]\n"
@@ -485,8 +519,6 @@ eta = 100.0
         run_lanes = experiment.run_lanes
 
         def assert_all_gone():
-            if eta == "5.0":
-                gc.collect()
             for k, refs in enumerate(groups):
                 assert all(ref() is None for ref in refs), f"group {k} alive"
 
@@ -494,6 +526,9 @@ eta = 100.0
             assert_all_gone()
             results = run_lanes(*args, **kwargs)
             failed.extend(isinstance(r, RunError) for r in results)
+            for r in results:
+                if isinstance(r, RunError):  # the cause is kept, without its frames
+                    assert r.__cause__ is not None and r.__cause__.__traceback__ is None
             groups.append([weakref.ref(r.trace if isinstance(r, RunError) else r)
                            for r in results])
             return results
