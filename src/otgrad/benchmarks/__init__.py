@@ -44,7 +44,7 @@ def one_of(choices: tuple) -> tuple:
 
 
 class Option(NamedTuple):
-    kind: type              # int, float or str
+    kind: object            # int, float, str, or "ints" (a list of int)
     rule: tuple             # (label, test), as the config parser's key tables hold
     default: object
 
@@ -54,7 +54,7 @@ class ProblemBundle:
     name: str
     objective: Objective                    # the full-data objective
     default_init: Callable[[RngStream], np.ndarray]
-    problem: Optional[MlpProblem] = None    # the dataset behind it, set only for "mlp"
+    problem: Optional[MlpProblem] = None    # the dataset behind it, set for dataset-backed problems
 
     @property
     def dim(self) -> int:
@@ -68,11 +68,15 @@ class ProblemBundle:
 @dataclass(frozen=True)
 class Problem:
     """build(data_seed, **every option) returns the ProblemBundle fields
-    after its name; check(every option) names a bad combination, or None."""
+    after its name; check(every option) names a bad combination, or None.
+    batch_size is the default mini-batch size of a dataset-backed problem,
+    trained on mini-batches of its bundle's .problem; None for a
+    closed-form one."""
 
     build: Callable[..., tuple]
     options: dict
-    check: Optional[Callable[[dict], Optional[str]]] = None
+    check: Callable[[dict], Optional[str]] = lambda options: None
+    batch_size: Optional[int] = None
 
     def resolve(self, name: str, options: dict) -> dict:
         """The given options coerced to their types, the others (or None) at
@@ -105,15 +109,18 @@ def _phase_retrieval(data_seed, dim, n_measurements):
 
 def _mlp(data_seed, n_hidden, dataset, data_path, n_samples, activation, init_mean, init_std):
     features, labels = load_dataset(dataset, path=data_path, seed=data_seed,
-                                    n_samples=n_samples)
+                                    n_samples=1280 if n_samples is None else n_samples)
     problem = MlpProblem(features, labels, n_hidden=n_hidden, activation=activation)
     return (problem.full_objective(),
             lambda rng: problem.init_params(rng, mean=init_mean, std=init_std), problem)
 
 
 def _mlp_check(options: dict) -> Optional[str]:
-    if options["dataset"] != "synthetic_blobs" and not options["data_path"]:
-        return f"dataset {options['dataset']} needs data_path"
+    if options["dataset"] != "synthetic_blobs":      # read from files
+        if not options["data_path"]:
+            return f"dataset {options['dataset']} needs data_path"
+        if options["n_samples"] is not None:
+            return f"dataset {options['dataset']} takes no n_samples: it reads every sample"
 
 
 PROBLEMS = {
@@ -132,19 +139,24 @@ PROBLEMS = {
         "n_hidden": Option(int, AT_LEAST_1, 32),
         "dataset": Option(str, one_of(DATASET_KINDS), "synthetic_blobs"),
         "data_path": Option(str, ANY, None),
-        "n_samples": Option(int, AT_LEAST_1, 1280),
+        "n_samples": Option(int, AT_LEAST_1, None),     # synthetic_blobs only, 1280 if None
         "activation": Option(str, one_of(ACTIVATIONS), "sigmoid"),
         "init_mean": Option(float, ANY, 0.0),
         "init_std": Option(float, POSITIVE, 0.1),
-    }, check=_mlp_check),
+    }, check=_mlp_check, batch_size=128),
 }
 
 PROBLEM_NAMES = tuple(PROBLEMS)
 
 
 def make_problem(name: str, data_seed: int = 0, **options) -> ProblemBundle:
-    """Build a benchmark instance; unknown option keys are rejected."""
+    """Build a benchmark instance; unknown option keys, and a combination
+    its entry's check names, are rejected."""
     entry = PROBLEMS.get(name)
     if entry is None:
         raise ContractViolation(f"unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
-    return ProblemBundle(name, *entry.build(data_seed, **entry.resolve(name, options)))
+    options = entry.resolve(name, options)
+    message = entry.check(options)
+    if message:
+        raise ContractViolation(f"{name}: {message}")
+    return ProblemBundle(name, *entry.build(data_seed, **options))

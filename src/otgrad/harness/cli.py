@@ -41,7 +41,6 @@ from .experiment import run_experiment
 
 CHECK_POINTS = 20
 CHECK_TOL = 1e-5
-CHECK_TOL_MLP = 1e-4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,7 +133,6 @@ def _check_points(bundle, rng) -> list:
 def _cmd_check(args) -> int:
     bundle = make_problem(args.problem, data_seed=args.data_seed)
     obj = bundle.objective
-    tol = CHECK_TOL_MLP if args.problem == "mlp" else CHECK_TOL
     rng = derive_stream(args.data_seed, STREAM_INIT)
     worst = 0.0
     for x in _check_points(bundle, rng):
@@ -147,10 +145,10 @@ def _cmd_check(args) -> int:
     if bundle.dim <= MAX_HESSIAN_DIM:
         lam = min_hessian_eig(obj, bundle.init_point(args.data_seed))
         print(f"{args.problem}: min Hessian eigenvalue at the canonical start {lam:.6f}")
-    if worst < tol:
+    if worst < CHECK_TOL:
         print("PASS")
         return 0
-    print(f"FAIL (tolerance {tol:g})")
+    print(f"FAIL (tolerance {CHECK_TOL:g})")
     return 1
 
 

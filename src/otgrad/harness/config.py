@@ -42,13 +42,14 @@ once rather than stopping at the first.
 from __future__ import annotations
 
 import configparser
+import copy
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from ..benchmarks import ANY, AT_LEAST_1, POSITIVE, PROBLEM_NAMES, PROBLEMS
+from ..benchmarks import ANY, AT_LEAST_1, POSITIVE, PROBLEM_NAMES, PROBLEMS, Option, one_of
 from ..optimizers import ALGORITHMS, AlgoConfig
 
 INIT_STYLES = ("default", "zeros", "constant", "gaussian", "explicit")
@@ -82,31 +83,33 @@ class ExperimentConfig:
     config_hash: str = ""
 
 
-# key -> (type, (label, test)), the test applied after typing; see also benchmarks.PROBLEMS
+# key -> (type, (label, test)), the test applied after typing.  The shared
+# [problem] keys and the [run] keys are benchmarks.Options: each also holds
+# the value a config that omits it gets.
 _NONNEG = ("nonnegative", lambda v: v >= 0)
 _UNIT = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
 _FRACTION = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 _PROBLEM_KEYS = {
-    "name": (str, ANY),
-    "data_seed": (int, _NONNEG),
-    "init": (str, ANY),
+    "name": Option(str, ANY, None),
+    "data_seed": Option(int, _NONNEG, 0),
+    "init": Option(str, ANY, "default"),
 }
 
 _RUN_KEYS = {
-    "seeds": ("ints", _NONNEG),
-    "max_steps": (int, AT_LEAST_1),
-    "epochs": (int, AT_LEAST_1),
-    "batch_size": (int, AT_LEAST_1),
-    "record_every": (int, AT_LEAST_1),
-    "output": (str, ANY),
-    "threshold": (float, ANY),
-    "classify_eps": (float, POSITIVE),
-    "classify_rho": (float, POSITIVE),
+    "seeds": Option("ints", _NONNEG, [0]),
+    "max_steps": Option(int, AT_LEAST_1, None),
+    "epochs": Option(int, AT_LEAST_1, None),
+    "batch_size": Option(int, AT_LEAST_1, None),   # None: the problem's own, if dataset-backed
+    "record_every": Option(int, AT_LEAST_1, 1),
+    "output": Option(str, ANY, "runs"),
+    "threshold": Option(float, ANY, None),
+    "classify_eps": Option(float, POSITIVE, 0.01),
+    "classify_rho": Option(float, POSITIVE, 1.0),
 }
 
 _ALGO_KEYS = {
-    "mode": (str, ANY),
+    "mode": (str, one_of(("practical", "theory"))),
     "eta": (float, POSITIVE),
     "t_thres": (int, AT_LEAST_1),
     "g_thres": (float, POSITIVE),
@@ -124,6 +127,9 @@ _ALGO_KEYS = {
     "reset_velocity_on_perturb": (bool, ANY),
     "full_grad_gate": (bool, ANY),
 }
+
+_DATASET_BACKED = "a dataset-backed problem ({})".format(
+    ", ".join(name for name, entry in PROBLEMS.items() if entry.batch_size is not None))
 
 # the float keys that may be infinite: h = inf means "unwindowed"
 _MAY_BE_INFINITE = {"h"}
@@ -168,7 +174,7 @@ def _read_section(parser, section: str, keytable: dict, errors: list) -> dict:
         if key not in keytable:
             errors.append(f"[{section}] unknown key {key!r}")
             continue
-        kind, (label, check), *_ = keytable[key]   # a problem's Option ends with its default
+        kind, (label, check), *_ = keytable[key]   # an Option ends with its default
         value = _convert(section, key, raw, kind, errors)
         if value is None:
             continue
@@ -241,24 +247,24 @@ def parse_config(text: str) -> ExperimentConfig:
     entry = PROBLEMS.get(parser.get("problem", "name", fallback="").strip())
     problem = _read_section(parser, "problem",
                             {**_PROBLEM_KEYS, **(entry.options if entry else {})}, errors)
-    run_block = _read_section(parser, "run", _RUN_KEYS, errors)
+    given = _read_section(parser, "run", _RUN_KEYS, errors)
+    run = {key: given.get(key, copy.copy(opt.default)) for key, opt in _RUN_KEYS.items()}
     shared = _read_section(parser, "optimizer", _ALGO_KEYS, errors)
 
-    name = problem.pop("name", None)
+    name, data_seed, init = (problem.pop(key, opt.default) for key, opt in _PROBLEM_KEYS.items())
     if name is None:
         errors.append("[problem] missing required key 'name'")
     elif name not in PROBLEM_NAMES:
         errors.append(f"[problem] unknown problem {name!r}, expected one of {PROBLEM_NAMES}")
-    data_seed = problem.pop("data_seed", 0)
-    init = _parse_init(problem.pop("init", "default"), errors)
-    if entry is not None and entry.check is not None:
+    init = _parse_init(init, errors)
+    if entry is not None:
         # the options that passed their own rules, the others at their defaults
         message = entry.check(entry.resolve(name, problem))
         if message:
             errors.append(f"[problem] {message}")
-
-    if "mode" in shared and shared["mode"] not in ("practical", "theory"):
-        errors.append(f"[optimizer] mode: expected 'practical' or 'theory', got {shared['mode']!r}")
+    # epochs, batch_size and full_grad_gate need the mini-batches of a
+    # dataset-backed problem; an unknown problem is reported above
+    closed_form = entry is not None and entry.batch_size is None
 
     algorithms = []
     seen = set()
@@ -274,63 +280,38 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"duplicate section [{section}]")
             continue
         seen.add(algo_name)
-        overrides = _read_section(parser, section, _ALGO_KEYS, errors)
-        merged = dict(shared)
-        merged.update(overrides)
-        if merged.get("mode", "practical") not in ("practical", "theory"):
-            errors.append(f"[{section}] mode: expected 'practical' or 'theory', "
-                          f"got {merged['mode']!r}")
-            continue
+        merged = {**shared, **_read_section(parser, section, _ALGO_KEYS, errors)}
         if "eta" not in merged:
             errors.append(f"[{section}] missing required key 'eta' "
                           "(set it here or in [optimizer])")
             continue
-        if merged.get("full_grad_gate"):
+        algo = AlgoConfig(name=algo_name, **merged)
+        if algo.full_grad_gate:
             # the gate reads the full-data gradient, which exists only next
             # to mini-batches, and only the practical gate takes it
-            if name is not None and name != "mlp":
-                errors.append(f"[{section}] 'full_grad_gate' requires a "
-                              "dataset-backed problem (mlp)")
-            if merged.get("mode", "practical") != "practical":
+            if closed_form:
+                errors.append(f"[{section}] 'full_grad_gate' requires {_DATASET_BACKED}")
+            if algo.mode != "practical":
                 errors.append(f"[{section}] 'full_grad_gate' requires mode = practical")
-        algorithms.append(AlgoConfig(name=algo_name, **merged))
+        algorithms.append(algo)
 
-    seeds = run_block.get("seeds", [0])
-    if len(set(seeds)) != len(seeds):
-        errors.append(f"[run] seeds: must not repeat, got {seeds}")
-    max_steps = run_block.get("max_steps")
-    epochs = run_block.get("epochs")
-    if max_steps is None and epochs is None:
+    if len(set(run["seeds"])) != len(run["seeds"]):
+        errors.append(f"[run] seeds: must not repeat, got {run['seeds']}")
+    if run["max_steps"] is None and run["epochs"] is None:
         errors.append("[run] missing required key: set 'max_steps' or 'epochs'")
-    elif max_steps is not None and epochs is not None:
+    elif run["max_steps"] is not None and run["epochs"] is not None:
         errors.append("[run] 'max_steps' and 'epochs' are mutually exclusive")
-    if epochs is not None and name is not None and name != "mlp":
-        errors.append("[run] 'epochs' requires a dataset-backed problem (mlp)")
-    batch_size = run_block.get("batch_size")
-    if name == "mlp" and batch_size is None:
-        batch_size = 128
-    if batch_size is not None and name is not None and name != "mlp":
-        errors.append("[run] 'batch_size' requires a dataset-backed problem (mlp)")
+    for key in ("epochs", "batch_size"):
+        if run[key] is not None and closed_form:
+            errors.append(f"[run] '{key}' requires {_DATASET_BACKED}")
+    if run["batch_size"] is None and entry is not None:
+        run["batch_size"] = entry.batch_size
 
     if errors:
         raise ConfigError(errors)
 
-    config = ExperimentConfig(
-        problem_name=name,
-        problem_options=problem,
-        data_seed=data_seed,
-        init=init,
-        seeds=seeds,
-        max_steps=max_steps,
-        epochs=epochs,
-        batch_size=batch_size,
-        record_every=run_block.get("record_every", 1),
-        output=run_block.get("output", "runs"),
-        threshold=run_block.get("threshold"),
-        classify_eps=run_block.get("classify_eps", 0.01),
-        classify_rho=run_block.get("classify_rho", 1.0),
-        algorithms=algorithms,
-    )
+    config = ExperimentConfig(problem_name=name, problem_options=problem, data_seed=data_seed,
+                              init=init, algorithms=algorithms, **run)
     config.config_hash = config_hash(config)
     return config
 
@@ -393,15 +374,7 @@ def config_hash(config: ExperimentConfig) -> str:
                               "data_seed": config.data_seed,
                               "init": config.init,
                               **config.problem_options}),
-        "run": _jsonable({"seeds": config.seeds,
-                          "max_steps": config.max_steps,
-                          "epochs": config.epochs,
-                          "batch_size": config.batch_size,
-                          "record_every": config.record_every,
-                          "output": config.output,
-                          "threshold": config.threshold,
-                          "classify_eps": config.classify_eps,
-                          "classify_rho": config.classify_rho}),
+        "run": _jsonable({key: getattr(config, key) for key in _RUN_KEYS}),
         "algorithms": algos,
     }
     text = json.dumps(canon, sort_keys=True, separators=(",", ":"))

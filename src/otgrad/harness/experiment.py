@@ -22,7 +22,6 @@ so a crash never leaves a half-written artifact behind.
 from __future__ import annotations
 
 import json
-import math
 import os
 from array import array
 from pathlib import Path
@@ -103,13 +102,6 @@ def read_trace_csv(path: Path) -> dict:
             "perturbed": np.asarray(ps), "nce": np.asarray(ns)}
 
 
-def _resolve_max_steps(config: ExperimentConfig, bundle: ProblemBundle) -> int:
-    if config.epochs is None:
-        return config.max_steps
-    steps_per_epoch = math.ceil(bundle.problem.n_samples / config.batch_size)
-    return config.epochs * steps_per_epoch
-
-
 def _classification_report(bundle: ProblemBundle, config: ExperimentConfig,
                            trace: RunTrace) -> Optional[dict]:
     if bundle.dim > MAX_HESSIAN_DIM or trace.final_x is None:
@@ -162,7 +154,15 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """
     bundle = make_problem(config.problem_name, data_seed=config.data_seed,
                           **config.problem_options)
-    max_steps = _resolve_max_steps(config, bundle)
+
+    def batchers():
+        # a fresh shuffle per seed, so each cell's batches are those of its run alone
+        return None if bundle.problem is None else [
+            Batcher(bundle.problem, config.batch_size, derive_stream(seed, STREAM_BATCH))
+            for seed in config.seeds]
+
+    max_steps = (config.max_steps if config.epochs is None
+                 else config.epochs * batchers()[0].steps_per_epoch)
     check_window_budget(config, bundle.dim, max_steps)
 
     inits = {seed: initial_point(bundle, config, seed) for seed in config.seeds}
@@ -174,15 +174,12 @@ def run_experiment(config: ExperimentConfig) -> Path:
     rows = []
     entries = []
     for algo in config.algorithms:
-        batchers = None if bundle.problem is None else [
-            Batcher(bundle.problem, config.batch_size, derive_stream(seed, STREAM_BATCH))
-            for seed in config.seeds]
         # the group's traces live only inside _finish_group, so the grid
         # holds one group's traces at a time
         _finish_group(bundle, config, algo.name, out_dir, thresholds,
                       run_lanes(bundle.objective, algo, max_steps, config.seeds,
                                 [inits[seed] for seed in config.seeds],
-                                record_every=config.record_every, batchers=batchers),
+                                record_every=config.record_every, batchers=batchers()),
                       rows, entries)
     rows.sort(key=lambda row: (row["algorithm"], row["seed"]))
 

@@ -639,6 +639,17 @@ class TestMakeProblem:
         assert np.array_equal(x, b.init_point(0))
         assert a.objective.value(x) == b.objective.value(x)
 
+    def test_only_dataset_backed_problems_have_a_batch_size(self):
+        assert {name: entry.batch_size for name, entry in PROBLEMS.items()} == {
+            "staircase": None, "airy_regression": None, "reglq": None,
+            "phase_retrieval": None, "mlp": 128}
+
+    @pytest.mark.parametrize("dataset", ["mnist_idx", "cifar10_binary"])
+    def test_n_samples_rejected_for_file_datasets(self, tmp_path, dataset):
+        # the files set the sample count; n_samples used to be ignored here
+        with pytest.raises(ContractViolation, match=f"dataset {dataset} takes no n_samples"):
+            make_problem("mlp", dataset=dataset, data_path=str(tmp_path), n_samples=10)
+
     def test_leftover_options_rejected(self):
         with pytest.raises(ContractViolation):
             make_problem("staircase", dim=4, wings=2)

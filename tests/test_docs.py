@@ -1,0 +1,56 @@
+"""README's key tables against the one declaration of each key."""
+
+from pathlib import Path
+
+from otgrad.benchmarks import PROBLEMS
+from otgrad.harness.config import _PROBLEM_KEYS, _RUN_KEYS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table(header: str) -> list:
+    """Body rows, as lists of cells, of the README table whose header row
+    starts with `header`."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def as_documented(opt) -> tuple:
+    """An Option's (type, default) as the README tables write them."""
+    kind = opt.kind if isinstance(opt.kind, str) else opt.kind.__name__
+    default = opt.default
+    if default is None:
+        return kind, "none"
+    if isinstance(default, str):
+        return kind, f"`{default}`"
+    if isinstance(default, list):
+        return kind, " ".join(map(str, default))
+    return kind, repr(default)
+
+
+def test_problem_option_table_matches_the_registry():
+    documented, listed, problem = {}, [], None
+    for cells in readme_table("| problem | option |"):
+        if cells[0]:
+            problem = cells[0].strip("`")
+            listed.append(problem)
+        if cells[1] != "—":
+            documented[(problem, cells[1].strip("`"))] = (cells[2], cells[3])
+    assert listed == ["every problem", *PROBLEMS]
+    declared = {("every problem", key): as_documented(opt) for key, opt in _PROBLEM_KEYS.items()}
+    declared.update({(name, key): as_documented(opt)
+                     for name, entry in PROBLEMS.items() for key, opt in entry.options.items()})
+    assert documented == declared
+
+
+def test_run_key_table_matches_the_run_table():
+    documented = {cells[0].strip("`"): (cells[1], cells[2])
+                  for cells in readme_table("| `[run]` key |")}
+    assert documented == {key: as_documented(opt) for key, opt in _RUN_KEYS.items()}
+    assert list(documented) == list(_RUN_KEYS)

@@ -1,9 +1,11 @@
 """Config grammar, artifact layout, reproducibility, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,9 +24,15 @@ from otgrad.harness import (
     run_experiment,
 )
 from otgrad.harness.cli import main
-from otgrad.harness.config import check_window_budget
+from otgrad.harness.config import (
+    _ALGO_KEYS,
+    _RUN_KEYS,
+    ExperimentConfig,
+    check_window_budget,
+    config_hash,
+)
 from otgrad.harness.experiment import initial_point, trace_csv_text, write_trace_csv
-from otgrad.optimizers import Batcher, RunError, RunTrace, run
+from otgrad.optimizers import AlgoConfig, Batcher, RunError, RunTrace, run
 
 SMALL_CONFIG = """
 [problem]
@@ -229,6 +237,10 @@ class TestConfigErrors:
         ("data_path = data/mnist\n", "", "[problem] dataset mnist_idx needs data_path"),
         ("dataset = mnist_idx\ndata_path = data/mnist\n", "dataset = cifar10_binary\n",
          "[problem] dataset cifar10_binary needs data_path"),
+        ("n_hidden = 32", "n_hidden = 32\nn_samples = 10",
+         "[problem] dataset mnist_idx takes no n_samples: it reads every sample"),
+        ("dataset = mnist_idx", "dataset = cifar10_binary\nn_samples = 10",
+         "[problem] dataset cifar10_binary takes no n_samples: it reads every sample"),
     ])
     def test_bad_mlp_options_rejected(self, old, new, message):
         # each used to pass here and fail only when the grid built its problem
@@ -237,6 +249,17 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as info:
             parse_config(text.replace(old, new))
         assert info.value.errors == [message]
+
+    @pytest.mark.parametrize("old, new, section", [
+        ("eta = 0.1", "eta = 0.1\nmode = fast", "optimizer"),
+        ("[algorithm pgdot]", "[algorithm pgdot]\nmode = fast", "algorithm pgdot"),
+    ])
+    def test_bad_mode_is_one_error(self, old, new, section):
+        # a bad shared mode used to be reported once more per algorithm section
+        with pytest.raises(ConfigError) as info:
+            parse_config(SMALL_CONFIG.replace(old, new))
+        assert info.value.errors == [
+            f"[{section}] mode: must be one of ('practical', 'theory'), got 'fast'"]
 
     @pytest.mark.parametrize("key", ["n_terms = 3", "wings = 2"])
     def test_key_of_another_problem_rejected(self, key):
@@ -283,6 +306,21 @@ class TestConfigHash:
             "example4_mnist": "650b975f3fca",
             "example4_cifar": "73c0896c201c",
         }
+
+    def test_run_table_owns_the_run_fields_and_their_hash(self):
+        # every [run] key is one ExperimentConfig field and enters the hash
+        run_fields = [f.name for f in fields(ExperimentConfig)
+                      if f.name not in ("problem_name", "problem_options", "data_seed", "init",
+                                        "algorithms", "config_hash")]
+        assert list(_RUN_KEYS) == run_fields
+        base = parse_config(SMALL_CONFIG)
+        for key in run_fields:
+            moved = dataclasses.replace(base, **{key: "moved"})
+            assert config_hash(moved) != base.config_hash, key
+        assert config_hash(base) == base.config_hash
+
+    def test_algo_table_owns_the_algo_fields(self):
+        assert set(_ALGO_KEYS) == {f.name for f in fields(AlgoConfig)} - {"name"}
 
     def test_hash_shape(self):
         h = parse_config(SMALL_CONFIG).config_hash
@@ -454,6 +492,47 @@ delta_f = 1
         summary = json.loads((out / "summary.json").read_text())
         assert sorted((r["algorithm"], r["seed"]) for r in summary["runs"]) == \
             [(a, s) for a in ("gd", "pgdot") for s in (1, 2, 3)]
+        self.assert_cells_run_alone(out, cfg)
+
+    @pytest.mark.parametrize("name, init", [
+        ("airy_regression", "constant 0.1"),
+        ("reglq", "constant 0.1"),
+        ("phase_retrieval", "default"),
+    ])
+    def test_divergent_eta_fails_only_its_cells(self, tmp_path, monkeypatch, name, init):
+        # eta = 1e6 overflows gd, pgdot and pagdot within 30 steps on each
+        # problem; agd's own small eta keeps its cells finite
+        text = f"""
+[problem]
+name = {name}
+init = {init}
+
+[run]
+seeds = 0 1
+max_steps = 40
+
+[optimizer]
+eta = 1e6
+
+[algorithm gd]
+[algorithm pgdot]
+[algorithm pagdot]
+[algorithm agd]
+eta = 1e-4
+"""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, cfg = self.run_small(tmp_path, monkeypatch, text)
+        index = json.loads((out / "index.json").read_text())
+        status = {(e["algorithm"], e["seed"]): e["status"]
+                  for e in index["artifacts"] if e["kind"] == "trace"}
+        diverging = [(a, s) for a in ("gd", "pgdot", "pagdot") for s in (0, 1)]
+        for cell in diverging:
+            assert status[cell].startswith("failed: run aborted at step "), cell
+            rows = read_trace_csv(out / f"trace_{cell[0]}_seed{cell[1]}.csv")["t"]
+            assert rows.size >= 2 and rows[0] == 0 and rows[-1] < 40, cell
+        assert [status[("agd", s)] for s in (0, 1)] == ["ok", "ok"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(r["algorithm"], r["seed"]) for r in summary["runs"]] == [("agd", 0), ("agd", 1)]
         self.assert_cells_run_alone(out, cfg)
 
     def test_record_every_thins_rows(self, tmp_path, monkeypatch):
