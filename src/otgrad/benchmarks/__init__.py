@@ -8,13 +8,14 @@ read it, so a new problem, or a new option, is one entry here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from ..core import ANY, AT_LEAST_1, POSITIVE, Option, one_of
 from ..core import STREAM_INIT, ContractViolation, Objective, RngStream, derive_stream
 from .airy import AIRY_DIM, airy_ai, airy_regression_objective
-from .datasets import DATASET_KINDS, load_dataset
+from .datasets import DATASET_KINDS, BLOB_SAMPLES, load_dataset
 from .mlp import ACTIVATIONS, MlpProblem, mlp_param_count
 from .quadratics import (
     PR_DIM,
@@ -32,21 +33,6 @@ __all__ = [
     "airy_ai", "airy_regression_objective", "load_dataset", "MlpProblem", "mlp_param_count",
     "phase_retrieval_objective", "reglq_objective", "staircase_objective", "staircase_profile",
 ]
-
-# (label, test) rules a value must pass; the label completes "must be ..."
-ANY = ("", lambda v: True)
-AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-POSITIVE = ("positive", lambda v: v > 0)
-
-
-def one_of(choices: tuple) -> tuple:
-    return (f"one of {choices}", lambda v: v in choices)
-
-
-class Option(NamedTuple):
-    kind: object            # int, float, str, or "ints" (a list of int)
-    rule: tuple             # (label, test), as the config parser's key tables hold
-    default: object
 
 
 @dataclass
@@ -108,8 +94,8 @@ def _phase_retrieval(data_seed, dim, n_measurements):
 
 
 def _mlp(data_seed, n_hidden, dataset, data_path, n_samples, activation, init_mean, init_std):
-    features, labels = load_dataset(dataset, path=data_path, seed=data_seed,
-                                    n_samples=1280 if n_samples is None else n_samples)
+    n_samples = BLOB_SAMPLES if n_samples is None else n_samples
+    features, labels = load_dataset(dataset, path=data_path, seed=data_seed, n_samples=n_samples)
     problem = MlpProblem(features, labels, n_hidden=n_hidden, activation=activation)
     return (problem.full_objective(),
             lambda rng: problem.init_params(rng, mean=init_mean, std=init_std), problem)
@@ -139,7 +125,7 @@ PROBLEMS = {
         "n_hidden": Option(int, AT_LEAST_1, 32),
         "dataset": Option(str, one_of(DATASET_KINDS), "synthetic_blobs"),
         "data_path": Option(str, ANY, None),
-        "n_samples": Option(int, AT_LEAST_1, None),     # synthetic_blobs only, 1280 if None
+        "n_samples": Option(int, AT_LEAST_1, None),     # synthetic_blobs only; None: its default
         "activation": Option(str, one_of(ACTIVATIONS), "sigmoid"),
         "init_mean": Option(float, ANY, 0.0),
         "init_std": Option(float, POSITIVE, 0.1),

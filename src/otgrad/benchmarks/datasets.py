@@ -151,13 +151,14 @@ def load_cifar10_binary(path: str) -> tuple[np.ndarray, np.ndarray]:
     return downsize_images(np.concatenate(grays)), np.concatenate(labels)
 
 
+BLOB_SAMPLES = 1280     # samples synthetic_blobs makes unless told otherwise
 BLOB_PATTERN_PIXELS = 12
 BLOB_BASE = 0.2
 BLOB_HIGH = 0.65
 BLOB_NOISE = 0.03
 
 
-def synthetic_blobs(seed: int, n_samples: int = 1280) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_blobs(seed: int, n_samples: int = BLOB_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
     """Ten Gaussian class clusters in dimension 100, balanced and shuffled.
 
     Each class lights up its own set of pattern pixels on a low background;
@@ -186,7 +187,7 @@ def synthetic_blobs(seed: int, n_samples: int = 1280) -> tuple[np.ndarray, np.nd
 
 
 def load_dataset(kind: str, path: str | None = None, seed: int = 0,
-                 n_samples: int = 1280) -> tuple[np.ndarray, np.ndarray]:
+                 n_samples: int = BLOB_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
     """Load features (n, 100) in [0, 1] and labels (n,) in 0..9."""
     if kind == "mnist_idx":
         if not path:

@@ -30,6 +30,39 @@ class NumericalDomainError(ArithmeticError):
     """A numeric result left the valid domain (NaN, infinity, out-of-range argument)."""
 
 
+# (label, test) rules a value must pass; the label completes "must be ..."
+ANY = ("", lambda v: True)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+POSITIVE = ("positive", lambda v: v > 0)
+NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+UNIT = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+FRACTION = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+
+def one_of(choices: tuple) -> tuple:
+    return (f"one of {choices}", lambda v: v in choices)
+
+
+class Option(NamedTuple):
+    """One declared knob: its kind, rule and default."""
+
+    kind: object            # int, float, bool, str, or "ints" (a list of int)
+    rule: tuple             # (label, test)
+    default: object
+    finite: bool = True     # for a float: inf and nan break it
+
+    def fault(self, value) -> Optional[str]:
+        """What `value` breaks, completing "must be ...": "finite", then the
+        rule's label; None if it holds."""
+        label, test = self.rule
+        try:
+            if self.kind is float and self.finite and not math.isfinite(value):
+                return "finite"
+            return None if test(value) else label
+        except TypeError:   # None (unless the rule takes it), or another kind
+            return label
+
+
 @dataclass(frozen=True)
 class Objective:
     """A differentiable function R^dim -> R with an analytic gradient.

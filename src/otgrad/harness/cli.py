@@ -37,7 +37,7 @@ from ..walks import (
     simulate,
 )
 from .config import ConfigError, PRESETS, parse_config_file
-from .experiment import run_experiment
+from .experiment import _atomic_write_text, run_experiment
 
 CHECK_POINTS = 20
 CHECK_TOL = 1e-5
@@ -176,9 +176,7 @@ def _cmd_presets(args) -> int:
     target.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(PRESETS.items()):
         path = target / f"{name}.ini"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
+        _atomic_write_text(path, text)
         print(f"wrote {path}")
     return 0
 

@@ -49,8 +49,9 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from ..benchmarks import ANY, AT_LEAST_1, POSITIVE, PROBLEM_NAMES, PROBLEMS, Option, one_of
-from ..optimizers import ALGORITHMS, AlgoConfig
+from ..benchmarks import PROBLEM_NAMES, PROBLEMS
+from ..core import ANY, AT_LEAST_1, NONNEGATIVE, POSITIVE, ContractViolation, Option
+from ..optimizers import ALGORITHMS, AlgoConfig, window_budget_fault, window_rows
 
 INIT_STYLES = ("default", "zeros", "constant", "gaussian", "explicit")
 OUTPUT_ENV_VAR = "OTGRAD_OUT"
@@ -83,21 +84,16 @@ class ExperimentConfig:
     config_hash: str = ""
 
 
-# key -> (type, (label, test)), the test applied after typing.  The shared
-# [problem] keys and the [run] keys are benchmarks.Options: each also holds
-# the value a config that omits it gets.
-_NONNEG = ("nonnegative", lambda v: v >= 0)
-_UNIT = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
-_FRACTION = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
-
+# key -> core.Option (type, rule, default), the rule applied after typing;
+# the [optimizer] and [algorithm NAME] keys are AlgoConfig's fields.
 _PROBLEM_KEYS = {
     "name": Option(str, ANY, None),
-    "data_seed": Option(int, _NONNEG, 0),
+    "data_seed": Option(int, NONNEGATIVE, 0),
     "init": Option(str, ANY, "default"),
 }
 
 _RUN_KEYS = {
-    "seeds": Option("ints", _NONNEG, [0]),
+    "seeds": Option("ints", NONNEGATIVE, [0]),
     "max_steps": Option(int, AT_LEAST_1, None),
     "epochs": Option(int, AT_LEAST_1, None),
     "batch_size": Option(int, AT_LEAST_1, None),   # None: the problem's own, if dataset-backed
@@ -108,31 +104,10 @@ _RUN_KEYS = {
     "classify_rho": Option(float, POSITIVE, 1.0),
 }
 
-_ALGO_KEYS = {
-    "mode": (str, one_of(("practical", "theory"))),
-    "eta": (float, POSITIVE),
-    "t_thres": (int, AT_LEAST_1),
-    "g_thres": (float, POSITIVE),
-    "r": (float, POSITIVE),
-    "momentum": (float, _UNIT),
-    "h": (float, POSITIVE),
-    "t_count": (int, AT_LEAST_1),
-    "alpha": (float, _NONNEG),
-    "ell": (float, POSITIVE),
-    "rho": (float, POSITIVE),
-    "eps": (float, POSITIVE),
-    "c": (float, POSITIVE),
-    "delta": (float, _FRACTION),
-    "delta_f": (float, POSITIVE),
-    "reset_velocity_on_perturb": (bool, ANY),
-    "full_grad_gate": (bool, ANY),
-}
+_ALGO_KEYS = {f.name: f.metadata["option"] for f in fields(AlgoConfig) if f.name != "name"}
 
 _DATASET_BACKED = "a dataset-backed problem ({})".format(
     ", ".join(name for name, entry in PROBLEMS.items() if entry.batch_size is not None))
-
-# the float keys that may be infinite: h = inf means "unwindowed"
-_MAY_BE_INFINITE = {"h"}
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                "1": True, "0": False, "on": True, "off": False}
@@ -144,11 +119,7 @@ def _convert(section: str, key: str, raw: str, kind, errors: list):
         if kind is int:
             return int(raw)
         if kind is float:
-            value = float(raw)
-            if not (math.isfinite(value) or key in _MAY_BE_INFINITE):
-                errors.append(f"[{section}] {key}: must be finite, got {raw!r}")
-                return None
-            return value
+            return float(raw)
         if kind is bool:
             word = raw.lower()
             if word not in _BOOL_WORDS:
@@ -174,13 +145,14 @@ def _read_section(parser, section: str, keytable: dict, errors: list) -> dict:
         if key not in keytable:
             errors.append(f"[{section}] unknown key {key!r}")
             continue
-        kind, (label, check), *_ = keytable[key]   # an Option ends with its default
-        value = _convert(section, key, raw, kind, errors)
+        option = keytable[key]
+        value = _convert(section, key, raw, option.kind, errors)
         if value is None:
             continue
-        bad = (not check(value)) if not isinstance(value, list) else any(not check(v) for v in value)
-        if bad:
-            errors.append(f"[{section}] {key}: must be {label}, got {raw!r}")
+        values = value if isinstance(value, list) else [value]
+        fault = next(filter(None, map(option.fault, values)), None)
+        if fault:
+            errors.append(f"[{section}] {key}: must be {fault}, got {raw!r}")
             continue
         out[key] = value
     return out
@@ -285,15 +257,13 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"[{section}] missing required key 'eta' "
                           "(set it here or in [optimizer])")
             continue
-        algo = AlgoConfig(name=algo_name, **merged)
-        if algo.full_grad_gate:
-            # the gate reads the full-data gradient, which exists only next
-            # to mini-batches, and only the practical gate takes it
-            if closed_form:
-                errors.append(f"[{section}] 'full_grad_gate' requires {_DATASET_BACKED}")
-            if algo.mode != "practical":
-                errors.append(f"[{section}] 'full_grad_gate' requires mode = practical")
-        algorithms.append(algo)
+        if merged.get("full_grad_gate") and closed_form:
+            # the gate reads the full-data gradient, which exists only next to mini-batches
+            errors.append(f"[{section}] 'full_grad_gate' requires {_DATASET_BACKED}")
+        try:
+            algorithms.append(AlgoConfig(name=algo_name, **merged))
+        except ContractViolation as exc:   # a rule across keys: each key passed its own
+            errors.append(f"[{section}] {exc}")
 
     if len(set(run["seeds"])) != len(run["seeds"]):
         errors.append(f"[run] seeds: must not repeat, got {run['seeds']}")
@@ -316,35 +286,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
-# One algorithm's lanes hold their occupation windows together, and a
-# theory-mode window keeps every iterate of its run, so a long run on a
-# large problem would otherwise fill memory partway through the grid.
-WINDOW_BUDGET_BYTES = 1 << 30
-
-
 def check_window_budget(config: ExperimentConfig, dim: int, max_steps: int) -> None:
-    """Raise ConfigError if the occupation windows of some pgdot/pagdot
-    section would hold more than WINDOW_BUDGET_BYTES.
-
-    The estimate is one window per seed, each holding max_steps iterates in
-    theory mode and min(t_count, max_steps) in practical mode, of dim
-    float64 coordinates each.
-    """
+    """Raise ConfigError if some section's occupation windows, one per seed
+    and each sized by optimizers.window_rows, would overflow their budget."""
     errors = []
     for algo in config.algorithms:
-        if algo.name not in ("pgdot", "pagdot"):
-            continue
-        theory = algo.mode == "theory"
-        rows = max_steps if theory else min(algo.t_count, max_steps)
-        size = len(config.seeds) * rows * dim * 8
-        if size > WINDOW_BUDGET_BYTES:
+        rows, whole = window_rows(algo, dim, max_steps)
+        fault = window_budget_fault(len(config.seeds), rows, dim)
+        if fault:
             keys = ("[run] seeds, max_steps or epochs, or the problem's size, or use "
-                    "mode = practical with a t_count" if theory
+                    "mode = practical with a t_count" if whole
                     else "t_count, [run] seeds, or the problem's size")
-            errors.append(
-                f"[algorithm {algo.name}] occupation windows would hold {size / 2 ** 30:.3g} GiB "
-                f"({len(config.seeds)} seeds x {rows} iterates x {dim} coordinates), over the "
-                f"{WINDOW_BUDGET_BYTES / 2 ** 30:g} GiB budget: lower {keys}")
+            errors.append(f"[algorithm {algo.name}] {fault}: lower {keys}")
     if errors:
         raise ConfigError(errors)
 

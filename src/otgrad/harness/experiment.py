@@ -21,6 +21,7 @@ so a crash never leaves a half-written artifact behind.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from array import array
@@ -106,17 +107,8 @@ def _classification_report(bundle: ProblemBundle, config: ExperimentConfig,
                            trace: RunTrace) -> Optional[dict]:
     if bundle.dim > MAX_HESSIAN_DIM or trace.final_x is None:
         return None
-    report = classify_point(bundle.objective, trace.final_x,
-                            config.classify_eps, config.classify_rho)
-    return {
-        "label": report.label,
-        "grad_norm": report.grad_norm,
-        "lambda_min": report.lambda_min,
-        "epsilon": report.epsilon,
-        "rho": report.rho,
-        "grad_threshold": report.grad_threshold,
-        "curv_threshold": report.curv_threshold,
-    }
+    return dataclasses.asdict(classify_point(bundle.objective, trace.final_x,
+                                             config.classify_eps, config.classify_rho))
 
 
 def _finish_group(bundle: ProblemBundle, config: ExperimentConfig, algorithm: str,

@@ -58,11 +58,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .core import ANY, FRACTION, NONNEGATIVE, POSITIVE, UNIT, Option, one_of
 from .core import (
     STREAM_ALGORITHM,
     ContractViolation,
@@ -336,11 +337,6 @@ class _Rule:
     baseline: Optional[str] = None
     t_count: Optional[int] = None
     h: float = math.inf
-
-    def __post_init__(self):
-        if self.sampler not in (None, "occupation", "ball"):
-            raise ContractViolation(
-                f"unknown sampler {self.sampler!r}, expected 'occupation' or 'ball'")
 
     @property
     def deterministic(self) -> bool:
@@ -626,7 +622,11 @@ def baseline_step(hyper: BaselineHyper, x, grad) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _knob(kind, rule: tuple, default=MISSING, finite: bool = True):  # an AlgoConfig field
+    return field(default=default, metadata={"option": Option(kind, rule, default, finite)})
+
+
+@dataclass(frozen=True)
 class AlgoConfig:
     """Which algorithm to run and with what knobs.
 
@@ -634,32 +634,38 @@ class AlgoConfig:
     directly; theory mode derives its constants from
     (ell, rho, eps, c, delta, delta_f) and ignores the practical knobs
     except eta for the plain gd/agd baselines.
+
+    Each field's Option (kind, rule, default) is checked when the frozen
+    config is built and read by the config parser; t_count None keeps
+    the full history.
     """
 
-    name: str
-    mode: str = "practical"
-    eta: float = 0.1
-    t_thres: int = 10
-    g_thres: float = 0.01
-    r: float = 0.04
-    momentum: float = 0.5
-    h: float = math.inf
-    t_count: Optional[int] = 200
-    alpha: float = 5.0
-    ell: float = 1.0
-    rho: float = 1.0
-    eps: float = 0.1
-    c: float = 1.0
-    delta: float = 0.1
-    delta_f: float = 1.0
-    reset_velocity_on_perturb: bool = False
-    full_grad_gate: bool = False
+    name: str = _knob(str, one_of(ALGORITHMS))
+    mode: str = _knob(str, one_of(("practical", "theory")), "practical")
+    eta: float = _knob(float, POSITIVE, 0.1)
+    t_thres: int = _knob(int, NONNEGATIVE, 10)
+    g_thres: float = _knob(float, POSITIVE, 0.01)
+    r: float = _knob(float, POSITIVE, 0.04)
+    momentum: float = _knob(float, UNIT, 0.5)
+    h: float = _knob(float, POSITIVE, math.inf, finite=False)
+    t_count: Optional[int] = _knob(int, (">= 1", lambda v: v is None or v >= 1), 200)
+    alpha: float = _knob(float, NONNEGATIVE, 5.0)
+    ell: float = _knob(float, POSITIVE, 1.0)
+    rho: float = _knob(float, POSITIVE, 1.0)
+    eps: float = _knob(float, POSITIVE, 0.1)
+    c: float = _knob(float, POSITIVE, 1.0)
+    delta: float = _knob(float, FRACTION, 0.1)
+    delta_f: float = _knob(float, POSITIVE, 1.0)
+    reset_velocity_on_perturb: bool = _knob(bool, ANY, False)
+    full_grad_gate: bool = _knob(bool, ANY, False)
 
     def __post_init__(self):
-        if self.name not in ALGORITHMS:
-            raise ContractViolation(f"unknown algorithm {self.name!r}, expected one of {ALGORITHMS}")
-        if self.mode not in ("practical", "theory"):
-            raise ContractViolation(f"mode must be 'practical' or 'theory', got {self.mode!r}")
+        for f in fields(self):
+            fault = f.metadata["option"].fault(getattr(self, f.name))
+            if fault:
+                raise ContractViolation(f"{f.name}: must be {fault}, got {getattr(self, f.name)!r}")
+        if self.full_grad_gate and self.mode != "practical":
+            raise ContractViolation("'full_grad_gate' requires mode = practical")
 
 
 @dataclass
@@ -785,6 +791,29 @@ def _rule(algo: AlgoConfig, dim: int) -> _Rule:
                  t_count=algo.t_count, h=algo.h)
 
 
+# A full-history window grows with the run: cap one algorithm's, all lanes together.
+WINDOW_BUDGET_BYTES = 1 << 30
+
+
+def window_rows(algo: AlgoConfig, dim: int, max_steps: int) -> tuple[int, bool]:
+    """(rows, whole): the iterates each lane's occupation window holds after
+    max_steps steps of algo's rule, none without the occupation sampler,
+    and whether it keeps the whole history (t_count None)."""
+    rule = _rule(algo, dim)
+    whole = rule.t_count is None
+    rows = max_steps if whole else min(rule.t_count, max_steps)
+    return (rows if rule.sampler == "occupation" else 0), whole
+
+
+def window_budget_fault(lanes: int, rows: int, dim: int) -> Optional[str]:
+    """Why `lanes` windows of rows x dim float64 overflow WINDOW_BUDGET_BYTES, or None."""
+    size = lanes * rows * dim * 8
+    if size <= WINDOW_BUDGET_BYTES:
+        return None
+    return (f"occupation windows would hold {size / 2 ** 30:.3g} GiB ({lanes} seeds x {rows} "
+            f"iterates x {dim} coordinates), over the {WINDOW_BUDGET_BYTES / 2 ** 30:g} GiB budget")
+
+
 @one_blas_thread()
 def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
               record_every: int = 1, batchers=None) -> list:
@@ -813,7 +842,8 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     dataset-backed problem (see run).  The batchers must share one problem
     and one batch size, and the problem must have batch_oracle(X, I):
     each oracle call of a step puts every lane's row on that lane's batch
-    in one call of it (see Batcher).
+    in one call of it (see Batcher); full_grad_gate needs them and the
+    full objective.  Windows over WINDOW_BUDGET_BYTES raise before step 0.
     """
     if max_steps < 0:
         raise ContractViolation(f"max_steps must be >= 0, got {max_steps}")
@@ -822,6 +852,9 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     full_obj = obj if isinstance(obj, Objective) else None
     if batchers is None and full_obj is None:
         raise ContractViolation("run() needs an Objective, or a problem plus a Batcher")
+    if algo.full_grad_gate and (batchers is None or full_obj is None):
+        raise ContractViolation("full_grad_gate reads the full gradient beside "
+                                "mini-batches: pass batchers and the full objective")
     seeds = list(seeds)
     n = len(seeds)
     for name, per_lane in (("x0s", x0s), ("batchers", batchers)):
@@ -840,6 +873,9 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
                 "mini-batch runs need the problem's batch_oracle(X, I); "
                 f"{type(data).__name__} has none")
     dim = obj.dim
+    fault = window_budget_fault(n, window_rows(algo, dim, max_steps)[0], dim)
+    if fault:
+        raise ContractViolation(f"{algo.name}: {fault}")
     X = np.zeros((n, dim)) if x0s is None else np.array([as_vector(x0, dim) for x0 in x0s])
     rule = _rule(algo, dim)
     lanes = _Lanes(
@@ -850,7 +886,7 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
         V=np.zeros_like(X) if rule.accelerated else None,
         hyper=None if rule.baseline is None else
         BaselineHyper(kind=rule.baseline, lr=algo.eta, momentum=algo.momentum))
-    gate_obj = full_obj if algo.full_grad_gate and batchers is not None else None
+    gate_obj = full_obj if algo.full_grad_gate else None
     settles = rule.deterministic and batchers is None
     results = [RunTrace(algorithm=algo.name, problem=getattr(obj, "name", ""), seed=seed,
                         mode=algo.mode) for seed in seeds]

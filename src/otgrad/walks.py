@@ -389,7 +389,7 @@ def msd_curve(kind: str, weight: WeightFn, T: int, n_paths: int, seed: int) -> n
     if weight.alpha == 0:
         # groups of _SIMPLE_PATHS paths, each stepped to T in blocks of
         # _LOOP_CHUNK steps through the same two buffers; a group's streams
-        # (about 10 kB each) exist only while it runs
+        # (under 1 kB each) exist only while it runs
         shape = (min(_SIMPLE_PATHS, n_paths), min(_LOOP_CHUNK, T))
         left = np.empty(shape, dtype=bool)
         Z = np.empty(shape, dtype=np.int64)

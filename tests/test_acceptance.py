@@ -1,20 +1,23 @@
 """End-to-end acceptance gates for the toolkit.
 
-Eleven checks, each with a stated tolerance and a runtime budget. Every
+Twelve checks, each with a stated tolerance and a runtime budget. Every
 test finishes with a single printed PASS line carrying the measured
 quantities, so `pytest -s tests/test_acceptance.py` doubles as a health
 report. The checks cover analytic gradients against finite differences,
 the closed-form parameter derivations, reduction of the occupation-time
 methods to their ball-noise baselines, saddle escape at desk scale, the
 bundled experiment presets, random-walk behavior, classical descent
-properties, the mini-batch network benchmark, and artifact determinism.
+properties, the mini-batch network benchmark, artifact determinism, and
+the adapted methods against their own controls.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import time
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from otgrad.core import (
 from otgrad.harness import (
     OUTPUT_ENV_VAR,
     PRESETS,
+    initial_point,
     parse_config,
     read_trace_csv,
     run_experiment,
@@ -45,6 +49,7 @@ from otgrad.optimizers import (
     derive_pgdot_params,
     gd_step,
     run,
+    run_lanes,
 )
 from otgrad.walks import (
     WeightFn,
@@ -612,3 +617,58 @@ def test_criterion_11_determinism(tmp_path):
     assert elapsed < 60.0, f"determinism check took {elapsed:.0f} s, budget 60 s"
     print(f"criterion 11 PASS: {len(first)} artifacts byte-identical across "
           f"rerun and permuted grid ({elapsed:.1f} s)")
+
+
+# Fixed before any run of criterion 12, and never to be re-picked: the
+# seeds at which the adapted methods were first compared with their controls.
+PAIRED_SEEDS = list(range(10))
+
+
+def _steps_to_threshold_per_cell(preset: str, threshold: Optional[float]) -> dict:
+    """Per-seed steps to the threshold of each adapted method and its two
+    controls on a preset's problem, knobs, default init and step budget.
+    threshold None means half the objective at each seed's start."""
+    config = parse_config(PRESETS[preset])
+    bundle = make_problem(config.problem_name, data_seed=config.data_seed,
+                          **config.problem_options)
+    x0s = [initial_point(bundle, config, seed) for seed in PAIRED_SEEDS]
+    levels = [threshold if threshold is not None else 0.5 * bundle.objective.value(x0)
+              for x0 in x0s]
+    knobs = {algo.name: algo for algo in config.algorithms}
+    assert knobs["pgdot"].alpha == knobs["pagdot"].alpha == 5.0
+    cells = {}
+    for adapted, ball in (("pgdot", "pgd"), ("pagdot", "pagd")):
+        cells[ball] = knobs[ball]
+        cells[f"{adapted} a0"] = dataclasses.replace(knobs[adapted], alpha=0.0)
+        cells[f"{adapted} a5"] = knobs[adapted]
+    steps = {}
+    for label, algo in cells.items():
+        traces = run_lanes(bundle.objective, algo, config.max_steps, PAIRED_SEEDS, x0s)
+        steps[label] = [trace.steps_to_threshold(level) for trace, level in zip(traces, levels)]
+    return steps
+
+
+def test_criterion_12_adaptation_beats_its_controls():
+    """On example1 (f < 0.3) and example3_pr (half the starting f), pgdot
+    and pagdot at alpha = 5 reach the threshold in fewer median steps,
+    over seeds 0-9, than their ball-kick counterparts (pgd, pagd) and than
+    themselves at alpha = 0, which keeps the kick shape and sets every
+    p_left to 1/2."""
+    t0 = time.perf_counter()
+    report = []
+    for preset, threshold in (("example1", 0.3), ("example3_pr", None)):
+        steps = _steps_to_threshold_per_cell(preset, threshold)
+        for adapted, ball in (("pgdot", "pgd"), ("pagdot", "pagd")):
+            method = steps[f"{adapted} a5"]
+            median = float(np.median(method))
+            line = [f"{preset} {adapted} a5 median {median:g}"]
+            for control in (ball, f"{adapted} a0"):
+                against = float(np.median(steps[control]))
+                wins = sum(a < b for a, b in zip(method, steps[control]))
+                assert median < against, \
+                    f"{preset}: {adapted} a5 median {median:g} not below {control} {against:g}"
+                line.append(f"vs {control} {against:g} (wins {wins}/{len(PAIRED_SEEDS)})")
+            report.append(" ".join(line))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"paired check took {elapsed:.0f} s, budget 30 s"
+    print(f"criterion 12 PASS: {'; '.join(report)} ({elapsed:.1f} s)")

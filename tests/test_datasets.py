@@ -1,16 +1,19 @@
 """Dataset parsing (IDX, CIFAR-10 binary) and the synthetic blob generator."""
 
+import inspect
 import struct
 
 import numpy as np
 import pytest
 
 from otgrad.core import ContractViolation, NumericalDomainError
+from otgrad.benchmarks import make_problem
 from otgrad.benchmarks.datasets import (
     CIFAR_RECORD,
     FEATURE_DIM,
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
+    BLOB_SAMPLES,
     downsize_images,
     load_dataset,
     parse_cifar10_binary,
@@ -170,6 +173,15 @@ class TestCifarLoading:
 
 
 class TestSyntheticBlobs:
+    def test_one_default_sample_count(self):
+        # the generator, the loader and an mlp without n_samples make as many blobs
+        for fn in (synthetic_blobs, load_dataset):
+            assert inspect.signature(fn).parameters["n_samples"].default == BLOB_SAMPLES
+        problem = make_problem("mlp", n_hidden=1).problem
+        x, y = load_dataset("synthetic_blobs", seed=0)
+        assert problem.n_samples == BLOB_SAMPLES == len(y)
+        assert problem.x.tobytes() == x.tobytes()
+
     def test_shapes_and_ranges(self):
         x, y = synthetic_blobs(1)
         assert x.shape == (1280, FEATURE_DIM)

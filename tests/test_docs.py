@@ -1,9 +1,12 @@
 """README's key tables against the one declaration of each key."""
 
+import ast
+from dataclasses import fields
 from pathlib import Path
 
 from otgrad.benchmarks import PROBLEMS
 from otgrad.harness.config import _PROBLEM_KEYS, _RUN_KEYS
+from otgrad.optimizers import AlgoConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +30,8 @@ def as_documented(opt) -> tuple:
     default = opt.default
     if default is None:
         return kind, "none"
+    if isinstance(default, bool):
+        return kind, str(default).lower()
     if isinstance(default, str):
         return kind, f"`{default}`"
     if isinstance(default, list):
@@ -54,3 +59,21 @@ def test_run_key_table_matches_the_run_table():
                   for cells in readme_table("| `[run]` key |")}
     assert documented == {key: as_documented(opt) for key, opt in _RUN_KEYS.items()}
     assert list(documented) == list(_RUN_KEYS)
+
+
+def as_allowed(opt) -> str:
+    """How the README's "allowed" cell starts for an Option's rule."""
+    label = opt.rule[0]
+    if label.startswith("one of "):
+        return ", ".join(f"`{choice}`" for choice in ast.literal_eval(label[len("one of "):]))
+    return {"": "`true` or `false`", ">= 1": "≥ 1", "nonnegative": "≥ 0"}.get(label, label)
+
+
+def test_algorithm_key_table_matches_algo_config():
+    rows = readme_table("| `[optimizer]` key |")
+    options = {f.name: f.metadata["option"] for f in fields(AlgoConfig) if f.name != "name"}
+    assert [cells[0].strip("`") for cells in rows] == list(options)
+    for cells in rows:
+        opt = options[cells[0].strip("`")]
+        assert (cells[1], cells[2]) == as_documented(opt), cells[0]
+        assert cells[3].startswith(as_allowed(opt)), cells[0]

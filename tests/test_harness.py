@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from otgrad.benchmarks import make_problem, mlp_param_count
-from otgrad.core import STREAM_BATCH, ContractViolation, derive_stream
+from otgrad.core import STREAM_BATCH, ContractViolation, Objective, derive_stream
 from otgrad.harness import (
     OUTPUT_ENV_VAR,
     PRESETS,
@@ -25,14 +25,13 @@ from otgrad.harness import (
 )
 from otgrad.harness.cli import main
 from otgrad.harness.config import (
-    _ALGO_KEYS,
     _RUN_KEYS,
     ExperimentConfig,
     check_window_budget,
     config_hash,
 )
 from otgrad.harness.experiment import initial_point, trace_csv_text, write_trace_csv
-from otgrad.optimizers import AlgoConfig, Batcher, RunError, RunTrace, run
+from otgrad.optimizers import ALGORITHMS, AlgoConfig, Batcher, RunError, RunTrace, run, run_lanes
 
 SMALL_CONFIG = """
 [problem]
@@ -272,6 +271,65 @@ class TestConfigErrors:
         assert cfg.algorithms[0].eta == 0.1
 
 
+def _never_called(dim: int) -> Objective:
+    """An objective whose oracle fails the test at its first call, so a
+    run that should be refused before step 0 stops there too."""
+
+    def oracle(X):
+        raise AssertionError("the oracle was called")
+
+    return Objective(dim=dim, oracle=oracle)
+
+
+class TestOneRulePerKnob:
+    """Each algorithm knob has one rule, which AlgoConfig and the config
+    parser both enforce, with the same words."""
+
+    @pytest.mark.parametrize("key, value, raw, label", [
+        ("eta", -0.01, "-0.01", "positive"),
+        ("momentum", 1.5, "1.5", "in [0, 1)"),
+        ("g_thres", 0.0, "0.0", "positive"),
+        ("r", -1.0, "-1.0", "positive"),
+        ("t_thres", -1, "-1", "nonnegative"),
+        ("t_count", 0, "0", ">= 1"),
+        ("alpha", math.inf, "inf", "finite"),
+        ("h", math.nan, "nan", "positive"),
+        ("delta", 0.0, "0.0", "in (0, 1]"),
+        ("mode", "fast", "fast", "one of ('practical', 'theory')"),
+    ])
+    def test_api_and_config_reject_the_same_values(self, key, value, raw, label):
+        # each of the first four used to pass AlgoConfig and fail, or never
+        # kick, partway through a run
+        with pytest.raises(ContractViolation) as info:
+            AlgoConfig(name="pgdot", **{key: value})
+        assert str(info.value) == f"{key}: must be {label}, got {value!r}"
+        with pytest.raises(ConfigError) as info:
+            parse_config(SMALL_CONFIG.replace("[algorithm pgdot]",
+                                              f"[algorithm pgdot]\n{key} = {raw}"))
+        assert info.value.errors == [f"[algorithm pgdot] {key}: must be {label}, got {raw!r}"]
+
+    def test_every_default_passes_its_rule(self):
+        for name in ALGORITHMS:
+            AlgoConfig(name=name)
+        assert AlgoConfig(name="pgdot", t_count=None).t_count is None  # the full history
+
+    def test_t_thres_zero_kicks_at_every_step(self, tmp_path, monkeypatch):
+        # the cooldown is t_thres + 1 = 1, so the gate may fire at every step
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
+        out = run_experiment(parse_config(SMALL_CONFIG.replace(
+            "[algorithm pgdot]", "[algorithm pgdot]\nt_thres = 0\ng_thres = 10")))
+        perturbed = read_trace_csv(out / "trace_pgdot_seed0.csv")["perturbed"]
+        assert perturbed.tolist() == [1] * 40 + [0]
+
+    def test_full_grad_gate_needs_practical_mode_and_batchers(self):
+        # the config's text for theory mode is pinned in TestConfigErrors
+        with pytest.raises(ContractViolation, match="^'full_grad_gate' requires mode = practical$"):
+            AlgoConfig(name="pgdot", mode="theory", full_grad_gate=True)
+        # without mini-batches the gate used to be ignored
+        with pytest.raises(ContractViolation, match="full_grad_gate .* pass batchers"):
+            run_lanes(_never_called(4), AlgoConfig(name="pgdot", full_grad_gate=True), 10, [0, 1])
+
+
 class TestConfigHash:
     def test_insensitive_to_layout_and_order(self):
         reordered = SMALL_CONFIG.replace(
@@ -318,9 +376,6 @@ class TestConfigHash:
             moved = dataclasses.replace(base, **{key: "moved"})
             assert config_hash(moved) != base.config_hash, key
         assert config_hash(base) == base.config_hash
-
-    def test_algo_table_owns_the_algo_fields(self):
-        assert set(_ALGO_KEYS) == {f.name for f in fields(AlgoConfig)} - {"name"}
 
     def test_hash_shape(self):
         h = parse_config(SMALL_CONFIG).config_hash
@@ -679,6 +734,25 @@ class TestWindowBudget:
             "max_steps or epochs, or the problem's size, or use mode = practical with a "
             "t_count"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode, knobs, rows", [
+        ("theory", "", 200000),
+        ("practical", "t_count = 150000\n", 150000),
+    ])
+    def test_run_lanes_refuses_the_windows_before_step_0(self, mode, knobs, rows):
+        # the same bound and figures as the config's, for callers of the API
+        text = self.LONG_THEORY.replace("mode = theory", f"mode = {mode}\n{knobs}")
+        cfg = parse_config(text)
+        figures = (f"occupation windows would hold {2 * rows * 1000 * 8 / 2 ** 30:.3g} GiB "
+                   f"(2 seeds x {rows} iterates x 1000 coordinates), over the 1 GiB budget")
+        with pytest.raises(ConfigError) as info:
+            check_window_budget(cfg, 1000, 200000)
+        assert info.value.errors[0].startswith(f"[algorithm pgdot] {figures}: lower ")
+        with pytest.raises(ContractViolation) as info:
+            run_lanes(_never_called(1000), cfg.algorithms[1], 200000, cfg.seeds)
+        assert str(info.value) == f"pgdot: {figures}"
+        with pytest.raises(AssertionError, match="oracle was called"):
+            run_lanes(_never_called(1000), cfg.algorithms[0], 200000, cfg.seeds)  # gd: no window
 
     def test_practical_window_counts_t_count_iterates(self):
         cfg = parse_config(SMALL_CONFIG.replace("t_count = 50", "t_count = 100000"))

@@ -315,13 +315,6 @@ class TestPgdotStep:
         assert state.n_perturbations >= 1
         assert len(state.window) == 0 and len(recorded.window) > 0
 
-    def test_unknown_sampler_rejected_while_gate_is_shut(self):
-        # A gradient far above g_thres would keep the gate shut, so the
-        # sampler name must be checked on entry, when the rule is built,
-        # not when a kick is first drawn.
-        with pytest.raises(ContractViolation, match="sampler"):
-            _pgdot_lane(np.array([1.0, 0.0]), self.params(), RngStream(0, 0), sampler="bal")
-
 
 class TestNce:
     def test_momentum_above_s_freezes_iterate(self):
@@ -412,10 +405,6 @@ class TestPagdotStep:
             assert np.array_equal(state.v, recorded.v)
         assert state.n_perturbations >= 1
         assert len(state.window) == 0 and len(recorded.window) == 40
-
-    def test_unknown_sampler_rejected_while_gate_is_shut(self):
-        with pytest.raises(ContractViolation, match="sampler"):
-            _pagdot_lane(np.array([1.0, 0.0]), self.params(), RngStream(0, 0), sampler="bal")
 
 
 class TestBaselines:
