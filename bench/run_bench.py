@@ -6,7 +6,9 @@ Point PYTHONPATH at the src/ of any tree to time that tree: the one-lane
 rows call run(), the harness rows run_experiment and the walk rows
 msd_curve and simulate, which every tree has, so two trees' numbers
 compare row by row.  Rows whose entry point a tree lacks (run_lanes, the
-stacked oracle) are left out of its output.
+stacked oracle) are left out of its output.  The step.*.mlp.* rows pass
+run() and run_lanes a batch_size, so they need a tree whose engine builds
+each lane's mini-batches from its seed (this tree or a later one).
 
 Layers, REPEATS runs each. On the d = 4 staircase from its saddle ring
 with preset example1's knobs (gd and agd from the ring plus MOVING in
@@ -29,9 +31,9 @@ its saturated start, init_mean -1) with that benchmark's knobs, MLP_STEPS
 steps on mini-batches of 128:
 
     step.<algo>.mlp.lanes<L>   microseconds per cell-step of adam, practical
-                               pgdot and pagdot: run() with one Batcher at
-                               L = 1, run_lanes with one Batcher per lane
-                               at L = 2
+                               pgdot and pagdot on mini-batches
+                               (batch_size = MLP_BATCH): run() at L = 1,
+                               run_lanes at L = 2
 
 On two presets, cut to HARNESS_STEPS steps:
 
@@ -109,11 +111,11 @@ import numpy as np
 
 from otgrad import core, optimizers
 from otgrad.benchmarks import make_problem
-from otgrad.core import STREAM_BATCH, RngStream, derive_stream, eval_objective
+from otgrad.core import RngStream, eval_objective
 from otgrad.harness import PRESETS, parse_config, run_experiment
 from otgrad.occupation import (OccupationWindow, WeightFn, sample_ball_perturbation,
                                sample_occupation_perturbation)
-from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, Batcher, run
+from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, run
 from otgrad.walks import msd_curve, simulate
 
 REPEATS = 5
@@ -196,24 +198,15 @@ def bench() -> dict:
 def bench_mlp_steps() -> dict:
     bundle = make_problem("mlp", init_mean=-1.0)
     problem = bundle.problem
-    full_obj = problem.full_objective()
     start = bundle.init_point(0)
-    run_lanes = getattr(optimizers, "run_lanes", None)
-
-    def batchers(n):
-        return [Batcher(problem, MLP_BATCH, derive_stream(seed, STREAM_BATCH))
-                for seed in range(n)]
-
     layers = {}
     for name in MLP_ALGORITHMS:
         algo = AlgoConfig(name=name, **MLP_KNOBS)
         layers[f"step.{name}.mlp.lanes1"] = _median_us(
-            lambda: [run(full_obj, algo, MLP_STEPS, 0, x0=start, batcher=batchers(1)[0])],
-            _steps)
-        if run_lanes is not None:
-            layers[f"step.{name}.mlp.lanes2"] = _median_us(
-                lambda: run_lanes(full_obj, algo, MLP_STEPS, range(2), [start] * 2,
-                                  batchers=batchers(2)), _steps)
+            lambda: [run(problem, algo, MLP_STEPS, 0, x0=start, batch_size=MLP_BATCH)], _steps)
+        layers[f"step.{name}.mlp.lanes2"] = _median_us(
+            lambda: optimizers.run_lanes(problem, algo, MLP_STEPS, range(2), [start] * 2,
+                                         batch_size=MLP_BATCH), _steps)
     return layers
 
 

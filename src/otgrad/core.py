@@ -77,18 +77,12 @@ class Objective:
     (dim,).  Give either the oracle or the two of them: an Objective built
     from `value` and `gradient` alone gets an oracle that calls them row by
     row, and one built from `oracle` alone gets them as its one-row case.
-
-    `lipschitz_grad` and `lipschitz_hess` are optional metadata that no
-    code reads: theory mode takes its smoothness constants from the
-    config's `ell` and `rho`.
     """
 
     dim: int
     value: Optional[Callable[[np.ndarray], float]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
-    lipschitz_grad: Optional[float] = None
-    lipschitz_hess: Optional[float] = None
     oracle: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):

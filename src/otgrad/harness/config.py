@@ -109,9 +109,6 @@ _ALGO_KEYS = {f.name: f.metadata["option"] for f in fields(AlgoConfig) if f.name
 _DATASET_BACKED = "a dataset-backed problem ({})".format(
     ", ".join(name for name, entry in PROBLEMS.items() if entry.batch_size is not None))
 
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
-               "1": True, "0": False, "on": True, "off": False}
-
 
 def _convert(section: str, key: str, raw: str, kind, errors: list):
     raw = raw.strip()
@@ -121,17 +118,14 @@ def _convert(section: str, key: str, raw: str, kind, errors: list):
         if kind is float:
             return float(raw)
         if kind is bool:
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError
-            return _BOOL_WORDS[word]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "ints":
             parts = raw.replace(",", " ").split()
             if not parts:
                 raise ValueError
             return [int(p) for p in parts]
         return raw
-    except ValueError:
+    except (KeyError, ValueError):    # KeyError: not a word of configparser's boolean table
         wanted = kind if isinstance(kind, str) else kind.__name__
         errors.append(f"[{section}] {key}: expected {wanted}, got {raw!r}")
         return None

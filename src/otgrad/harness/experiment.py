@@ -32,8 +32,8 @@ import numpy as np
 
 from ..analysis import MAX_HESSIAN_DIM, classify_point, escape_summary
 from ..benchmarks import ProblemBundle, make_problem
-from ..core import ContractViolation, STREAM_BATCH, STREAM_INIT, derive_stream, one_blas_thread
-from ..optimizers import Batcher, RunError, RunTrace, run_lanes
+from ..core import ContractViolation, STREAM_INIT, derive_stream, one_blas_thread
+from ..optimizers import RunError, RunTrace, run_lanes, steps_per_epoch
 # The benchmark's tracer rebinds experiment.run when it installs.
 from ..optimizers import run  # noqa: F401
 from .config import ExperimentConfig, OUTPUT_ENV_VAR, _jsonable, check_window_budget
@@ -146,15 +146,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """
     bundle = make_problem(config.problem_name, data_seed=config.data_seed,
                           **config.problem_options)
-
-    def batchers():
-        # a fresh shuffle per seed, so each cell's batches are those of its run alone
-        return None if bundle.problem is None else [
-            Batcher(bundle.problem, config.batch_size, derive_stream(seed, STREAM_BATCH))
-            for seed in config.seeds]
-
+    # a dataset-backed problem trains on its mini-batches, config.batch_size each
+    obj = bundle.objective if bundle.problem is None else bundle.problem
     max_steps = (config.max_steps if config.epochs is None
-                 else config.epochs * batchers()[0].steps_per_epoch)
+                 else config.epochs * steps_per_epoch(bundle.problem, config.batch_size))
     check_window_budget(config, bundle.dim, max_steps)
 
     inits = {seed: initial_point(bundle, config, seed) for seed in config.seeds}
@@ -169,9 +164,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
         # the group's traces live only inside _finish_group, so the grid
         # holds one group's traces at a time
         _finish_group(bundle, config, algo.name, out_dir, thresholds,
-                      run_lanes(bundle.objective, algo, max_steps, config.seeds,
+                      run_lanes(obj, algo, max_steps, config.seeds,
                                 [inits[seed] for seed in config.seeds],
-                                record_every=config.record_every, batchers=batchers()),
+                                record_every=config.record_every,
+                                batch_size=config.batch_size),
                       rows, entries)
     rows.sort(key=lambda row: (row["algorithm"], row["seed"]))
 

@@ -28,9 +28,11 @@ through one oracle path, _evaluate: each call (the step rows, the
 gradients of kicked lanes, certificate values, NCE probes) is one call of
 the Objective's stacked oracle over the rows of all its lanes, or, on
 mini-batches, one call of the problem's batch_oracle with each lane's row
-on that lane's batch.  Only when a call fails do the rows go one by one,
-to find the lanes that failed: a NumericalDomainError or a float overflow
-ends that lane as a RunError.
+on that lane's batch.  A lane's batches, like its kicks, come from its
+seed: given a batch_size, run_lanes builds each lane's Batcher itself.
+Only when a call fails do the rows go one by one, to find the lanes that
+failed: a NumericalDomainError or a float overflow ends that lane as a
+RunError.
 
 Each rule is written once, over lanes, and _step applies the rule of an
 algorithm, a _Rule that the method table _rule derives from its config.
@@ -66,6 +68,7 @@ import numpy as np
 from .core import ANY, FRACTION, NONNEGATIVE, POSITIVE, UNIT, Option, one_of
 from .core import (
     STREAM_ALGORITHM,
+    STREAM_BATCH,
     ContractViolation,
     NumericalDomainError,
     Objective,
@@ -546,6 +549,14 @@ def nce(obj: Objective, x, v, s: float, rng: RngStream) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
+# The baselines' fixed constants: adam/amsgrad moment decays, rmsprop's
+# decay, and the guard added to every root in a denominator.
+BETA1 = 0.9
+BETA2 = 0.999
+RMS_DECAY = 0.9
+EPS_NUM = 1e-8
+
+
 @dataclass
 class BaselineHyper:
     """Hyperparameters plus accumulator state for the stochastic baselines."""
@@ -553,10 +564,6 @@ class BaselineHyper:
     kind: str
     lr: float = 0.01
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_num: float = 1e-8
-    rms_decay: float = 0.9
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     v_max: Optional[np.ndarray] = None
@@ -595,9 +602,9 @@ def baseline_step(hyper: BaselineHyper, x, grad) -> np.ndarray:
         if hyper.v is None:
             hyper.v = np.zeros_like(xv)
         v = hyper.v
-        v *= hyper.rms_decay
-        v += (1.0 - hyper.rms_decay) * g * g
-        return xv - hyper.lr * g / (np.sqrt(v) + hyper.eps_num)
+        v *= RMS_DECAY
+        v += (1.0 - RMS_DECAY) * g * g
+        return xv - hyper.lr * g / (np.sqrt(v) + EPS_NUM)
     # adam / amsgrad
     if hyper.m is None:
         hyper.m = np.zeros_like(xv)
@@ -606,15 +613,15 @@ def baseline_step(hyper: BaselineHyper, x, grad) -> np.ndarray:
     hyper.step_count += 1
     t = hyper.step_count
     m, v = hyper.m, hyper.v
-    m *= hyper.beta1
-    m += (1.0 - hyper.beta1) * g
-    v *= hyper.beta2
-    v += (1.0 - hyper.beta2) * g * g
-    m_hat = m / (1.0 - hyper.beta1 ** t)
-    v_hat = v / (1.0 - hyper.beta2 ** t)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
     if hyper.kind == "amsgrad":
         v_hat = np.maximum(hyper.v_max, v_hat, out=hyper.v_max)
-    return xv - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps_num)
+    return xv - hyper.lr * m_hat / (np.sqrt(v_hat) + EPS_NUM)
 
 
 # ---------------------------------------------------------------------------
@@ -727,16 +734,20 @@ class RunError(RuntimeError):
         self.trace = trace
 
 
+def steps_per_epoch(problem, batch_size: int) -> int:
+    """Mini-batches in one pass over the problem's samples; the last may be short."""
+    return math.ceil(problem.n_samples / batch_size)
+
+
 class Batcher:
     """Hands out one mini-batch per step from a dataset-backed problem.
 
-    `problem` must expose dim, n_samples, and batch_oracle(X, I), which
-    answers row r of a parameter stack on index row r of I: run_lanes
-    puts every lane's batch in one such call.  next_indices() gives the
-    next batch's sample indices.  Batches walk a per-epoch shuffle drawn
-    from the given stream, so a run is reproducible from (seed,
-    batch_size) alone.  next_objective() also needs objective_for(indices),
-    the loss on one batch.
+    run_lanes builds one per lane, from the lane's seed; no caller needs
+    to.  `problem` must expose n_samples.  next_indices() gives the next
+    batch's sample indices.  Batches walk a per-epoch shuffle drawn from
+    the given stream, so a run is reproducible from (seed, batch_size)
+    alone.  next_objective() also needs objective_for(indices), the loss
+    on one batch.
     """
 
     def __init__(self, problem, batch_size: int, rng: RngStream):
@@ -747,10 +758,6 @@ class Batcher:
         self.rng = rng
         self._order = None
         self._cursor = 0
-
-    @property
-    def steps_per_epoch(self) -> int:
-        return math.ceil(self.problem.n_samples / self.batch_size)
 
     def next_indices(self) -> np.ndarray:
         n = self.problem.n_samples
@@ -816,7 +823,7 @@ def window_budget_fault(lanes: int, rows: int, dim: int) -> Optional[str]:
 
 @one_blas_thread()
 def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
-              record_every: int = 1, batchers=None) -> list:
+              record_every: int = 1, batch_size: Optional[int] = None) -> list:
     """Run one algorithm from several seeds in lockstep, one lane per seed.
 
     Returns, in seed order, one RunTrace per lane, or a RunError holding
@@ -829,49 +836,45 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     oracle call) drops out and the others go on.  Every product, in the
     oracle and in the step, runs on one BLAS thread (one_blas_thread).
 
-    A lane whose rule is deterministic (gd or agd, either mode) on a
-    shared Objective (no batchers) also retires early, when one step
-    leaves its iterate, and for agd its velocity, unchanged bit for bit:
-    every later step would repeat that step, so the lane gets each
-    remaining recorded row (t, f, ||g||, 0, 0) and its final row
-    (max_steps, f, ||g||) at once, with final_t = max_steps and
-    terminated False, as if it had run to the end.
+    A lane whose rule is deterministic (gd or agd, either mode) on an
+    Objective (no batch_size) also retires early, when one step leaves its
+    iterate, and for agd its velocity, unchanged bit for bit: every later
+    step would repeat that step, so the lane gets each remaining recorded
+    row (t, f, ||g||, 0, 0) and its final row (max_steps, f, ||g||) at
+    once, with final_t = max_steps and terminated False, as if it had run
+    to the end.
 
-    x0s holds one start per lane (default zeros); batchers, when given,
-    one Batcher per lane, with `obj` then the full objective or the
-    dataset-backed problem (see run).  The batchers must share one problem
-    and one batch size, and the problem must have batch_oracle(X, I):
-    each oracle call of a step puts every lane's row on that lane's batch
-    in one call of it (see Batcher); full_grad_gate needs them and the
-    full objective.  Windows over WINDOW_BUDGET_BYTES raise before step 0.
+    x0s holds one start per lane (default zeros).  Without batch_size,
+    `obj` is an Objective.  With it, `obj` is a dataset-backed problem
+    with batch_oracle(X, I), and lane i draws its batches from
+    Batcher(obj, batch_size, derive_stream(seeds[i], STREAM_BATCH)), as it
+    draws its kicks from its own seed: each oracle call of a step puts
+    every lane's row on that lane's batch in one call of batch_oracle, and
+    full_grad_gate reads obj.full_objective().  These raise before step 0:
+    batch_size on an object without batch_oracle, anything but an
+    Objective without batch_size, full_grad_gate without batch_size, and
+    windows over WINDOW_BUDGET_BYTES.
     """
     if max_steps < 0:
         raise ContractViolation(f"max_steps must be >= 0, got {max_steps}")
     if record_every < 1:
         raise ContractViolation(f"record_every must be >= 1, got {record_every}")
-    full_obj = obj if isinstance(obj, Objective) else None
-    if batchers is None and full_obj is None:
-        raise ContractViolation("run() needs an Objective, or a problem plus a Batcher")
-    if algo.full_grad_gate and (batchers is None or full_obj is None):
-        raise ContractViolation("full_grad_gate reads the full gradient beside "
-                                "mini-batches: pass batchers and the full objective")
+    if batch_size is None:
+        if not isinstance(obj, Objective):
+            raise ContractViolation(f"run() needs an Objective, or a dataset-backed problem "
+                                    f"and a batch_size; got a {type(obj).__name__}")
+        if algo.full_grad_gate:
+            raise ContractViolation("full_grad_gate reads the full gradient beside "
+                                    "mini-batches: pass a batch_size")
+    elif not callable(getattr(obj, "batch_oracle", None)):
+        raise ContractViolation("mini-batch runs need the problem's batch_oracle(X, I); "
+                                f"{type(obj).__name__} has none")
     seeds = list(seeds)
     n = len(seeds)
-    for name, per_lane in (("x0s", x0s), ("batchers", batchers)):
-        if per_lane is not None and len(per_lane) != n:
-            raise ContractViolation(f"{name} has {len(per_lane)} entries for {n} seeds")
+    if x0s is not None and len(x0s) != n:
+        raise ContractViolation(f"x0s has {len(x0s)} entries for {n} seeds")
     if n == 0:
         return []
-    if batchers is not None:
-        data = batchers[0].problem
-        if any(b.problem is not data or b.batch_size != batchers[0].batch_size
-               for b in batchers):
-            raise ContractViolation("batchers must share one problem and one batch size")
-        oracle, data_name = getattr(data, "batch_oracle", None), getattr(data, "name", "")
-        if not callable(oracle):
-            raise ContractViolation(
-                "mini-batch runs need the problem's batch_oracle(X, I); "
-                f"{type(data).__name__} has none")
     dim = obj.dim
     fault = window_budget_fault(n, window_rows(algo, dim, max_steps)[0], dim)
     if fault:
@@ -886,16 +889,20 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
         V=np.zeros_like(X) if rule.accelerated else None,
         hyper=None if rule.baseline is None else
         BaselineHyper(kind=rule.baseline, lr=algo.eta, momentum=algo.momentum))
-    gate_obj = full_obj if algo.full_grad_gate else None
+    name = getattr(obj, "name", "")
+    batchers = None if batch_size is None else [
+        Batcher(obj, batch_size, derive_stream(seed, STREAM_BATCH)) for seed in seeds]
+    gate_obj = obj.full_objective() if algo.full_grad_gate else None
     settles = rule.deterministic and batchers is None
-    results = [RunTrace(algorithm=algo.name, problem=getattr(obj, "name", ""), seed=seed,
-                        mode=algo.mode) for seed in seeds]
+    results = [RunTrace(algorithm=algo.name, problem=name, seed=seed, mode=algo.mode)
+               for seed in seeds]
     live = list(range(n))      # the seed index of each lane
 
     def step_objective():
         if batchers is None:
             return obj
-        return _Batches(oracle, np.array([batchers[i].next_indices() for i in live]), data_name)
+        return _Batches(obj.batch_oracle, np.array([batchers[i].next_indices() for i in live]),
+                        name)
 
     def retire(done: dict, t: int) -> list:
         """Finish the lanes in done, {lane: (final_x, terminated)}, plus the
@@ -967,16 +974,17 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
 
 
 def run(obj, algo: AlgoConfig, max_steps: int, seed: int,
-        x0=None, record_every: int = 1, batcher: Optional[Batcher] = None) -> RunTrace:
+        x0=None, record_every: int = 1, batch_size: Optional[int] = None) -> RunTrace:
     """Run one algorithm for max_steps (or until theory-mode termination).
 
-    `obj` is an Objective, or a dataset-backed problem when `batcher` is
-    given (each step then evaluates on that step's mini-batch).  All
-    algorithm randomness comes from stream (seed, STREAM_ALGORITHM).  This
-    is run_lanes with one lane; a failed run raises its RunError.
+    `obj` is an Objective, or a dataset-backed problem when batch_size is
+    given: each step then evaluates on that step's mini-batch, shuffled by
+    stream (seed, STREAM_BATCH).  All algorithm randomness comes from
+    stream (seed, STREAM_ALGORITHM).  This is run_lanes with one lane; a
+    failed run raises its RunError.
     """
     result = run_lanes(obj, algo, max_steps, [seed], None if x0 is None else [x0],
-                       record_every, None if batcher is None else [batcher])[0]
+                       record_every, batch_size)[0]
     if isinstance(result, RunError):
         raise result
     return result

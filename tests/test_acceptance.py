@@ -1,6 +1,6 @@
 """End-to-end acceptance gates for the toolkit.
 
-Twelve checks, each with a stated tolerance and a runtime budget. Every
+Thirteen checks, each with a stated tolerance and a runtime budget. Every
 test finishes with a single printed PASS line carrying the measured
 quantities, so `pytest -s tests/test_acceptance.py` doubles as a health
 report. The checks cover analytic gradients against finite differences,
@@ -8,7 +8,8 @@ the closed-form parameter derivations, reduction of the occupation-time
 methods to their ball-noise baselines, saddle escape at desk scale, the
 bundled experiment presets, random-walk behavior, classical descent
 properties, the mini-batch network benchmark, artifact determinism, and
-the adapted methods against their own controls.
+the adapted methods against their own controls, on the staircase, phase
+retrieval and the network plateau.
 """
 
 import dataclasses
@@ -28,7 +29,6 @@ from otgrad.core import (
     Objective,
     RngStream,
     STREAM_ALGORITHM,
-    STREAM_BATCH,
     STREAM_INIT,
     derive_stream,
 )
@@ -42,14 +42,15 @@ from otgrad.harness import (
 )
 from otgrad.optimizers import (
     AlgoConfig,
-    Batcher,
     PagdotParams,
     PgdotParams,
+    RunError,
     derive_pagdot_params,
     derive_pgdot_params,
     gd_step,
     run,
     run_lanes,
+    steps_per_epoch,
 )
 from otgrad.walks import (
     WeightFn,
@@ -69,8 +70,6 @@ def saddle_objective() -> Objective:
         value=lambda x: 0.5 * (x[0] * x[0] - x[1] * x[1]),
         gradient=lambda x: np.array([x[0], -x[1]]),
         name="quadratic_saddle",
-        lipschitz_grad=1.0,
-        lipschitz_hess=1.0,
     )
 
 
@@ -496,44 +495,57 @@ def test_criterion_09_descent_properties(saddle_gd_trace, example1_run,
           f"over 200 steps, per-step decrease on 11 GD traces ({elapsed:.1f} s)")
 
 
-def test_criterion_10_network_plateau():
+PLATEAU_SEEDS = (0, 1, 2)
+PLATEAU_BATCH = 128
+PLATEAU_KNOBS = dict(mode="practical", eta=0.01, t_thres=10, g_thres=0.1, r=0.5,
+                     momentum=0.9, h=1e12, t_count=50)
+
+
+@pytest.fixture(scope="module")
+def plateau_problem():
+    """Criterion 10's network: 32 sigmoid units on the synthetic blobs."""
+    return make_problem("mlp", data_seed=0, dataset="synthetic_blobs", n_hidden=32).problem
+
+
+def _plateau_finals(problem, cfg: AlgoConfig, cells: list) -> list:
+    """Full-data loss after 800 epochs of cfg on each (init_mean, seed)
+    cell, the cells one lane group on mini-batches of PLATEAU_BATCH."""
+    steps_per = steps_per_epoch(problem, PLATEAU_BATCH)
+    x0s = [problem.init_params(derive_stream(seed, STREAM_INIT), mean=init_mean, std=0.1)
+           for init_mean, seed in cells]
+    traces = run_lanes(problem, cfg, 800 * steps_per, [seed for _, seed in cells], x0s,
+                       record_every=steps_per, batch_size=PLATEAU_BATCH)
+    for cell, tr in zip(cells, traces):
+        assert not isinstance(tr, RunError), f"{cfg.name} {cell}: {tr}"
+    full = problem.full_objective()
+    return [float(full.value(tr.final_x)) for tr in traces]
+
+
+def test_criterion_10_network_plateau(plateau_problem):
     """On the synthetic-blob network, saturated initialization strands
     the classical optimizers at the uniform-prediction plateau while the
     occupation-time methods break out; centered initialization frees
-    everyone."""
+    everyone.  Each algorithm's six cells (two inits x three seeds) run as
+    one lane group, each lane equal to its run alone."""
     t0 = time.perf_counter()
-    bundle = make_problem("mlp", data_seed=0, dataset="synthetic_blobs",
-                          n_hidden=32)
-    problem = bundle.problem
-    full = problem.full_objective()
-    steps_per = math.ceil(problem.n_samples / 128)
-    max_steps = 800 * steps_per
     baselines = ("sgd_momentum", "adam", "amsgrad", "rmsprop")
     adapted = ("pgdot", "pagdot")
+    cells = [(init_mean, seed) for init_mean in (-1.0, 0.0) for seed in PLATEAU_SEEDS]
 
     finals = {}
-    for init_mean in (-1.0, 0.0):
-        for seed in (0, 1, 2):
-            x0 = problem.init_params(derive_stream(seed, STREAM_INIT),
-                                     mean=init_mean, std=0.1)
-            for name in baselines + adapted:
-                cfg = AlgoConfig(name=name, mode="practical", eta=0.01,
-                                 t_thres=10, g_thres=0.1, r=0.5, momentum=0.9,
-                                 h=1e12, t_count=50)
-                batcher = Batcher(problem, 128,
-                                  derive_stream(seed, STREAM_BATCH))
-                tr = run(problem, cfg, max_steps, seed, x0=x0,
-                         batcher=batcher, record_every=steps_per)
-                finals[(init_mean, seed, name)] = float(full.value(tr.final_x))
+    for name in baselines + adapted:
+        losses = _plateau_finals(plateau_problem, AlgoConfig(name=name, **PLATEAU_KNOBS), cells)
+        finals.update(((init_mean, seed, name), loss)
+                      for (init_mean, seed), loss in zip(cells, losses))
 
     for name in baselines:
-        for seed in (0, 1, 2):
+        for seed in PLATEAU_SEEDS:
             loss = finals[(-1.0, seed, name)]
             assert loss > LN10 - 0.2, \
                 f"{name} seed {seed} left the plateau: loss {loss:.4f}"
     for name in adapted:
         escaped = sum(finals[(-1.0, seed, name)] < LN10 - 0.5
-                      for seed in (0, 1, 2))
+                      for seed in PLATEAU_SEEDS)
         assert escaped >= 2, f"{name} escaped in only {escaped}/3 seeds"
     for (init_mean, seed, name), loss in finals.items():
         if init_mean == 0.0:
@@ -542,9 +554,9 @@ def test_criterion_10_network_plateau():
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"network check took {elapsed:.0f} s, budget 600 s"
-    stuck = max(finals[(-1.0, s, n)] for n in baselines for s in (0, 1, 2))
-    pg = [finals[(-1.0, s, "pgdot")] for s in (0, 1, 2)]
-    pa = [finals[(-1.0, s, "pagdot")] for s in (0, 1, 2)]
+    stuck = max(finals[(-1.0, s, n)] for n in baselines for s in PLATEAU_SEEDS)
+    pg = [finals[(-1.0, s, "pgdot")] for s in PLATEAU_SEEDS]
+    pa = [finals[(-1.0, s, "pagdot")] for s in PLATEAU_SEEDS]
     print(f"criterion 10 PASS: saturated init keeps baselines at "
           f"loss <= {stuck:.4f} (plateau ln10 = {LN10:.4f}); pgdot finals "
           f"{[f'{v:.3f}' for v in pg]}, pagdot {[f'{v:.4f}' for v in pa]}; "
@@ -672,3 +684,27 @@ def test_criterion_12_adaptation_beats_its_controls():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"paired check took {elapsed:.0f} s, budget 30 s"
     print(f"criterion 12 PASS: {'; '.join(report)} ({elapsed:.1f} s)")
+
+
+def test_criterion_13_network_plateau_controls(plateau_problem):
+    """From criterion 10's saturated start, the kicks without the
+    adaptation stay on the plateau: pgd, pagd, and pgdot and pagdot at
+    alpha = 0 (the kick shape, every p_left 1/2) each end within 0.2 of
+    ln 10 on every seed, while criterion 10 sees the alpha = 5 methods
+    escape."""
+    t0 = time.perf_counter()
+    cells = [(-1.0, seed) for seed in PLATEAU_SEEDS]
+    report = []
+    for label, cfg in (("pgd", AlgoConfig(name="pgd", **PLATEAU_KNOBS)),
+                       ("pagd", AlgoConfig(name="pagd", **PLATEAU_KNOBS)),
+                       ("pgdot a0", AlgoConfig(name="pgdot", alpha=0.0, **PLATEAU_KNOBS)),
+                       ("pagdot a0", AlgoConfig(name="pagdot", alpha=0.0, **PLATEAU_KNOBS))):
+        losses = _plateau_finals(plateau_problem, cfg, cells)
+        for seed, loss in zip(PLATEAU_SEEDS, losses):
+            assert loss > LN10 - 0.2, \
+                f"{label} seed {seed} left the plateau: loss {loss:.4f}"
+        report.append(f"{label} {[f'{v:.4f}' for v in losses]}")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 120.0, f"plateau controls took {elapsed:.0f} s, budget 120 s"
+    print(f"criterion 13 PASS: final full-data losses above ln10 - 0.2 = {LN10 - 0.2:.4f}: "
+          f"{'; '.join(report)} ({elapsed:.1f} s)")

@@ -19,10 +19,10 @@ import pytest
 
 from otgrad import core
 from otgrad.benchmarks import MlpProblem, make_problem, staircase_objective
-from otgrad.core import STREAM_BATCH, STREAM_INIT, Objective, derive_stream, one_blas_thread
+from otgrad.core import STREAM_INIT, Objective, derive_stream, one_blas_thread
 from otgrad.harness import OUTPUT_ENV_VAR, cli, parse_config, run_experiment
 from otgrad.occupation import WeightFn
-from otgrad.optimizers import AlgoConfig, Batcher, run
+from otgrad.optimizers import AlgoConfig, run
 from otgrad.walks import fit_msd_exponent, msd_curve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -163,8 +163,7 @@ def _run_three(tmp_path, monkeypatch):
                            n_samples=256).problem
     x0 = problem.init_params(derive_stream(0, STREAM_INIT), mean=-1.0)
     tr = run(problem, AlgoConfig(name="pgdot", eta=0.01, t_thres=2, g_thres=0.1, r=0.5,
-                                 h=1e12, t_count=50), 10, 0, x0=x0,
-             batcher=Batcher(problem, 128, derive_stream(0, STREAM_BATCH)))
+                                 h=1e12, t_count=50), 10, 0, x0=x0, batch_size=128)
     monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
     out = run_experiment(parse_config(SMALL_MLP_CONFIG))
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -183,9 +182,9 @@ def test_no_openblas_found_runs_the_same(tmp_path, monkeypatch):
 _CHILD = """
 import json
 from otgrad.benchmarks import make_problem
-from otgrad.core import STREAM_BATCH, STREAM_INIT, derive_stream
+from otgrad.core import STREAM_INIT, derive_stream
 from otgrad.occupation import WeightFn
-from otgrad.optimizers import AlgoConfig, Batcher, run
+from otgrad.optimizers import AlgoConfig, run
 from otgrad.walks import fit_msd_exponent, msd_curve
 
 msd = msd_curve("repelling", WeightFn(0.0), 100_000, 100, 0)
@@ -194,7 +193,7 @@ problem = make_problem("mlp", data_seed=0, dataset="synthetic_blobs", n_hidden=1
 x0 = problem.init_params(derive_stream(0, STREAM_INIT), mean=-1.0, std=0.1)
 cfg = AlgoConfig(name="pgdot", mode="practical", eta=0.01, t_thres=10, g_thres=0.1,
                  r=0.5, momentum=0.9, h=1e12, t_count=50)
-tr = run(problem, cfg, 20, 0, x0=x0, batcher=Batcher(problem, 128, derive_stream(0, STREAM_BATCH)))
+tr = run(problem, cfg, 20, 0, x0=x0, batch_size=128)
 print(json.dumps({"fit": [v.hex() for v in fit],
                   "fs": [float(v).hex() for v in tr.fs],
                   "grad_norms": [float(v).hex() for v in tr.grad_norms]}))

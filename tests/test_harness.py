@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from otgrad.benchmarks import make_problem, mlp_param_count
-from otgrad.core import STREAM_BATCH, ContractViolation, Objective, derive_stream
+from otgrad.core import ContractViolation, Objective
 from otgrad.harness import (
     OUTPUT_ENV_VAR,
     PRESETS,
@@ -31,7 +31,7 @@ from otgrad.harness.config import (
     config_hash,
 )
 from otgrad.harness.experiment import initial_point, trace_csv_text, write_trace_csv
-from otgrad.optimizers import ALGORITHMS, AlgoConfig, Batcher, RunError, RunTrace, run, run_lanes
+from otgrad.optimizers import ALGORITHMS, AlgoConfig, RunError, RunTrace, run, run_lanes
 
 SMALL_CONFIG = """
 [problem]
@@ -321,12 +321,12 @@ class TestOneRulePerKnob:
         perturbed = read_trace_csv(out / "trace_pgdot_seed0.csv")["perturbed"]
         assert perturbed.tolist() == [1] * 40 + [0]
 
-    def test_full_grad_gate_needs_practical_mode_and_batchers(self):
+    def test_full_grad_gate_needs_practical_mode_and_a_batch_size(self):
         # the config's text for theory mode is pinned in TestConfigErrors
         with pytest.raises(ContractViolation, match="^'full_grad_gate' requires mode = practical$"):
             AlgoConfig(name="pgdot", mode="theory", full_grad_gate=True)
         # without mini-batches the gate used to be ignored
-        with pytest.raises(ContractViolation, match="full_grad_gate .* pass batchers"):
+        with pytest.raises(ContractViolation, match="full_grad_gate .* pass a batch_size"):
             run_lanes(_never_called(4), AlgoConfig(name="pgdot", full_grad_gate=True), 10, [0, 1])
 
 
@@ -452,13 +452,12 @@ class TestRunExperiment:
                               **cfg.problem_options)
         for algo in cfg.algorithms:
             for seed in cfg.seeds:
-                batcher = None if bundle.problem is None else Batcher(
-                    bundle.problem, cfg.batch_size, derive_stream(seed, STREAM_BATCH))
                 with np.errstate(over="ignore", invalid="ignore"):
                     try:
-                        alone = run(bundle.objective, algo, cfg.max_steps, seed,
+                        alone = run(bundle.objective if bundle.problem is None
+                                    else bundle.problem, algo, cfg.max_steps, seed,
                                     x0=initial_point(bundle, cfg, seed),
-                                    record_every=cfg.record_every, batcher=batcher)
+                                    record_every=cfg.record_every, batch_size=cfg.batch_size)
                     except RunError as exc:
                         alone = exc.trace
                 assert (out / f"trace_{algo.name}_seed{seed}.csv").read_text() == \

@@ -45,6 +45,7 @@ from otgrad.optimizers import (
     nce,
     run,
     run_lanes,
+    steps_per_epoch,
 )
 
 
@@ -678,11 +679,9 @@ class TestPracticalRunTranscription:
                          momentum=0.9, h=1e12, t_count=10, alpha=5.0,
                          full_grad_gate=True)
 
-        def batcher():
-            return Batcher(problem, 16, derive_stream(2, STREAM_BATCH))
-
-        tr = run(full, cfg, 20, 2, x0=x0, batcher=batcher())
-        reference_batcher = batcher()
+        tr = run(problem, cfg, 20, 2, x0=x0, batch_size=16)
+        # the batches run() draws for seed 2
+        reference_batcher = Batcher(problem, 16, derive_stream(2, STREAM_BATCH))
         fs, perturbed, x_final = _practical_occupation_reference(
             kind, reference_batcher.next_objective, x0, 2, 20, cfg, full=full)
         assert sum(perturbed) >= 2
@@ -690,7 +689,7 @@ class TestPracticalRunTranscription:
         assert tr.perturbed == perturbed + [0]
         assert np.array_equal(tr.final_x, x_final)
         batch_gated = dataclasses.replace(cfg, full_grad_gate=False)
-        assert run(full, batch_gated, 20, 2, x0=x0, batcher=batcher()).n_perturbations == 0
+        assert run(problem, batch_gated, 20, 2, x0=x0, batch_size=16).n_perturbations == 0
 
 
 THEORY_CONSTANTS = dict(ell=1.0, rho=1.0, eps=1.0, c=1.0, delta=0.1, delta_f=1.0)
@@ -830,7 +829,8 @@ class TestBatcher:
                               n_samples=64, n_hidden=4)
         b1 = Batcher(bundle.problem, 16, derive_stream(3, 1))
         b2 = Batcher(bundle.problem, 16, derive_stream(3, 1))
-        assert b1.steps_per_epoch == 4
+        assert steps_per_epoch(bundle.problem, 16) == 4
+        assert steps_per_epoch(bundle.problem, 48) == 2
         x = bundle.init_point(0)
         for _ in range(9):  # crosses an epoch boundary, reshuffling once
             o1 = b1.next_objective()
@@ -853,17 +853,13 @@ def _mlp_lanes(activation="sigmoid", mean=-1.0, std=0.1):
     return problem, problem.init_params(derive_stream(0, STREAM_INIT), mean=mean, std=std)
 
 
-def _batchers(problem, seeds, batch_size=16):
-    return [Batcher(problem, batch_size, derive_stream(s, STREAM_BATCH)) for s in seeds]
-
-
 class TestMiniBatchLanes:
     """Mini-batch lanes answer every lane's batch in one stacked call of
     the problem's batch_oracle, and each lane still equals its run() alone."""
 
     def _run_alone(self, problem, algo, steps, seed, x0):
         try:
-            return run(problem, algo, steps, seed, x0=x0, batcher=_batchers(problem, [seed])[0])
+            return run(problem, algo, steps, seed, x0=x0, batch_size=16)
         except RunError as exc:
             return exc
 
@@ -883,7 +879,7 @@ class TestMiniBatchLanes:
         # gradient norms here read 0.1-0.3, so each kick takes some lanes
         algo = AlgoConfig(name=name, eta=0.01, t_thres=1, g_thres=0.2, r=0.5, momentum=0.9,
                           h=1e12, t_count=10)
-        lanes = run_lanes(problem, algo, steps, seeds, x0s, batchers=_batchers(problem, seeds))
+        lanes = run_lanes(problem, algo, steps, seeds, x0s, batch_size=16)
         # one call per step and one for the final row; a step that kicks
         # adds one for the kicked lanes (pgd, pgdot), and pagdot one at y
         kicks = [sum(tr.perturbed[t] for tr in lanes) for t in range(steps)]
@@ -912,7 +908,7 @@ class TestMiniBatchLanes:
         x0s = [x0, blown, x0 + 0.01]
         algo = AlgoConfig(name=name, eta=0.5, t_thres=2, g_thres=0.1, r=0.5, momentum=0.9,
                           h=1e12, t_count=10)
-        lanes = run_lanes(problem, algo, steps, seeds, x0s, batchers=_batchers(problem, seeds))
+        lanes = run_lanes(problem, algo, steps, seeds, x0s, batch_size=16)
         for seed, start, result in zip(seeds, x0s, lanes):
             alone = self._run_alone(problem, algo, steps, seed, start)
             assert _trace_record(result) == _trace_record(alone)
@@ -921,28 +917,35 @@ class TestMiniBatchLanes:
         assert [isinstance(lane, RunError) for lane in (lanes[0], lanes[2])] == [False, False]
         assert [lane.final_t for lane in (lanes[0], lanes[2])] == [steps, steps]
 
-    def test_batchers_share_one_problem_and_batch_size(self):
+    @pytest.mark.parametrize("shape", ["batch_size without batch_oracle",
+                                       "a problem without batch_size",
+                                       "full_grad_gate without batch_size"])
+    def test_each_bad_shape_is_refused_before_a_step(self, shape, monkeypatch):
+        # every oracle the call could reach counts, so a refusal after step 0 shows
         problem, x0 = _mlp_lanes()
-        other = _mlp_lanes()[0]
-        algo = AlgoConfig(name="adam")
-        for batchers in ([_batchers(problem, [0])[0], _batchers(other, [1])[0]],
-                         [_batchers(problem, [0])[0], _batchers(problem, [1], 32)[0]]):
-            with pytest.raises(ContractViolation, match="share one problem"):
-                run_lanes(problem, algo, 5, [0, 1], [x0, x0], batchers=batchers)
+        calls = []
+        monkeypatch.setattr(problem, "batch_oracle", lambda X, I: calls.append(1))
+        bowl = dataclasses.replace(convex_objective(problem.dim), oracle=lambda X: calls.append(1))
 
-    def test_problem_without_batch_oracle_is_rejected_before_a_step(self):
-        class Problem:
-            dim, n_samples, calls = 2, 4, 0
+        class NoOracle:
+            dim, n_samples = problem.dim, problem.n_samples
 
             def objective_for(self, idx):
-                Problem.calls += 1
-                return convex_objective()
+                calls.append(1)
+                return convex_objective(problem.dim)
 
-        problem = Problem()
-        with pytest.raises(ContractViolation, match=r"batch_oracle\(X, I\)"):
-            run_lanes(problem, AlgoConfig(name="gd"), 5, [0, 1],
-                      batchers=_batchers(problem, [0, 1], batch_size=2))
-        assert Problem.calls == 0
+        obj, batch_size, algo, cause = {
+            "batch_size without batch_oracle":
+                (NoOracle(), 16, AlgoConfig(name="adam"), r"NoOracle has none"),
+            "a problem without batch_size":
+                (problem, None, AlgoConfig(name="adam"), r"needs an Objective.*got a MlpProblem"),
+            "full_grad_gate without batch_size":
+                (bowl, None, AlgoConfig(name="pgdot", full_grad_gate=True),
+                 r"full_grad_gate .* pass a batch_size"),
+        }[shape]
+        with pytest.raises(ContractViolation, match=cause):
+            run_lanes(obj, algo, 5, [0, 1], [x0, x0], batch_size=batch_size)
+        assert calls == []
 
 
 def _trace_record(result):
@@ -1068,17 +1071,13 @@ class TestLanes:
         bundle = make_problem("mlp", data_seed=0, dataset="synthetic_blobs",
                               n_samples=64, n_hidden=4)
         problem = bundle.problem
-        full = problem.full_objective()
         x0 = problem.init_params(derive_stream(0, STREAM_INIT), mean=-1.0, std=0.1)
         algo = AlgoConfig(name="pagdot", eta=0.01, t_thres=3, g_thres=0.1, r=0.5,
                           momentum=0.9, h=1e12, t_count=10, full_grad_gate=True)
         seeds = [2, 4]
-        lanes = run_lanes(full, algo, 20, seeds, [x0, x0 + 0.01],
-                          batchers=[Batcher(problem, 16, derive_stream(s, STREAM_BATCH))
-                                    for s in seeds])
+        lanes = run_lanes(problem, algo, 20, seeds, [x0, x0 + 0.01], batch_size=16)
         for seed, start, result in zip(seeds, [x0, x0 + 0.01], lanes):
-            alone = run(full, algo, 20, seed, x0=start,
-                        batcher=Batcher(problem, 16, derive_stream(seed, STREAM_BATCH)))
+            alone = run(problem, algo, 20, seed, x0=start, batch_size=16)
             assert _trace_record(result) == _trace_record(alone)
         assert all(tr.n_perturbations >= 2 for tr in lanes)
 
@@ -1203,9 +1202,9 @@ class TestFixedPointRetirement:
         problem = Problem()
         seeds, steps, x0 = [0, 1], 12, np.array([1.0, -0.5])
         lanes = run_lanes(problem, AlgoConfig(name="gd", eta=0.25), steps, seeds, [x0, x0],
-                          batchers=[Batcher(problem, 1, derive_stream(s, STREAM_BATCH))
-                                    for s in seeds])
+                          batch_size=1)
         for seed, tr in zip(seeds, lanes):
+            # the batches the lane of this seed draws
             batcher = Batcher(problem, 1, derive_stream(seed, STREAM_BATCH))
             x, fs = x0.copy(), []
             for _ in range(steps + 1):
