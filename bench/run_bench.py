@@ -50,6 +50,10 @@ On two presets, cut to HARNESS_STEPS steps:
 On every closed-form problem, at its default size and starting point:
 
     eval_objective.<problem>   microseconds per eval_objective call
+    classify.<problem>         microseconds per classify_point call at the
+                               harness's default tolerances (eps 0.01,
+                               rho 1): the gradient norm and lambda_min of
+                               the finite-difference Hessian
 
 On the default MLP (d = 3562, synthetic blobs) and the occupation layer:
 
@@ -87,8 +91,8 @@ made.
 
 BLAS threads: the step.* rows (run() and run_lanes) and the harness.*
 rows (run_experiment) run inside one_blas_thread, on one BLAS thread, in
-a tree that has the guard.  The oracle.*, eval_objective.*, mlp.* and
-occupation.* rows call their layer directly,
+a tree that has the guard.  The oracle.*, eval_objective.*, classify.*,
+mlp.* and occupation.* rows call their layer directly,
 outside it, on the thread count that the machine record names
 (blas_threads; null where the tree or numpy has no bundled OpenBLAS
 lookup).  Uses the standard library and numpy only, and is not part of the
@@ -110,6 +114,7 @@ import tracemalloc
 import numpy as np
 
 from otgrad import core, optimizers
+from otgrad.analysis import classify_point
 from otgrad.benchmarks import make_problem
 from otgrad.core import RngStream, eval_objective
 from otgrad.harness import PRESETS, parse_config, run_experiment
@@ -133,6 +138,7 @@ WALK_T = 20000
 WALK_PATHS = 100
 SIMULATED_WALKS = (("reinforced", 5), ("repelling", 5), ("reinforced", 1))
 CLOSED_FORM = ("staircase", "airy_regression", "reglq", "phase_retrieval")
+CLASSIFY_EPS, CLASSIFY_RHO = 0.01, 1.0
 MLP_BATCH = 128
 MLP_STEPS = 200
 MLP_KNOBS = dict(eta=0.01, t_thres=10, g_thres=0.1, r=0.5, momentum=0.9, h=1e12, t_count=50)
@@ -162,6 +168,17 @@ def _steps(traces) -> int:
 
 
 def bench() -> dict:
+    layers = bench_staircase()
+    layers.update(bench_mlp_steps())
+    layers.update(bench_classify())
+    layers.update(bench_harness())
+    layers.update(bench_layers())
+    layers.update(bench_walks())
+    return layers
+
+
+def bench_staircase() -> dict:
+    """The step.* rows on the staircase and its oracle.* rows."""
     bundle = make_problem("staircase")
     obj = bundle.objective
     saddle = bundle.init_point(0)
@@ -188,10 +205,6 @@ def bench() -> dict:
         for n in (1,) + LANES:
             X = saddle + 0.1 * rng.standard_normal((n, saddle.shape[0]))
             layers[f"oracle.rows{n}"] = _per_call_us(lambda: oracle(X), ORACLE_CALLS) / n
-    layers.update(bench_mlp_steps())
-    layers.update(bench_harness())
-    layers.update(bench_layers())
-    layers.update(bench_walks())
     return layers
 
 
@@ -234,6 +247,16 @@ def _per_call_us(fn, calls) -> float:
         for _ in range(calls):
             fn()
     return _median_us(many, lambda _: calls)
+
+
+def bench_classify() -> dict:
+    layers = {}
+    for name in CLOSED_FORM:
+        bundle = make_problem(name)
+        obj, x = bundle.objective, bundle.init_point(0)
+        layers[f"classify.{name}"] = _per_call_us(
+            lambda: classify_point(obj, x, CLASSIFY_EPS, CLASSIFY_RHO), ORACLE_CALLS // 10)
+    return layers
 
 
 def bench_layers() -> dict:
@@ -308,7 +331,7 @@ def main() -> None:
         "walk_t": WALK_T,
         "walk_paths": WALK_PATHS,
         "unit": "microseconds per cell-step (step.*, harness.<preset>), per row (oracle.*) "
-                "or per call (eval_objective.*, mlp.*, occupation.*); "
+                "or per call (eval_objective.*, classify.*, mlp.*, occupation.*); "
                 "nanoseconds per path-step (walk.*); median; "
                 "kB for harness.<preset>.peak_heap_kb, one run",
         "layers": bench_walks() if args.walks else bench(),

@@ -53,20 +53,17 @@ def fd_gradient(obj: Objective, x, h_fd: float = DEFAULT_H_GRAD) -> np.ndarray:
 
 
 def fd_hessian(obj: Objective, x, h_fd: float = DEFAULT_H_HESS) -> np.ndarray:
-    """Symmetrized Hessian from central differences of the analytic gradient."""
+    """Symmetrized Hessian from central differences of the analytic gradient:
+    one oracle call over the rows x + h e_j, then x - h e_j, j < d."""
     if h_fd <= 0:
         raise ContractViolation(f"h_fd must be > 0, got {h_fd}")
     x = as_vector(x, obj.dim)
     if obj.dim > MAX_HESSIAN_DIM:
         raise ContractViolation(
             f"dense Hessian limited to dim <= {MAX_HESSIAN_DIM}, got {obj.dim}")
-    H = np.zeros((obj.dim, obj.dim))
-    for j in range(obj.dim):
-        e = np.zeros(obj.dim)
-        e[j] = h_fd
-        g_plus = np.asarray(obj.gradient(x + e), dtype=np.float64)
-        g_minus = np.asarray(obj.gradient(x - e), dtype=np.float64)
-        H[:, j] = (g_plus - g_minus) / (2.0 * h_fd)
+    steps = np.diag(np.full(obj.dim, h_fd))
+    G = obj.oracle(np.concatenate([x + steps, x - steps]))[1]
+    H = ((G[:obj.dim] - G[obj.dim:]) / (2.0 * h_fd)).T
     if not np.all(np.isfinite(H)):
         raise NumericalDomainError("non-finite entries in finite-difference Hessian")
     return 0.5 * (H + H.T)

@@ -20,28 +20,34 @@ import numpy as np
 from ..core import ContractViolation, NumericalDomainError, Objective
 
 
-def _branch(r: float, n_plateaus: int, length: float) -> int:
-    """Plateau index for radius r: 0 for the innermost bowl, else min(n, N)."""
-    try:
-        n = math.floor(r / length + 0.5)
-    except ValueError:  # math.floor(nan); the try costs nothing when r is a number
-        raise NumericalDomainError(f"squared-radius mean is {r}") from None
-    return min(n, n_plateaus)
+def _profile(sums: list, dim: int, scale: float, n_plateaus: int,
+             length: float) -> tuple[list, list]:
+    """f~(r) and scale * f~'(r) at r = s / dim for each row sum s, in one pass.
 
-
-def _profile_and_slope(r: float, n_plateaus: int, length: float) -> tuple[float, float]:
-    """(f~(r), f~'(r)) from one branch lookup; r >= 0 is the caller's to check."""
-    n = _branch(r, n_plateaus, length)
-    if n == 0:
-        return r ** 3, 3.0 * r * r
-    u = r - n * length
-    return u ** 3 + 0.25 * n * length ** 3, 3.0 * u ** 2
+    The plateau index is 0 in the innermost bowl, else round(r / L) capped
+    at N.  A NaN sum raises NumericalDomainError; r >= 0 is the caller's to check.
+    """
+    fs, coefs = [], []
+    for s in sums:
+        r = s / dim
+        try:
+            n = min(math.floor(r / length + 0.5), n_plateaus)
+        except ValueError:  # math.floor(nan); the try costs nothing when r is a number
+            raise NumericalDomainError(f"squared-radius mean is {r}") from None
+        if n == 0:
+            fs.append(r ** 3)
+            coefs.append(3.0 * r * r * scale)
+        else:
+            u = r - n * length
+            fs.append(u ** 3 + 0.25 * n * length ** 3)
+            coefs.append(3.0 * u ** 2 * scale)
+    return fs, coefs
 
 
 def staircase_profile(r: float, n_plateaus: int = 4, length: float = 1.0) -> float:
     if r < 0:
         raise ContractViolation(f"squared-radius mean must be >= 0, got {r}")
-    return _profile_and_slope(r, n_plateaus, length)[0]
+    return _profile([r], 1, 1.0, n_plateaus, length)[0][0]
 
 
 def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) -> Objective:
@@ -58,14 +64,9 @@ def staircase_objective(dim: int = 4, n_plateaus: int = 4, length: float = 1.0) 
         raise ContractViolation(
             f"invalid staircase shape dim={dim}, n_plateaus={n_plateaus}, length={length}")
     scale = 2.0 / dim
-    add = np.add.reduce
 
     def oracle(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fs, coefs = [], []
-        for sum_sq in add(X * X, axis=1).tolist():
-            f, slope = _profile_and_slope(sum_sq / dim, n_plateaus, length)
-            fs.append(f)
-            coefs.append(slope * scale)
+        fs, coefs = _profile(np.add.reduce(X * X, axis=1).tolist(), dim, scale, n_plateaus, length)
         return np.array(fs), X * np.array(coefs)[:, None]
 
     return Objective(dim=dim, name="staircase", oracle=oracle)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from otgrad.analysis import (
+    DEFAULT_H_HESS,
     LABELS,
     MAX_HESSIAN_DIM,
     classify_point,
@@ -81,6 +82,24 @@ class TestFdHessian:
         H = fd_hessian(obj, rng.normal(size=4))
         assert np.allclose(H, A, atol=1e-8)
         assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("name", ["staircase", "reglq", "phase_retrieval",
+                                      "airy_regression"])
+    def test_equals_per_column_reference_in_one_oracle_call(self, name):
+        bundle = make_problem(name)
+        obj, x = bundle.objective, bundle.init_point(0)
+        H_ref = np.zeros((obj.dim, obj.dim))
+        for j in range(obj.dim):
+            e = np.zeros(obj.dim)
+            e[j] = DEFAULT_H_HESS
+            H_ref[:, j] = (obj.gradient(x + e) - obj.gradient(x - e)) / (2.0 * DEFAULT_H_HESS)
+        H_ref = 0.5 * (H_ref + H_ref.T)
+        stacks = []
+        counted = Objective(dim=obj.dim, name=name,
+                            oracle=lambda X: stacks.append(X.shape) or obj.oracle(X))
+        H = fd_hessian(counted, x)
+        assert stacks == [(2 * obj.dim, obj.dim)]
+        assert H.tobytes() == H_ref.tobytes()
 
     def test_dim_cap(self):
         big = Objective(dim=MAX_HESSIAN_DIM + 1,

@@ -42,8 +42,9 @@ from otgrad.benchmarks.quadratics import (
     phase_retrieval_objective,
     reglq_objective,
 )
+from otgrad.benchmarks import staircase
 from otgrad.benchmarks.staircase import (
-    _profile_and_slope,
+    _profile,
     staircase_objective,
     staircase_profile,
     staircase_saddle_init,
@@ -131,6 +132,44 @@ class TestStaircase:
             x = scale * rng.standard_normal(dim)
             _assert_same_bits((obj.value(x), obj.gradient(x)), _old_staircase(x))
 
+    # sums of squares 0..10, 12, 14, 16, 18 and 40: for L = 1 and L = 1/2
+    # the radii (sum / 4) hit the origin, every ring nL and every branch
+    # edge (n +/- 1/2) L exactly, and lie past the last plateau
+    STACK16 = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [-1, 1, 0, 0], [1, 1, -1, 0],
+                        [0, 2, 0, 0], [2, -1, 0, 0], [2, 1, 1, 0], [-2, 1, 1, 1],
+                        [2, 2, 0, 0], [0, 0, 3, 0], [3, 1, 0, 0], [2, 2, -2, 0],
+                        [3, -2, 1, 0], [2, 2, 2, 2], [4, 1, 1, 0], [6, 0, -2, 0]],
+                       dtype=np.float64)
+
+    @pytest.mark.parametrize("n_plateaus, length", [(4, 1.0), (4, 0.5), (2, 1.0)])
+    def test_stack_rows_equal_each_row_alone_and_the_profile(self, n_plateaus, length,
+                                                             monkeypatch):
+        X = self.STACK16
+        radii = [float(np.mean(x * x)) for x in X]
+        edges = {k * length / 2 for k in range(2 * n_plateaus + 2)}
+        assert edges <= set(radii) and max(radii) > (n_plateaus + 0.5) * length
+        obj = staircase_objective(dim=4, n_plateaus=n_plateaus, length=length)
+        calls = []
+        profile = staircase._profile
+
+        def counted(sums, *args):
+            calls.append(len(sums))
+            return profile(sums, *args)
+
+        monkeypatch.setattr(staircase, "_profile", counted)
+        F, G = obj.oracle(X)
+        assert calls == [16]  # one profile pass per stack
+        for i, (x, r) in enumerate(zip(X, radii)):
+            alone = obj.oracle(X[i:i + 1])
+            _assert_same_bits((F[i], G[i]), (alone[0][0], alone[1][0]))
+            _assert_same_bits((F[i], G[i]), _old_staircase(x, n_plateaus, length))
+            assert (np.float64(staircase_profile(r, n_plateaus, length)).tobytes()
+                    == F[i].tobytes())
+        X = X.copy()
+        X[7, 2] = np.nan
+        with pytest.raises(NumericalDomainError, match="squared-radius mean is nan"):
+            obj.oracle(X)
+
     def test_profile_values(self):
         assert staircase_profile(0.0) == 0.0
         assert staircase_profile(0.5) == pytest.approx(0.125, abs=1e-15)
@@ -147,8 +186,8 @@ class TestStaircase:
             assert lower == upper
             assert 3.0 * (r - n) ** 2 == 3.0 * (r - (n + 1)) ** 2
             assert staircase_profile(r) == pytest.approx(lower, abs=1e-15)
-            assert _profile_and_slope(r, 4, 1.0)[1] == pytest.approx(3.0 * (r - n) ** 2,
-                                                          abs=1e-15)
+            assert _profile([r], 1, 1.0, 4, 1.0)[1][0] == pytest.approx(3.0 * (r - n) ** 2,
+                                                                     abs=1e-15)
 
     def test_branch_clamps_past_last_plateau(self):
         assert staircase_profile(10.0, n_plateaus=4) == pytest.approx(

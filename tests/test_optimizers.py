@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from otgrad.optimizers import (
     PagdotParams,
     PgdotParams,
     RunError,
+    RunTrace,
     _Lanes,
     _nce,
     _norm,
@@ -1318,6 +1320,20 @@ class TestDivergence:
                                                       [0, 1, 2, 3], x0s)
         assert isinstance(lanes[1], RunError)
         assert not isinstance(lanes[0], RunError) and lanes[0].final_t == 100
+
+    @pytest.mark.parametrize("name", ["adam", "sgd_momentum", "pgdot", "pagdot"])
+    def test_mlp_takes_a_huge_step_and_stays_finite(self, name):
+        # at eta = 1e12 the sigmoids and the softmax saturate: the batch
+        # loss grows (adam) or reaches 0, but no value or gradient leaves
+        # the floats and numpy warns of nothing
+        bundle = make_problem("mlp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = run_lanes(bundle.problem, AlgoConfig(name=name, eta=1e12), 30, [0, 1],
+                              [bundle.init_point(seed) for seed in (0, 1)], batch_size=128)
+        for lane in lanes:
+            assert isinstance(lane, RunTrace) and lane.final_t == 30 and len(lane.fs) == 31
+            assert all(map(math.isfinite, lane.fs + lane.grad_norms))
 
     def test_failure_in_a_step_ends_only_that_lane(self):
         # the gradient overflows right of 1; lane 1 comes from the left with
