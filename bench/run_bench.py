@@ -19,7 +19,8 @@ every coordinate, since on the ring they stand still):
                            perturbed ones in theory mode (theory_<algo>)
     step.<algo>.lanes<L>   microseconds per cell-step of run_lanes with L
                            lanes (4, 16), for gd, practical pgdot and
-                           pagdot, and theory pagdot
+                           pagdot, and theory pgdot and pagdot, whose
+                           windows keep the whole history
     step.gd.ring.lanes4    the same for gd with 4 lanes on the ring, where
                            the engine retires each lane after its first
                            step (a tree without retirement steps them all)
@@ -131,7 +132,7 @@ KNOBS = dict(eta=0.1, t_thres=10, g_thres=0.01, r=0.04, momentum=0.5, h=0.04, t_
 ONE_LANE = {**{name: AlgoConfig(name=name, **KNOBS) for name in ALGORITHMS},
             **{f"theory_{name}": AlgoConfig(name=name, mode="theory", **KNOBS)
                for name in PERTURBED_ALGORITHMS}}
-MANY_LANES = ("gd", "pgdot", "pagdot", "theory_pagdot")
+MANY_LANES = ("gd", "pgdot", "pagdot", "theory_pgdot", "theory_pagdot")
 UNPERTURBED = ("gd", "agd")
 MOVING = 0.05
 WALK_T = 20000
@@ -147,7 +148,7 @@ MLP_ORACLE_LANES = (1, 2, 6)
 HARNESS_STEPS = 200
 HARNESS_PRESETS = {"example1": "max_steps = 2000", "example3_pr": "max_steps = 1200"}
 OCCUPATION_DIMS = (4, 100, 3562)
-WINDOW = dict(t_count=50, h=1e12)  # the MLP preset's window
+WINDOW_ROWS, WINDOW_H = 50, 1e12  # the MLP preset's window
 
 
 def _median_us(fn, per) -> float:
@@ -282,8 +283,8 @@ def bench_layers() -> dict:
     weight = WeightFn(5.0)
     for d in OCCUPATION_DIMS:
         rng = RngStream(d, 0)
-        window = OccupationWindow(d, **WINDOW)
-        for _ in range(WINDOW["t_count"]):
+        window = OccupationWindow(d, WINDOW_ROWS, WINDOW_H)
+        for _ in range(WINDOW_ROWS):
             window.record(rng.normal(d))
         x = rng.normal(d)
         calls = ORACLE_CALLS if d <= 100 else ORACLE_CALLS // 10

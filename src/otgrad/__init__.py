@@ -41,7 +41,6 @@ from .optimizers import (
     baseline_step,
     derive_pagdot_params,
     derive_pgdot_params,
-    gd_step,
     nce,
     run,
     run_lanes,
@@ -53,7 +52,6 @@ from .analysis import (
     fd_gradient,
     fd_hessian,
     min_hessian_eig,
-    monotone_after,
 )
 from .walks import (
     WALK_KINDS,
@@ -105,11 +103,9 @@ __all__ = [
     "fd_gradient",
     "fd_hessian",
     "fit_msd_exponent",
-    "gd_step",
     "localization_metric",
     "make_problem",
     "min_hessian_eig",
-    "monotone_after",
     "msd_curve",
     "msd_exponent",
     "nce",

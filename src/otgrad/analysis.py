@@ -99,22 +99,6 @@ def classify_point(obj: Objective, x, eps: float, rho: float,
                               grad_threshold=float(eps), curv_threshold=curv_threshold)
 
 
-def monotone_after(trace_1d: Sequence[float], burn_in: float = 0.0) -> bool:
-    """True iff the trace moves in one direction after the burn-in fraction.
-
-    Zero differences are allowed alongside either direction; a constant
-    tail counts as monotone.
-    """
-    values = np.asarray(trace_1d, dtype=np.float64)
-    if values.shape[0] < 10:
-        raise ContractViolation(f"trace length must be >= 10, got {values.shape[0]}")
-    if not 0.0 <= burn_in < 1.0:
-        raise ContractViolation(f"burn_in must be in [0, 1), got {burn_in}")
-    start = int(burn_in * values.shape[0])
-    diffs = np.diff(values[start:])
-    return not (np.any(diffs > 0) and np.any(diffs < 0))
-
-
 def escape_summary(traces: Sequence[RunTrace], threshold: float) -> list:
     """One row per run: first step with f below threshold, best f, event counts.
 

@@ -281,8 +281,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def check_window_budget(config: ExperimentConfig, dim: int, max_steps: int) -> None:
-    """Raise ConfigError if some section's occupation windows, one per seed
-    and each sized by optimizers.window_rows, would overflow their budget."""
+    """Raise ConfigError if some section's occupation windows would overflow
+    their budget: run_lanes's own sizing and check over the grid, with the
+    section and the keys that lower it."""
     errors = []
     for algo in config.algorithms:
         rows, whole = window_rows(algo, dim, max_steps)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -105,28 +104,25 @@ class WeightFn:
 
 
 class OccupationWindow:
-    """Sliding window over the last `t_count` recorded iterates.
+    """A ring of the last `rows` recorded iterates, allocated at once.
 
-    t_count=None keeps the full history (used by the theory-mode algorithms,
-    which count occupation over all past iterates).
+    The run sizes it (optimizers.run_lanes): min(t_count, max_steps) rows,
+    or max_steps for the full history that theory mode counts over, so a
+    ring that never fills keeps every iterate of its run.
     """
 
-    def __init__(self, dim: int, t_count: Optional[int] = None, h: float = math.inf):
+    def __init__(self, dim: int, rows: int, h: float = math.inf):
         if dim <= 0:
             raise ContractViolation(f"dim must be positive, got {dim}")
-        if t_count is not None and t_count <= 0:
-            raise ContractViolation(f"t_count must be positive, got {t_count}")
+        if rows <= 0:
+            raise ContractViolation(f"rows must be positive, got {rows}")
         if not (h > 0):
             raise ContractViolation(f"window half-width h must be positive, got {h}")
         self.dim = dim
-        self.t_count = t_count
         self.h = float(h)
-        if t_count is None:
-            self._buf = np.empty((256, dim), dtype=np.float64)
-        else:
-            self._buf = np.empty((t_count, dim), dtype=np.float64)
+        self._buf = np.empty((rows, dim), dtype=np.float64)
         self._n = 0      # number of stored samples
-        self._head = 0   # ring-buffer write position (bounded case)
+        self._head = 0   # ring write position
 
     def __len__(self) -> int:
         return self._n
@@ -136,19 +132,11 @@ class OccupationWindow:
         return math.isinf(self.h) or self.h >= UNWINDOWED_H
 
     def record(self, x) -> None:
-        """Append an iterate, evicting the oldest one beyond t_count."""
-        v = as_vector(x, self.dim)
-        if self.t_count is None:
-            if self._n == self._buf.shape[0]:
-                grown = np.empty((2 * self._n, self.dim), dtype=np.float64)
-                grown[: self._n] = self._buf
-                self._buf = grown
-            self._buf[self._n] = v
-            self._n += 1
-        else:
-            self._buf[self._head] = v
-            self._head = (self._head + 1) % self.t_count
-            self._n = min(self._n + 1, self.t_count)
+        """Store an iterate, evicting the oldest one once the ring is full."""
+        rows = len(self._buf)
+        self._buf[self._head] = as_vector(x, self.dim)
+        self._head = (self._head + 1) % rows
+        self._n = min(self._n + 1, rows)
 
     def samples(self) -> np.ndarray:
         """Stored samples, shape (len(self), dim). Order not significant."""
@@ -162,9 +150,6 @@ class OccupationWindow:
         """
         v = as_vector(x, self.dim)
         block = self._buf[: self._n]
-        if self._n == 0:
-            z = np.zeros(self.dim, dtype=np.int64)
-            return z, z.copy()
         if self.unwindowed:
             left = np.count_nonzero(block <= v, axis=0)
             right = self._n - left

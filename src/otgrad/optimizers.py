@@ -183,13 +183,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def gd_step(obj: Objective, x, eta: float, grad: Optional[np.ndarray] = None) -> np.ndarray:
-    """One plain gradient descent step x - eta * grad f(x)."""
-    v = as_vector(x, obj.dim)
-    g = obj.gradient(v) if grad is None else grad
-    return v - eta * g
-
-
 # ---------------------------------------------------------------------------
 # Lanes and the oracle path
 # ---------------------------------------------------------------------------
@@ -323,7 +316,8 @@ class _Rule:
     sampler None means unperturbed.  `terminate` carries the theory-mode
     pgd/pgdot constants (improve-or-terminate), `certify` the theory-mode
     pagd/pagdot constants (curvature certificate and NCE), and `baseline`
-    names a stochastic baseline.  t_count and h size the occupation windows.
+    names a stochastic baseline.  t_count (None: the whole history) and h
+    shape the occupation windows, which window_rows sizes.
     """
 
     eta: float
@@ -340,6 +334,14 @@ class _Rule:
     baseline: Optional[str] = None
     t_count: Optional[int] = None
     h: float = math.inf
+
+    def window_rows(self, max_steps: int) -> int:
+        """The iterates each lane's occupation window holds over max_steps
+        steps: min(t_count, max_steps), max_steps for the whole history,
+        and 0 without the occupation sampler."""
+        if self.sampler != "occupation":
+            return 0
+        return max_steps if self.t_count is None else min(self.t_count, max_steps)
 
     @property
     def deterministic(self) -> bool:
@@ -798,18 +800,16 @@ def _rule(algo: AlgoConfig, dim: int) -> _Rule:
                  t_count=algo.t_count, h=algo.h)
 
 
-# A full-history window grows with the run: cap one algorithm's, all lanes together.
+# A full-history window holds a row per step: cap one algorithm's, all lanes together.
 WINDOW_BUDGET_BYTES = 1 << 30
 
 
 def window_rows(algo: AlgoConfig, dim: int, max_steps: int) -> tuple[int, bool]:
-    """(rows, whole): the iterates each lane's occupation window holds after
-    max_steps steps of algo's rule, none without the occupation sampler,
-    and whether it keeps the whole history (t_count None)."""
+    """(rows, whole): the rows run_lanes gives each lane's occupation
+    window over max_steps steps of algo (_Rule.window_rows), and whether
+    the window keeps the whole history (t_count None)."""
     rule = _rule(algo, dim)
-    whole = rule.t_count is None
-    rows = max_steps if whole else min(rule.t_count, max_steps)
-    return (rows if rule.sampler == "occupation" else 0), whole
+    return rule.window_rows(max_steps), rule.t_count is None
 
 
 def window_budget_fault(lanes: int, rows: int, dim: int) -> Optional[str]:
@@ -822,6 +822,7 @@ def window_budget_fault(lanes: int, rows: int, dim: int) -> Optional[str]:
 
 
 @one_blas_thread()
+@np.errstate(over="ignore", invalid="ignore")
 def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
               record_every: int = 1, batch_size: Optional[int] = None) -> list:
     """Run one algorithm from several seeds in lockstep, one lane per seed.
@@ -834,7 +835,11 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     termination state and trace.  A lane that terminates (theory-mode
     pgd/pgdot) or fails (NumericalDomainError or float overflow in an
     oracle call) drops out and the others go on.  Every product, in the
-    oracle and in the step, runs on one BLAS thread (one_blas_thread).
+    oracle and in the step, runs on one BLAS thread (one_blas_thread),
+    and numpy's overflow and invalid-value warnings stay quiet: a lane
+    that meets either fails with a RunError that names it.  Each lane with
+    the occupation sampler gets one window of rule.window_rows(max_steps)
+    rows, the rows the budget check counts.
 
     A lane whose rule is deterministic (gd or agd, either mode) on an
     Objective (no batch_size) also retires early, when one step leaves its
@@ -876,15 +881,15 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     if n == 0:
         return []
     dim = obj.dim
-    fault = window_budget_fault(n, window_rows(algo, dim, max_steps)[0], dim)
+    rule = _rule(algo, dim)
+    rows = rule.window_rows(max_steps)
+    fault = window_budget_fault(n, rows, dim)
     if fault:
         raise ContractViolation(f"{algo.name}: {fault}")
     X = np.zeros((n, dim)) if x0s is None else np.array([as_vector(x0, dim) for x0 in x0s])
-    rule = _rule(algo, dim)
     lanes = _Lanes(
         X, [derive_stream(seed, STREAM_ALGORITHM) for seed in seeds],
-        windows=[OccupationWindow(dim, t_count=rule.t_count, h=rule.h)
-                 if rule.sampler == "occupation" else None for _ in seeds],
+        windows=[OccupationWindow(dim, rows, rule.h) if rows else None for _ in seeds],
         t_noise=[-rule.cooldown] * n,
         V=np.zeros_like(X) if rule.accelerated else None,
         hyper=None if rule.baseline is None else

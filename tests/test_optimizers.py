@@ -43,7 +43,6 @@ from otgrad.optimizers import (
     baseline_step,
     derive_pagdot_params,
     derive_pgdot_params,
-    gd_step,
     nce,
     run,
     run_lanes,
@@ -76,14 +75,15 @@ class _OneLane:
     one _step of `rule`.  It returns the saved point when an
     improve-or-terminate check stops the lane (x and t then stay as they
     were), else None with t advanced.  The attributes read through to the
-    lane; x and v are its rows, so a test may write them in place.
+    lane; x and v are its rows, so a test may write them in place.  Its
+    window holds 64 iterates, more than any test steps, and is there for
+    the ball sampler too, so a test can see that it stays empty.
     """
 
     def __init__(self, rule, x0, rng):
         X = np.array(x0, dtype=np.float64)[None, :]
         self.rule = rule
-        self.lanes = _Lanes(X, [rng], [OccupationWindow(X.shape[1], t_count=rule.t_count,
-                                                        h=rule.h)],
+        self.lanes = _Lanes(X, [rng], [OccupationWindow(X.shape[1], 64, rule.h)],
                             [-rule.cooldown], np.zeros_like(X) if rule.accelerated else None)
 
     def step(self, obj):
@@ -117,7 +117,7 @@ def _pagdot_lane(x0, params, rng, sampler="occupation", weight=WeightFn(),
 
 class TestPublicSurface:
     RETIRED = ("OptimizerState", "make_pgdot_state", "make_pagdot_state",
-               "pgdot_step", "pagdot_step")
+               "pgdot_step", "pagdot_step", "gd_step", "monotone_after")
 
     def test_all_names_exist_once(self):
         assert [name for name in otgrad.__all__ if not hasattr(otgrad, name)] == []
@@ -203,6 +203,12 @@ class TestParameterDerivations:
                                 delta=0.1, delta_f=1.0)
 
 
+def gd_step(obj, x, eta):
+    """One plain gradient step x - eta * grad f(x), as the engine takes it:
+    the final iterate of a one-step gd run from x."""
+    return run(obj, AlgoConfig(name="gd", eta=eta), 1, 0, x0=x).final_x
+
+
 class TestGdStep:
     def test_hand_example(self):
         out = gd_step(convex_objective(), np.array([1.0, 1.0]), 0.5)
@@ -222,10 +228,13 @@ class TestGdStep:
             seen.append(float(x[0]))
         assert seen == pytest.approx([0.0, 0.8, 0.96, 0.992], abs=1e-15)
 
-    def test_precomputed_gradient_used(self):
-        out = gd_step(convex_objective(), np.array([1.0, 0.0]), 1.0,
-                      grad=np.array([0.5, 0.5]))
-        assert np.array_equal(out, np.array([0.5, -0.5]))
+    def test_step_is_x_minus_eta_times_the_gradient(self):
+        obj = make_problem("staircase").objective
+        rng = RngStream(5, 0)
+        for _ in range(20):
+            x = 1.5 * rng.normal(4)
+            expected = x - 0.3 * obj.gradient(x)
+            assert gd_step(obj, x, 0.3).tobytes() == expected.tobytes()
 
 
 class TestPgdotStep:
@@ -571,7 +580,7 @@ class TestRun:
     def test_divergence_raises_run_error_with_partial_trace(self):
         obj = Objective(dim=1, value=lambda x: 0.5 * float(x @ x),
                         gradient=lambda x: np.asarray(x, dtype=np.float64))
-        with np.errstate(over="ignore"), pytest.raises(RunError) as info:
+        with pytest.raises(RunError) as info:
             run(obj, AlgoConfig(name="gd", eta=3.0), 100, 0, x0=np.array([1e150]))
         trace = info.value.trace
         assert len(trace.ts) >= 1
@@ -613,7 +622,7 @@ def _practical_occupation_reference(kind, next_objective, x0, seed, steps, cfg,
     run(): one f per step plus a final row on a fresh objective.
     """
     rng = derive_stream(seed, STREAM_ALGORITHM)
-    window = OccupationWindow(x0.shape[0], t_count=cfg.t_count, h=cfg.h)
+    window = OccupationWindow(x0.shape[0], cfg.t_count or steps, cfg.h)  # None: every step
     weight = WeightFn(cfg.alpha)
     x = np.array(x0, dtype=np.float64)
     v = np.zeros_like(x)
@@ -898,7 +907,6 @@ class TestMiniBatchLanes:
             alone = self._run_alone(problem, algo, steps, seed, start)
             assert _trace_record(result) == _trace_record(alone)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", ["gd", "pgdot", "pagdot"])
     def test_lane_that_turns_non_finite_ends_alone(self, name):
         # relu lets a first layer at 1e154 through: one step grows the
@@ -1051,7 +1059,7 @@ class TestLanes:
             states.append(state)
         F, G = zip(*(eval_objective(obj, x) for x in xs))
         lanes = _Lanes(xs.copy(), [RngStream(k + 4, 0) for k in range(3)],
-                       windows=[OccupationWindow(2) for _ in range(3)],
+                       windows=[OccupationWindow(2, 1) for _ in range(3)],
                        t_noise=[-params.script_t] * 3, V=vs.copy())
         _step(_pagdot_rule(params, "occupation", WeightFn(), False), lanes, obj,
               list(F), np.array(G), [_norm(g) for g in G])
@@ -1082,6 +1090,28 @@ class TestLanes:
             alone = run(problem, algo, 20, seed, x0=start, batch_size=16)
             assert _trace_record(result) == _trace_record(alone)
         assert all(tr.n_perturbations >= 2 for tr in lanes)
+
+    @pytest.mark.parametrize("name", ["pgdot", "pagdot"])
+    def test_t_count_past_max_steps_windows_hold_max_steps_rows(self, name, monkeypatch):
+        # a window sized min(t_count, max_steps) never evicts in its run, so
+        # the lanes equal those at t_count = max_steps; theory mode keeps
+        # the whole history, max_steps rows too
+        rows = []
+
+        def window(dim, n, h):
+            rows.append(n)
+            return OccupationWindow(dim, n, h)
+
+        monkeypatch.setattr(otgrad.optimizers, "OccupationWindow", window)
+        obj, _, x0s = _staircase_lanes()
+        huge, cut = (run_lanes(obj, dataclasses.replace(_lane_algo(name, "practical"), t_count=t),
+                               50, [0, 1], x0s[:2]) for t in (10 ** 15, 50))
+        assert [_trace_record(tr) for tr in huge] == [_trace_record(tr) for tr in cut]
+        assert all(tr.n_perturbations > 0 for tr in huge)
+        run_lanes(obj, _lane_algo(name, "theory"), 50, [0, 1], x0s[:2])
+        assert rows == [50] * 6
+        assert run_lanes(obj, _lane_algo(name, "theory"), 0, [0], x0s[:1])[0].ts == [0]
+        assert rows == [50] * 6  # max_steps = 0 builds no window
 
     def test_oracle_of_the_wrong_shape_is_named(self):
         obj, seeds, x0s = _staircase_lanes()
@@ -1299,7 +1329,7 @@ class TestDivergence:
     def test_overflow_is_a_run_error(self, name):
         bundle = make_problem("staircase")
         x0 = bundle.init_point(0) + 0.5
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RunError) as info:
+        with pytest.raises(RunError) as info:
             run(bundle.objective, AlgoConfig(name=name, eta=50.0), 100, 0, x0=x0)
         trace = info.value.trace
         assert isinstance(info.value.__cause__, NumericalDomainError)
@@ -1309,15 +1339,37 @@ class TestDivergence:
         assert trace.fs[0] == float(bundle.objective.value(x0))
         assert np.isfinite(trace.final_x).all()
 
+    def test_runs_keep_numpy_float_warnings_to_themselves(self):
+        # each RunError names what numpy would have warned of: the
+        # staircase's overflow in X * X, phase retrieval's in its residual
+        staircase, phase = make_problem("staircase"), make_problem("phase_retrieval")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stair = run_lanes(staircase.objective, AlgoConfig(name="pgdot"), 10, [0],
+                              [np.full(4, 1e200)])[0]
+            blown = run_lanes(phase.objective, AlgoConfig(name="gd", eta=10.0), 10, [0],
+                              [np.full(10, 10.0)])[0]
+        assert str(stair) == ("run aborted at step 0: staircase: float overflow: "
+                              "cannot convert float infinity to integer")
+        assert stair.trace.ts == [] and (stair.trace.final_x == 1e200).all()
+        assert str(blown) == "run aborted at step 4: phase_retrieval: non-finite value or gradient"
+        assert blown.trace.ts == [0, 1, 2, 3]
+        assert blown.trace.fs == [3607469.901245946, 1.9218077625126862e+27,
+                                  4.141829451832121e+89, 6.930051582181582e+276]
+        assert blown.trace.grad_norms[-1] == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a direct call keeps numpy's default
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                eval_objective(staircase.objective, np.full(4, 1e200))
+
     @pytest.mark.parametrize("name", ["gd", "pgdot", "pagdot", "sgd_momentum"])
     def test_diverging_lane_leaves_the_others_alone(self, name):
         bundle = make_problem("staircase")
         saddle = bundle.init_point(0)
         x0s = [saddle + off for off in (0.0, 0.5, 1e-3, -0.01)]
         algo = AlgoConfig(name=name, eta=5.0, t_thres=10, g_thres=0.01, r=0.04)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lanes = _assert_lanes_match_one_lane_runs(bundle.objective, algo, 100,
-                                                      [0, 1, 2, 3], x0s)
+        lanes = _assert_lanes_match_one_lane_runs(bundle.objective, algo, 100,
+                                                  [0, 1, 2, 3], x0s)
         assert isinstance(lanes[1], RunError)
         assert not isinstance(lanes[0], RunError) and lanes[0].final_t == 100
 

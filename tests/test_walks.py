@@ -214,7 +214,7 @@ class TestSimulate:
         # would not be. Both engines stop at the same first bad count, and
         # so does the occupation sampler with `count` samples on each side
         # of its one coordinate, where w(L) = w(R) and p_left would be 1/2.
-        window = OccupationWindow(dim=1)
+        window = OccupationWindow(dim=1, rows=2 * count)
         for v in [-1.0] * count + [1.0] * count:
             window.record([v])
         for run in (lambda: simulate("reinforced", WeightFn(alpha), 2000, 0),
