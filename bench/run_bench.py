@@ -2,13 +2,11 @@
 
     PYTHONPATH=src python3 bench/run_bench.py [--out BENCH_<n>.json] [--walks]
 
-Point PYTHONPATH at the src/ of any tree to time that tree: the one-lane
-rows call run(), the harness rows run_experiment and the walk rows
-msd_curve and simulate, which every tree has, so two trees' numbers
-compare row by row.  Rows whose entry point a tree lacks (run_lanes, the
-stacked oracle) are left out of its output.  The step.*.mlp.* rows pass
-run() and run_lanes a batch_size, so they need a tree whose engine builds
-each lane's mini-batches from its seed (this tree or a later one).
+Point PYTHONPATH at the src/ of any tree to time that tree, so two
+trees' numbers compare row by row.  The step.*.mlp.* rows pass run() and
+run_lanes a batch_size, so they need a tree whose engine builds each
+lane's mini-batches from its seed (this tree or a later one), and every
+such tree has run_lanes, the stacked oracles and bundled_blas.
 
 Layers, REPEATS runs each. On the d = 4 staircase from its saddle ring
 with preset example1's knobs (gd and agd from the ring plus MOVING in
@@ -91,13 +89,12 @@ pgd/pgdot lane that terminates early is charged only for the steps it
 made.
 
 BLAS threads: the step.* rows (run() and run_lanes) and the harness.*
-rows (run_experiment) run inside one_blas_thread, on one BLAS thread, in
-a tree that has the guard.  The oracle.*, eval_objective.*, classify.*,
-mlp.* and occupation.* rows call their layer directly,
-outside it, on the thread count that the machine record names
-(blas_threads; null where the tree or numpy has no bundled OpenBLAS
-lookup).  Uses the standard library and numpy only, and is not part of the
-test suite.  Timings depend on the machine, so the output records it;
+rows (run_experiment) run inside one_blas_thread, on one BLAS thread.
+The oracle.*, eval_objective.*, classify.*, mlp.* and occupation.* rows
+call their layer directly, outside it, on the thread count that the
+machine record names (blas_threads; null where numpy has no bundled
+OpenBLAS).  Uses the standard library and numpy only, and is not part
+of the test suite.  Timings depend on the machine, so the output records it;
 compare two trees only with numbers from the same machine.
 """
 
@@ -114,14 +111,13 @@ import tracemalloc
 
 import numpy as np
 
-from otgrad import core, optimizers
 from otgrad.analysis import classify_point
 from otgrad.benchmarks import make_problem
-from otgrad.core import RngStream, eval_objective
+from otgrad.core import RngStream, bundled_blas, eval_objective
 from otgrad.harness import PRESETS, parse_config, run_experiment
 from otgrad.occupation import (OccupationWindow, WeightFn, sample_ball_perturbation,
                                sample_occupation_perturbation)
-from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, run
+from otgrad.optimizers import ALGORITHMS, PERTURBED_ALGORITHMS, AlgoConfig, run, run_lanes
 from otgrad.walks import msd_curve, simulate
 
 REPEATS = 5
@@ -191,21 +187,17 @@ def bench_staircase() -> dict:
     for name, algo in ONE_LANE.items():
         layers[f"step.{name}.lanes1"] = _median_us(
             lambda: [run(obj, algo, STEPS, 0, x0=start(name))], _steps)
-    run_lanes = getattr(optimizers, "run_lanes", None)
-    if run_lanes is not None:
-        for name in MANY_LANES:
-            for n in LANES:
-                layers[f"step.{name}.lanes{n}"] = _median_us(
-                    lambda: run_lanes(obj, ONE_LANE[name], STEPS, range(n), [start(name)] * n),
-                    _steps)
-        layers["step.gd.ring.lanes4"] = _median_us(
-            lambda: run_lanes(obj, ONE_LANE["gd"], STEPS, range(4), [saddle] * 4), _steps)
-    oracle = getattr(obj, "oracle", None)
-    if oracle is not None:
-        rng = np.random.default_rng(0)
-        for n in (1,) + LANES:
-            X = saddle + 0.1 * rng.standard_normal((n, saddle.shape[0]))
-            layers[f"oracle.rows{n}"] = _per_call_us(lambda: oracle(X), ORACLE_CALLS) / n
+    for name in MANY_LANES:
+        for n in LANES:
+            layers[f"step.{name}.lanes{n}"] = _median_us(
+                lambda: run_lanes(obj, ONE_LANE[name], STEPS, range(n), [start(name)] * n),
+                _steps)
+    layers["step.gd.ring.lanes4"] = _median_us(
+        lambda: run_lanes(obj, ONE_LANE["gd"], STEPS, range(4), [saddle] * 4), _steps)
+    rng = np.random.default_rng(0)
+    for n in (1,) + LANES:
+        X = saddle + 0.1 * rng.standard_normal((n, saddle.shape[0]))
+        layers[f"oracle.rows{n}"] = _per_call_us(lambda: obj.oracle(X), ORACLE_CALLS) / n
     return layers
 
 
@@ -219,8 +211,8 @@ def bench_mlp_steps() -> dict:
         layers[f"step.{name}.mlp.lanes1"] = _median_us(
             lambda: [run(problem, algo, MLP_STEPS, 0, x0=start, batch_size=MLP_BATCH)], _steps)
         layers[f"step.{name}.mlp.lanes2"] = _median_us(
-            lambda: optimizers.run_lanes(problem, algo, MLP_STEPS, range(2), [start] * 2,
-                                         batch_size=MLP_BATCH), _steps)
+            lambda: run_lanes(problem, algo, MLP_STEPS, range(2), [start] * 2,
+                              batch_size=MLP_BATCH), _steps)
     return layers
 
 
@@ -272,14 +264,12 @@ def bench_layers() -> dict:
     batch = RngStream(0, 1).permutation(bundle.problem.n_samples)[:MLP_BATCH]
     layers["mlp.loss_and_gradient"] = _per_call_us(
         lambda: bundle.problem.loss_and_gradient(params, batch), ORACLE_CALLS // 10)
-    batch_oracle = getattr(bundle.problem, "batch_oracle", None)
-    if batch_oracle is not None:
-        for n in MLP_ORACLE_LANES:
-            X = np.array([bundle.init_point(seed) for seed in range(n)])
-            I = np.array([RngStream(seed, 1).permutation(bundle.problem.n_samples)[:MLP_BATCH]
-                          for seed in range(n)])
-            layers[f"mlp.oracle.lanes{n}"] = _per_call_us(lambda: batch_oracle(X, I),
-                                                          ORACLE_CALLS // 10)
+    for n in MLP_ORACLE_LANES:
+        X = np.array([bundle.init_point(seed) for seed in range(n)])
+        I = np.array([RngStream(seed, 1).permutation(bundle.problem.n_samples)[:MLP_BATCH]
+                      for seed in range(n)])
+        layers[f"mlp.oracle.lanes{n}"] = _per_call_us(lambda: bundle.problem.batch_oracle(X, I),
+                                                      ORACLE_CALLS // 10)
     weight = WeightFn(5.0)
     for d in OCCUPATION_DIMS:
         rng = RngStream(d, 0)
@@ -311,8 +301,7 @@ def bench_walks() -> dict:
 
 def blas_record() -> dict:
     """numpy's bundled BLAS library and its thread count outside the guard."""
-    lookup = getattr(core, "bundled_blas", None)
-    blas = lookup() if lookup is not None else None
+    blas = bundled_blas()
     return {"blas_library": blas.library if blas else None,
             "blas_threads": blas.get_threads() if blas else None}
 

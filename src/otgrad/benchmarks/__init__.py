@@ -15,7 +15,7 @@ import numpy as np
 from ..core import ANY, AT_LEAST_1, POSITIVE, Option, one_of
 from ..core import STREAM_INIT, ContractViolation, Objective, RngStream, derive_stream
 from .airy import AIRY_DIM, airy_ai, airy_regression_objective
-from .datasets import DATASET_KINDS, BLOB_SAMPLES, load_dataset
+from .datasets import DATASET_KINDS, BLOB_SAMPLES, N_CLASSES, load_dataset
 from .mlp import ACTIVATIONS, MlpProblem, mlp_param_count
 from .quadratics import (
     PR_DIM,
@@ -65,13 +65,23 @@ class Problem:
     batch_size: Optional[int] = None
 
     def resolve(self, name: str, options: dict) -> dict:
-        """The given options coerced to their types, the others (or None) at
+        """The given options, each judged by its Option and then converted
+        to its kind (so length=1 resolves to 1.0), the others (or None) at
         their defaults."""
         unknown = set(options) - set(self.options)
         if unknown:
             raise ContractViolation(f"unknown options for {name}: {sorted(unknown)}")
-        return {key: opt.default if options.get(key) is None else opt.kind(options[key])
-                for key, opt in self.options.items()}
+        resolved = {}
+        for key, opt in self.options.items():
+            value = options.get(key)
+            if value is None:
+                resolved[key] = opt.default
+                continue
+            fault = opt.fault(value)
+            if fault:
+                raise ContractViolation(f"{name}: {key}: must be {fault}, got {value!r}")
+            resolved[key] = opt.kind(value)
+        return resolved
 
 
 def _staircase(data_seed, dim, n_plateaus, length):
@@ -125,7 +135,8 @@ PROBLEMS = {
         "n_hidden": Option(int, AT_LEAST_1, 32),
         "dataset": Option(str, one_of(DATASET_KINDS), "synthetic_blobs"),
         "data_path": Option(str, ANY, None),
-        "n_samples": Option(int, AT_LEAST_1, None),     # synthetic_blobs only; None: its default
+        # synthetic_blobs only, one sample per class at least; None: its default
+        "n_samples": Option(int, (f">= {N_CLASSES}", lambda v: v >= N_CLASSES), None),
         "activation": Option(str, one_of(ACTIVATIONS), "sigmoid"),
         "init_mean": Option(float, ANY, 0.0),
         "init_std": Option(float, POSITIVE, 0.1),

@@ -43,6 +43,22 @@ def one_of(choices: tuple) -> tuple:
     return (f"one of {choices}", lambda v: v in choices)
 
 
+def _integral(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+# kind -> (label, test) of its values; an "ints" list is judged entry by entry.
+# Concrete types, not the numbers ABCs: an ABC check costs several times more.
+_KINDS = {
+    int: ("an int", _integral),
+    "ints": ("ints", _integral),
+    float: ("a float", lambda v: isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool)),
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    str: ("a str", lambda v: isinstance(v, str)),
+}
+
+
 class Option(NamedTuple):
     """One declared knob: its kind, rule and default."""
 
@@ -52,15 +68,17 @@ class Option(NamedTuple):
     finite: bool = True     # for a float: inf and nan break it
 
     def fault(self, value) -> Optional[str]:
-        """What `value` breaks, completing "must be ...": "finite", then the
-        rule's label; None if it holds."""
-        label, test = self.rule
-        try:
-            if self.kind is float and self.finite and not math.isfinite(value):
-                return "finite"
-            return None if test(value) else label
-        except TypeError:   # None (unless the rule takes it), or another kind
+        """What `value` breaks, completing "must be ...": its kind first (an
+        int is a Python or numpy integer, a float one of those or a Python
+        or numpy float, and a bool neither; a bool or a str is only its own
+        type), then "finite", then the rule's label; None if it holds."""
+        label, test = _KINDS[self.kind]
+        if not test(value):
             return label
+        if self.kind is float and self.finite and not math.isfinite(value):
+            return "finite"
+        label, test = self.rule
+        return None if test(value) else label
 
 
 @dataclass(frozen=True)
@@ -160,6 +178,7 @@ def eval_objective(obj: Objective, x) -> tuple[float, np.ndarray]:
 
 
 _MASK64 = (1 << 64) - 1
+_KEY_PART = Option(int, NONNEGATIVE, 0)    # base_seed or stream_id
 
 
 class RngStream:
@@ -177,8 +196,10 @@ class RngStream:
     """
 
     def __init__(self, base_seed: int, stream_id: int = 0):
-        if base_seed < 0 or stream_id < 0:
-            raise ContractViolation("base_seed and stream_id must be non-negative")
+        for key, value in (("base_seed", base_seed), ("stream_id", stream_id)):
+            fault = _KEY_PART.fault(value)
+            if fault:
+                raise ContractViolation(f"{key}: must be {fault}, got {value!r}")
         self.base_seed = int(base_seed)
         self.stream_id = int(stream_id)
         key = (self.base_seed & _MASK64) | ((self.stream_id & _MASK64) << 64)

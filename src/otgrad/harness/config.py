@@ -84,8 +84,9 @@ class ExperimentConfig:
     config_hash: str = ""
 
 
-# key -> core.Option (type, rule, default), the rule applied after typing;
-# the [optimizer] and [algorithm NAME] keys are AlgoConfig's fields.
+# key -> core.Option (kind, rule, default), which judges the value read
+# from the key's text; the [optimizer] and [algorithm NAME] keys are
+# AlgoConfig's fields.
 _PROBLEM_KEYS = {
     "name": Option(str, ANY, None),
     "data_seed": Option(int, NONNEGATIVE, 0),
@@ -110,7 +111,9 @@ _DATASET_BACKED = "a dataset-backed problem ({})".format(
     ", ".join(name for name, entry in PROBLEMS.items() if entry.batch_size is not None))
 
 
-def _convert(section: str, key: str, raw: str, kind, errors: list):
+def _convert(raw: str, kind):
+    """raw read as a value of kind, or raw itself when it does not read as
+    one, for the key's Option to refuse."""
     raw = raw.strip()
     try:
         if kind is int:
@@ -120,15 +123,10 @@ def _convert(section: str, key: str, raw: str, kind, errors: list):
         if kind is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "ints":
-            parts = raw.replace(",", " ").split()
-            if not parts:
-                raise ValueError
-            return [int(p) for p in parts]
-        return raw
+            return [int(p) for p in raw.replace(",", " ").split()] or raw
     except (KeyError, ValueError):    # KeyError: not a word of configparser's boolean table
-        wanted = kind if isinstance(kind, str) else kind.__name__
-        errors.append(f"[{section}] {key}: expected {wanted}, got {raw!r}")
-        return None
+        pass
+    return raw
 
 
 def _read_section(parser, section: str, keytable: dict, errors: list) -> dict:
@@ -140,9 +138,7 @@ def _read_section(parser, section: str, keytable: dict, errors: list) -> dict:
             errors.append(f"[{section}] unknown key {key!r}")
             continue
         option = keytable[key]
-        value = _convert(section, key, raw, option.kind, errors)
-        if value is None:
-            continue
+        value = _convert(raw, option.kind)
         values = value if isinstance(value, list) else [value]
         fault = next(filter(None, map(option.fault, values)), None)
         if fault:

@@ -51,7 +51,7 @@ class WeightFn:
     alpha: float = 5.0
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:    # nan too
             raise ContractViolation(f"weight exponent must be >= 0, got {self.alpha}")
 
     def __call__(self, n: int) -> float:

@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import ANY, FRACTION, NONNEGATIVE, POSITIVE, UNIT, Option, one_of
+from .core import ANY, AT_LEAST_1, FRACTION, NONNEGATIVE, POSITIVE, UNIT, Option, one_of
 from .core import (
     STREAM_ALGORITHM,
     STREAM_BATCH,
@@ -645,8 +645,8 @@ class AlgoConfig:
     except eta for the plain gd/agd baselines.
 
     Each field's Option (kind, rule, default) is checked when the frozen
-    config is built and read by the config parser; t_count None keeps
-    the full history.
+    config is built and read by the config parser.  Any t_count >=
+    max_steps keeps the whole run.
     """
 
     name: str = _knob(str, one_of(ALGORITHMS))
@@ -657,7 +657,7 @@ class AlgoConfig:
     r: float = _knob(float, POSITIVE, 0.04)
     momentum: float = _knob(float, UNIT, 0.5)
     h: float = _knob(float, POSITIVE, math.inf, finite=False)
-    t_count: Optional[int] = _knob(int, (">= 1", lambda v: v is None or v >= 1), 200)
+    t_count: int = _knob(int, AT_LEAST_1, 200)
     alpha: float = _knob(float, NONNEGATIVE, 5.0)
     ell: float = _knob(float, POSITIVE, 1.0)
     rho: float = _knob(float, POSITIVE, 1.0)
@@ -821,6 +821,13 @@ def window_budget_fault(lanes: int, rows: int, dim: int) -> Optional[str]:
             f"iterates x {dim} coordinates), over the {WINDOW_BUDGET_BYTES / 2 ** 30:g} GiB budget")
 
 
+# run_lanes's own arguments, judged as AlgoConfig's knobs are; batch_size
+# None, for no mini-batches, is not judged
+_RUN_ARGS = {"max_steps": Option(int, NONNEGATIVE, None),
+             "record_every": Option(int, AT_LEAST_1, 1),
+             "batch_size": Option(int, AT_LEAST_1, None)}
+
+
 @one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
 def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
@@ -856,14 +863,19 @@ def run_lanes(obj, algo: AlgoConfig, max_steps: int, seeds, x0s=None,
     draws its kicks from its own seed: each oracle call of a step puts
     every lane's row on that lane's batch in one call of batch_oracle, and
     full_grad_gate reads obj.full_objective().  These raise before step 0:
-    batch_size on an object without batch_oracle, anything but an
-    Objective without batch_size, full_grad_gate without batch_size, and
-    windows over WINDOW_BUDGET_BYTES.
+    a max_steps, record_every or batch_size that its _RUN_ARGS Option
+    refuses, a seed that RngStream refuses, batch_size on an object
+    without batch_oracle, anything but an Objective without batch_size,
+    full_grad_gate without batch_size, and windows over
+    WINDOW_BUDGET_BYTES.
     """
-    if max_steps < 0:
-        raise ContractViolation(f"max_steps must be >= 0, got {max_steps}")
-    if record_every < 1:
-        raise ContractViolation(f"record_every must be >= 1, got {record_every}")
+    given = [("max_steps", max_steps), ("record_every", record_every)]
+    if batch_size is not None:
+        given.append(("batch_size", batch_size))
+    for key, value in given:
+        fault = _RUN_ARGS[key].fault(value)
+        if fault:
+            raise ContractViolation(f"{key}: must be {fault}, got {value!r}")
     if batch_size is None:
         if not isinstance(obj, Objective):
             raise ContractViolation(f"run() needs an Objective, or a dataset-backed problem "

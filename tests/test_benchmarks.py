@@ -689,6 +689,28 @@ class TestMakeProblem:
         with pytest.raises(ContractViolation, match=f"dataset {dataset} takes no n_samples"):
             make_problem("mlp", dataset=dataset, data_path=str(tmp_path), n_samples=10)
 
+    @pytest.mark.parametrize("name, key, value, label", [
+        ("staircase", "dim", 2.5, "an int"),      # used to build a d = 2 staircase
+        ("staircase", "dim", "4", "an int"),
+        ("staircase", "dim", True, "an int"),
+        ("staircase", "length", math.nan, "finite"),
+        ("mlp", "init_std", -1.0, "positive"),
+        ("mlp", "n_samples", 5, ">= 10"),
+        ("mlp", "activation", 1, "a str"),
+    ])
+    def test_options_judged_not_coerced(self, name, key, value, label):
+        with pytest.raises(ContractViolation) as info:
+            make_problem(name, **{key: value})
+        assert str(info.value) == f"{name}: {key}: must be {label}, got {value!r}"
+
+    def test_numpy_numbers_and_ints_for_floats_resolve_to_their_kind(self):
+        a = make_problem("staircase", dim=np.int64(3), n_plateaus=np.int32(2), length=1)
+        b = make_problem("staircase", dim=3, n_plateaus=2, length=1.0)
+        x = a.init_point(0) + 0.1
+        assert a.dim == 3 and a.objective.value(x) == b.objective.value(x)
+        resolved = PROBLEMS["staircase"].resolve("staircase", {"dim": np.int64(3), "length": 1})
+        assert (type(resolved["dim"]), type(resolved["length"])) == (int, float)
+
     def test_leftover_options_rejected(self):
         with pytest.raises(ContractViolation):
             make_problem("staircase", dim=4, wings=2)

@@ -80,6 +80,20 @@ class TestRngStream:
         with pytest.raises(ContractViolation):
             RngStream(0, -2)
 
+    @pytest.mark.parametrize("key, seed, stream_id", [
+        ("base_seed", 2.5, 0), ("base_seed", True, 0), ("stream_id", 0, 1.0),
+        ("stream_id", 0, False)])
+    def test_non_integral_arguments_rejected(self, key, seed, stream_id):
+        # RngStream(2.5, 0) used to draw seed 2's stream
+        value = seed if key == "base_seed" else stream_id
+        with pytest.raises(ContractViolation, match=f"^{key}: must be an int, got {value!r}$"):
+            RngStream(seed, stream_id)
+
+    def test_numpy_integers_key_the_same_stream(self):
+        rng = RngStream(np.int64(42), np.uint8(3))
+        assert type(rng.base_seed) is int and type(rng.stream_id) is int
+        assert np.array_equal(rng.uniforms(8), RngStream(42, 3).uniforms(8))
+
     def test_normal_shape_and_determinism(self):
         a = RngStream(11, 1).normal((3, 4))
         assert a.shape == (3, 4)

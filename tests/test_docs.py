@@ -47,12 +47,16 @@ def test_problem_option_table_matches_the_registry():
             problem = cells[0].strip("`")
             listed.append(problem)
         if cells[1] != "—":
-            documented[(problem, cells[1].strip("`"))] = (cells[2], cells[3])
+            documented[(problem, cells[1].strip("`"))] = (cells[2], cells[3], cells[4])
     assert listed == ["every problem", *PROBLEMS]
-    declared = {("every problem", key): as_documented(opt) for key, opt in _PROBLEM_KEYS.items()}
-    declared.update({(name, key): as_documented(opt)
+    declared = {("every problem", key): opt for key, opt in _PROBLEM_KEYS.items()}
+    declared.update({(name, key): opt
                      for name, entry in PROBLEMS.items() for key, opt in entry.options.items()})
-    assert documented == declared
+    assert list(documented) == list(declared)
+    for row, (kind, default, allowed) in documented.items():
+        opt = declared[row]
+        assert (kind, default) == as_documented(opt), row
+        assert allowed.startswith(as_allowed(opt)), row
 
 
 def test_run_key_table_matches_the_run_table():
@@ -63,11 +67,14 @@ def test_run_key_table_matches_the_run_table():
 
 
 def as_allowed(opt) -> str:
-    """How the README's "allowed" cell starts for an Option's rule."""
+    """How the README's "allowed" cell starts for an Option's rule; a str
+    or float under no rule may start any way."""
     label = opt.rule[0]
     if label.startswith("one of "):
         return ", ".join(f"`{choice}`" for choice in ast.literal_eval(label[len("one of "):]))
-    return {"": "`true` or `false`", ">= 1": "≥ 1", "nonnegative": "≥ 0"}.get(label, label)
+    if not label:
+        return "`true` or `false`" if opt.kind is bool else ""
+    return "≥ 0" if label == "nonnegative" else label.replace(">= ", "≥ ")
 
 
 def test_algorithm_key_table_matches_algo_config():

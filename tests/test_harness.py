@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from otgrad import optimizers
-from otgrad.benchmarks import make_problem, mlp_param_count
+from otgrad.benchmarks import PROBLEMS, make_problem, mlp_param_count
 from otgrad.core import ContractViolation, Objective
 from otgrad.harness import (
     OUTPUT_ENV_VAR,
@@ -242,6 +242,8 @@ class TestConfigErrors:
          "[problem] dataset mnist_idx takes no n_samples: it reads every sample"),
         ("dataset = mnist_idx", "dataset = cifar10_binary\nn_samples = 10",
          "[problem] dataset cifar10_binary takes no n_samples: it reads every sample"),
+        ("dataset = mnist_idx\ndata_path = data/mnist\n", "n_samples = 5\n",
+         "[problem] n_samples: must be >= 10, got '5'"),
     ])
     def test_bad_mlp_options_rejected(self, old, new, message):
         # each used to pass here and fail only when the grid built its problem
@@ -283,8 +285,48 @@ def _never_called(dim: int) -> Objective:
     return Objective(dim=dim, oracle=oracle)
 
 
+# a value that breaks each rule, by its label; every rule a key declares is here
+_BREAKS = {">= 1": 0, ">= 10": 5, "positive": 0, "nonnegative": -1,
+           "in [0, 1)": 1, "in (0, 1]": 0}
+_WRONG_KIND = {int: (2.5, "2.5"), float: ("x", "x"), bool: ("maybe", "maybe"), str: (1, None)}
+_VALID = {"n_samples": 20, "n_hidden": 4}   # for options without a numeric default
+
+
+def _declared_options(kinds=(int, float, bool, str)) -> list:
+    """(problem name or "algorithm", config section, (key, Option)) of
+    every registry option and every AlgoConfig field but name, of the
+    given kinds."""
+    out = [(name, "problem", item) for name, entry in PROBLEMS.items()
+           for item in entry.options.items()]
+    out += [("algorithm", "algorithm pgdot", (f.name, f.metadata["option"]))
+            for f in fields(AlgoConfig) if f.name != "name"]
+    return [pytest.param(*case, id=f"{case[0]}.{case[2][0]}") for case in out
+            if case[2][1].kind in kinds]
+
+
+def _breaking_values(opt) -> list:
+    """(value, its config text or None) pairs: one of the wrong kind, and
+    one that breaks the rule or, for a finite float under no rule, inf."""
+    values = [_WRONG_KIND[opt.kind]]
+    label = opt.rule[0]
+    if label.startswith("one of "):
+        values.append(("bogus", "bogus"))
+    elif label:
+        bad = opt.kind(_BREAKS[label])
+        values.append((bad, str(bad)))
+    elif opt.kind is float and opt.finite:
+        values.append((math.inf, "inf"))
+    return values
+
+
+def _problem_config(name: str, line: str) -> str:
+    return (f"[problem]\nname = {name}\n{line}\n[run]\nmax_steps = 10\n"
+            "[optimizer]\neta = 0.1\n[algorithm gd]\n")
+
+
 class TestOneRulePerKnob:
-    """Each algorithm knob has one rule, which AlgoConfig and the config
+    """Each declared knob (an AlgoConfig field or a registry option) has
+    one Option, which the API (AlgoConfig, make_problem) and the config
     parser both enforce, with the same words."""
 
     @pytest.mark.parametrize("key, value, raw, label", [
@@ -313,7 +355,59 @@ class TestOneRulePerKnob:
     def test_every_default_passes_its_rule(self):
         for name in ALGORITHMS:
             AlgoConfig(name=name)
-        assert AlgoConfig(name="pgdot", t_count=None).t_count is None  # the full history
+
+    @pytest.mark.parametrize("key, value, label", [
+        ("t_count", None, "an int"),      # a t_count >= max_steps keeps the whole run
+        ("t_count", True, "an int"),
+        ("t_thres", np.float64(3.0), "an int"),
+        ("full_grad_gate", 1, "a bool"),  # a config's "1" reads as true
+    ])
+    def test_api_refuses_kinds_a_config_cannot_write(self, key, value, label):
+        with pytest.raises(ContractViolation) as info:
+            AlgoConfig(name="pgdot", **{key: value})
+        assert str(info.value) == f"{key}: must be {label}, got {value!r}"
+
+    @pytest.mark.parametrize("api, section, option", _declared_options())
+    def test_registry_and_algo_config_twins(self, api, section, option):
+        # for every declared key, a value of the wrong kind and one that
+        # breaks the rule: refused with the same label from Python and in a
+        # config (a config's text cannot hold a non-str for a str key)
+        key, opt = option
+        problem = section == "problem"
+        for value, raw in _breaking_values(opt):
+            label = opt.fault(value)
+            assert label, (key, value)
+            with pytest.raises(ContractViolation) as info:
+                if problem:
+                    make_problem(api, **{key: value})
+                else:
+                    AlgoConfig(name="pgdot", **{key: value})
+            prefix = f"{api}: " if problem else ""
+            assert str(info.value) == f"{prefix}{key}: must be {label}, got {value!r}"
+            if raw is None:
+                continue
+            if problem:
+                text = _problem_config(api, f"{key} = {raw}")
+            else:
+                text = SMALL_CONFIG.replace("[algorithm pgdot]",
+                                            f"[algorithm pgdot]\n{key} = {raw}")
+            with pytest.raises(ConfigError) as info:
+                parse_config(text)
+            assert info.value.errors == [f"[{section}] {key}: must be {label}, got {raw!r}"]
+
+    @pytest.mark.parametrize("api, section, option", _declared_options((int, float)))
+    def test_numpy_numbers_and_ints_for_floats_build(self, api, section, option):
+        key, opt = option
+        valid = _VALID.get(key, opt.default)
+        values = [np.int64(valid)] if opt.kind is int else [np.float64(valid)]
+        if opt.kind is float and float(valid).is_integer():
+            values.append(int(valid))
+        for value in values:
+            if section == "problem":
+                resolved = PROBLEMS[api].resolve(api, {key: value})[key]
+                assert type(resolved) is opt.kind and resolved == valid
+            else:
+                assert getattr(AlgoConfig(name="pgdot", **{key: value}), key) == valid
 
     def test_t_thres_zero_kicks_at_every_step(self, tmp_path, monkeypatch):
         # the cooldown is t_thres + 1 = 1, so the gate may fire at every step

@@ -128,6 +128,11 @@ class TestWeightFn:
         with pytest.raises(ContractViolation):
             WeightFn(alpha=-0.5)
 
+    def test_nan_alpha_rejected_when_built(self):
+        # it used to pass here and fail at the first weight, as an overflow
+        with pytest.raises(ContractViolation, match="^weight exponent must be >= 0, got nan$"):
+            WeightFn(alpha=math.nan)
+
     @given(
         st.floats(min_value=0.0, max_value=6.0),
         st.integers(min_value=0, max_value=100),

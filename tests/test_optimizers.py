@@ -595,6 +595,35 @@ class TestRun:
         with pytest.raises(ContractViolation):
             run("not an objective", AlgoConfig(name="gd"), 10, 0)
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((2.5, [0]), {}, "max_steps: must be an int, got 2.5"),
+        ((True, [0]), {}, "max_steps: must be an int, got True"),
+        ((10, [0]), {"record_every": 1.5}, "record_every: must be an int, got 1.5"),
+        ((10, [2.5]), {}, "base_seed: must be an int, got 2.5"),
+    ])
+    def test_run_arguments_judged_before_any_oracle_call(self, args, kwargs, message):
+        # max_steps 2.5 used to fail in np.empty, record_every 1.5 to
+        # record t = 0, 3, 6, 9, and seed 2.5 to draw seed 2's stream
+        obj, calls = _counting(convex_objective())
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            run_lanes(obj, AlgoConfig(name="pgdot"), *args, **kwargs)
+        assert calls["oracle"] == 0
+
+    def test_batch_size_judged_before_any_oracle_call(self):
+        problem = make_problem("mlp", n_samples=64, n_hidden=4).problem
+        for batch_size, label in ((2.5, "an int"), (0, ">= 1")):
+            with pytest.raises(ContractViolation,
+                               match=f"^batch_size: must be {label}, got {batch_size}$"):
+                run_lanes(problem, AlgoConfig(name="adam"), 10, [0], batch_size=batch_size)
+
+    def test_numpy_integers_run_as_ints(self):
+        obj = convex_objective()
+        algo = AlgoConfig(name="pgdot", t_count=np.int64(5), t_thres=np.int64(2), eta=1)
+        plain = AlgoConfig(name="pgdot", t_count=5, t_thres=2, eta=1.0)
+        a = run_lanes(obj, algo, np.int64(20), [np.int64(3)], record_every=np.int64(2))[0]
+        b = run_lanes(obj, plain, 20, [3], record_every=2)[0]
+        assert _trace_record(a) == _trace_record(b)
+
     def test_steps_to_threshold(self):
         trace = run(convex_objective(), AlgoConfig(name="gd", eta=0.5), 30, 0,
                     x0=np.array([2.0, 0.0]))
@@ -622,7 +651,7 @@ def _practical_occupation_reference(kind, next_objective, x0, seed, steps, cfg,
     run(): one f per step plus a final row on a fresh objective.
     """
     rng = derive_stream(seed, STREAM_ALGORITHM)
-    window = OccupationWindow(x0.shape[0], cfg.t_count or steps, cfg.h)  # None: every step
+    window = OccupationWindow(x0.shape[0], cfg.t_count, cfg.h)
     weight = WeightFn(cfg.alpha)
     x = np.array(x0, dtype=np.float64)
     v = np.zeros_like(x)
@@ -657,7 +686,8 @@ def _practical_occupation_reference(kind, next_objective, x0, seed, steps, cfg,
 
 class TestPracticalRunTranscription:
     @pytest.mark.parametrize("kind", ["pgdot", "pagdot"])
-    @pytest.mark.parametrize("h, t_count, alpha", [(0.01, 7, 1.0), (math.inf, None, 5.0)])
+    # t_count 60, the run's length, keeps every step
+    @pytest.mark.parametrize("h, t_count, alpha", [(0.01, 7, 1.0), (math.inf, 60, 5.0)])
     @pytest.mark.parametrize("reset", [False, True])
     def test_occupation_run_matches_transcription(self, kind, h, t_count, alpha, reset):
         # On a bowl with g_thres above the kick size the gate fires every
